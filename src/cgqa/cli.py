@@ -52,7 +52,7 @@ from .graph import (
     load_temporal_file,
     load_triples_file,
 )
-from .llm import ClientConfig, make_client
+from .llm import ChatError, ClientConfig, make_client
 
 
 def _emit(data: Any, out: str | None) -> None:
@@ -329,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, GraphNotFoundError) as exc:
+    except (OSError, ValueError, GraphNotFoundError, ChatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

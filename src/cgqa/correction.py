@@ -349,7 +349,9 @@ def assess(
     try:
         plan = validate_plan(parse_plan(plan_text), registry)
     except QueryError as err:
-        return ExecutionOutcome("exec_error", [], None, err)
+        # A fresh copy: the caught one's traceback pins every calling frame.
+        return ExecutionOutcome("exec_error", [], None,
+                                QueryError(err.kind, **err.detail))
     return execute_plan(plan, cg, strict_empty=strict_empty)
 
 
@@ -371,16 +373,22 @@ def generate_initial(
 ) -> str:
     """Sample sc_n plans and majority-vote their executed answers.
 
-    All failing samples share one bucket; ties go to the earliest sample.
+    A client with a sample(messages, n) method gets all sc_n requests at
+    once; any other client is asked complete() sc_n times in a row. All
+    failing samples share one bucket; ties go to the earliest sample.
     Returns the plan text of the first sample in the winning bucket.
     """
     if sc_n < 1:
         raise ValueError("sc_n must be >= 1")
     prompt = build_query_prompt(question_text, schema_text, demos, registry)
+    sample = getattr(client, "sample", None)
+    if sample is not None:
+        completions = sample(prompt, sc_n)
+    else:
+        completions = [client.complete(prompt) for _ in range(sc_n)]
     candidates: list[str] = []
     buckets: dict[tuple, list[int]] = {}
-    for i in range(sc_n):
-        completion = client.complete(prompt)
+    for i, completion in enumerate(completions):
         _, plan_text = extract_plan(completion)
         plan_text = plan_text if plan_text is not None else completion.strip()
         candidates.append(plan_text)

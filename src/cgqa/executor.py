@@ -389,7 +389,10 @@ def execute_plan(
         try:
             result = execute_step(step, env, cg)
         except QueryError as err:
-            return ExecutionOutcome("exec_error", per_step, None, err)
+            # A fresh copy: the caught one's traceback pins every calling
+            # frame.
+            return ExecutionOutcome("exec_error", per_step, None,
+                                    QueryError(err.kind, **err.detail))
         per_step.append(result)
         env[step.index] = result
         if not result.values and (step.index != last or strict_empty):

@@ -1,7 +1,9 @@
 """Chat-completion clients: an HTTP backend and a deterministic scripted one.
 
 The correction loop only sees an object with a complete() method, so the two
-backends are interchangeable. The scripted client replays canned replies —
+backends are interchangeable; the HTTP client also has sample(), which sends
+the self-consistency requests of one prompt concurrently. The scripted
+client replays canned replies —
 keyed by a digest of the exact request, with an optional in-order fallback —
 and fails loudly when asked something it has no reply for.
 """
@@ -15,10 +17,12 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 ROLES = ("system", "user", "assistant")
+_MAX_SAMPLES_IN_FLIGHT = 8
 
 
 class ChatError(Exception):
@@ -188,6 +192,22 @@ class HttpChatClient:
                 time.sleep(cfg.retry_backoff * (2 ** attempt))
         assert last_exc is not None
         raise last_exc
+
+    def sample(self, messages: Sequence[ChatMessage], n: int) -> list[str]:
+        """n completions of one request, returned in submission order.
+
+        At most 8 requests are in flight at once, each with its own retries.
+        If any fails, the others are still waited for, then the failure of
+        the lowest-index sample is raised.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if n == 1:
+            return [self.complete(messages)]
+        workers = min(n, _MAX_SAMPLES_IN_FLIGHT)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(self.complete, messages) for _ in range(n)]
+        return [f.result() for f in futures]
 
 
 def _parse_completion(body: bytes) -> str:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -73,6 +75,60 @@ class TestAsk:
         trace = json.loads(capsys.readouterr().out)
         assert trace["status"] == "solved_direct"
         assert trace["initial_outcome"]["answer"] == ["Texas"]
+
+
+class _NotFoundHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = b"no such model"
+        self.send_response(404)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestModelFailures:
+    def ask(self, suite, *flags):
+        return main([
+            "ask", "Where is Alice from?",
+            "--graph", os.path.join(suite["graphs_dir"], "people.jsonl"),
+            *flags,
+        ])
+
+    def test_exhausted_script_is_one_line_error(self, suite, tmp_path,
+                                                capsys):
+        script = tmp_path / "empty.jsonl"
+        script.write_text("", encoding="utf-8")
+        code = self.ask(suite, "--backend", "scripted", "--script",
+                        str(script))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no scripted reply")
+        assert err.count("\n") == 1
+
+    def test_http_404_is_one_line_error(self, suite, tmp_path, capsys):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _NotFoundHandler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        config = tmp_path / "client.json"
+        config.write_text(json.dumps({
+            "endpoint": f"http://127.0.0.1:{server.server_port}/v1",
+            "retry_backoff": 0.0,
+        }), encoding="utf-8")
+        try:
+            # the default five self-consistency samples run on a thread pool
+            code = self.ask(suite, "--backend", "http", "--config",
+                            str(config))
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: HTTP 404: no such model")
+        assert err.count("\n") == 1
 
 
 class TestFlags:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from cgqa.correction import (
     CorrectionTrace,
     Demonstration,
@@ -200,6 +202,37 @@ class TestGenerateInitial:
         got = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
                                client, sc_n=3)
         assert got == WRONG_SUBTRACT  # two errors outvote one clean answer
+
+    def test_client_with_sample_gets_one_batch(self, toy_graph):
+        plan_b = "query1 = get_information(relation='Age')"
+
+        class BatchClient:
+            calls = []
+
+            def sample(self, messages, n):
+                self.calls.append(n)
+                return [plan_b, GOOD_PLAN, GOOD_PLAN][:n]
+
+            def complete(self, messages):
+                raise AssertionError("complete() called despite sample()")
+
+        client = BatchClient()
+        got = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
+                               client, sc_n=3)
+        assert got == GOOD_PLAN
+        assert client.calls == [3]
+
+
+@pytest.mark.parametrize("plan", [
+    WRONG_SUBTRACT,  # rejected by the validator
+    "query1 = get_information(relation='Colleges')\n"
+    "query2 = sum(set=output_of_query1)",  # fails in the executor
+])
+def test_stored_error_keeps_no_traceback(toy_graph, plan):
+    err = assess(plan, toy_graph).error
+    assert err is not None
+    assert err.__traceback__ is None
+    assert err.__cause__ is None
 
 
 def _chain_ok(trace: CorrectionTrace) -> bool:

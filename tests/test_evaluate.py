@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from cgqa.correction import Question, run_correction
@@ -93,6 +96,28 @@ class TestEvaluate:
             PipelineConfig(mct=0, sc_n=1),
         )
         assert with_report.value >= without_report.value
+
+    def test_mini_suite_leaves_no_frame_cycles(self, tmp_path):
+        # Stored errors must not pin the frames that raised them: a frame in
+        # a reference cycle lives until a full collection.
+        graphs, paths = build_mini_graphs(tmp_path)
+        questions = mini_questions()
+        client = script_client(paths["script_with"])
+        gc.collect()
+        flags = gc.get_debug()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            report, _ = evaluate(questions, graphs.__getitem__, client,
+                                 PipelineConfig(mct=3, sc_n=1))
+            del _
+            gc.collect()
+            frames = [o for o in gc.garbage if isinstance(o, types.FrameType)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert report.solved_after_n == {1: 8}
+        assert frames == []
 
     def test_empty_question_list(self):
         report, traces = evaluate([], lambda ref: None, None,

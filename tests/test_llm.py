@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
+from cgqa import llm
 from cgqa.llm import (
     ChatError,
     ChatMessage,
@@ -114,6 +117,7 @@ def http_server():
     _Handler.requests = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def _ok_body(text: str) -> bytes:
@@ -188,6 +192,130 @@ class TestHttp:
         config = ClientConfig(backend="http", retry_backoff=0.0)
         with pytest.raises(ChatError):
             HttpChatClient(config).complete(MESSAGES)
+
+
+class _FanOutServer(ThreadingHTTPServer):
+    """Holds each request until `target` are in flight at once (or a safety
+    timeout passes), then answers earlier arrivals later, so replies finish
+    in roughly the reverse of the order they were sent. The request that
+    arrives `fail_arrival`-th gets HTTP 404 without waiting."""
+
+    daemon_threads = True
+
+    def __init__(self, target: int, fail_arrival: int | None = None) -> None:
+        super().__init__(("127.0.0.1", 0), _FanOutHandler)
+        self.target = target
+        self.fail_arrival = fail_arrival
+        self.lock = threading.Lock()
+        self.all_in = threading.Event()
+        self.arrived = 0
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+
+class _FanOutHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        srv = self.server
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with srv.lock:
+            arrival = srv.arrived
+            srv.arrived += 1
+            srv.in_flight += 1
+            srv.max_in_flight = max(srv.max_in_flight, srv.in_flight)
+            if srv.in_flight >= srv.target:
+                srv.all_in.set()
+        if arrival == srv.fail_arrival:
+            status, body = 404, b"no such model"
+        else:
+            srv.all_in.wait(timeout=5)
+            time.sleep(0.02 * max(srv.target - arrival, 0))
+            status, body = 200, _ok_body(f"reply {arrival}")
+        with srv.lock:
+            srv.in_flight -= 1
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def fan_out_server():
+    servers = []
+
+    def start(target, fail_arrival=None):
+        server = _FanOutServer(target, fail_arrival)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server, HttpChatClient(ClientConfig(
+            backend="http", retry_backoff=0.0,
+            endpoint=f"http://127.0.0.1:{server.server_port}/v1"))
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+class _TaggingPool(ThreadPoolExecutor):
+    """Prefixes each result with the index of its submission."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        i = self._submitted
+        self._submitted += 1
+        return super().submit(lambda: f"{i}:{fn(*args, **kwargs)}")
+
+
+class TestSample:
+    def test_samples_are_in_flight_together(self, fan_out_server):
+        server, client = fan_out_server(target=5)
+        replies = client.sample(MESSAGES, 5)
+        assert server.max_in_flight == 5
+        assert sorted(replies) == [f"reply {i}" for i in range(5)]
+
+    def test_replies_in_submission_order(self, fan_out_server, monkeypatch):
+        monkeypatch.setattr(llm, "ThreadPoolExecutor", _TaggingPool)
+        _, client = fan_out_server(target=5)
+        replies = client.sample(MESSAGES, 5)
+        assert [r.split(":")[0] for r in replies] == ["0", "1", "2", "3", "4"]
+
+    def test_failure_raised_after_every_sample_finished(self, fan_out_server):
+        server, client = fan_out_server(target=4, fail_arrival=0)
+        finished = []
+        complete = client.complete
+
+        def counting_complete(messages):
+            try:
+                return complete(messages)
+            finally:
+                finished.append(1)
+
+        client.complete = counting_complete
+        with pytest.raises(HttpStatusError) as exc_info:
+            client.sample(MESSAGES, 5)
+        assert exc_info.value.code == 404
+        assert len(finished) == 5
+        assert server.arrived == 5  # the 404 is not retried
+
+    def test_at_most_eight_in_flight(self, fan_out_server):
+        server, client = fan_out_server(target=8)
+        replies = client.sample(MESSAGES, 10)
+        assert len(replies) == 10
+        assert server.arrived == 10
+        assert server.max_in_flight == 8
+
+    def test_single_sample_uses_no_pool(self, http_server, monkeypatch):
+        monkeypatch.setattr(llm, "ThreadPoolExecutor", None)
+        _Handler.behaviors = [(200, _ok_body("only"))]
+        client = HttpChatClient(ClientConfig(
+            backend="http", endpoint=http_server, retry_backoff=0.0))
+        assert client.sample(MESSAGES, 1) == ["only"]
 
 
 class TestContract:
