@@ -349,9 +349,7 @@ def assess(
     try:
         plan = validate_plan(parse_plan(plan_text), registry)
     except QueryError as err:
-        # A fresh copy: the caught one's traceback pins every calling frame.
-        return ExecutionOutcome("exec_error", [], None,
-                                QueryError(err.kind, **err.detail))
+        return ExecutionOutcome("exec_error", [], None, err.detached())
     return execute_plan(plan, cg, strict_empty=strict_empty)
 
 

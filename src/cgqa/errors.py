@@ -64,6 +64,15 @@ class QueryError(Exception):
     def message(self) -> str:
         return render_message(self)
 
+    def detached(self) -> "QueryError":
+        """A copy with no traceback, cause or context, for storing as a value.
+
+        A caught error's traceback pins every frame that raised it, and each
+        frame its callers, in a reference cycle that only a full collection
+        frees.
+        """
+        return QueryError(self.kind, **self.detail)
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "category": self.category,

@@ -389,10 +389,8 @@ def execute_plan(
         try:
             result = execute_step(step, env, cg)
         except QueryError as err:
-            # A fresh copy: the caught one's traceback pins every calling
-            # frame.
             return ExecutionOutcome("exec_error", per_step, None,
-                                    QueryError(err.kind, **err.detail))
+                                    err.detached())
         per_step.append(result)
         env[step.index] = result
         if not result.values and (step.index != last or strict_empty):

@@ -17,7 +17,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -198,15 +198,18 @@ class HttpChatClient:
 
         At most 8 requests are in flight at once, each with its own retries.
         If any fails, the others are still waited for, then the failure of
-        the lowest-index sample is raised.
+        the lowest-index sample is raised. If the wait is interrupted (say by
+        Ctrl-C), samples not yet sent are cancelled; those in flight still
+        run to the end of their retries before the process can exit.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n == 1:
-            return [self.complete(messages)]
-        workers = min(n, _MAX_SAMPLES_IN_FLIGHT)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        pool = ThreadPoolExecutor(max_workers=min(n, _MAX_SAMPLES_IN_FLIGHT))
+        try:
             futures = [pool.submit(self.complete, messages) for _ in range(n)]
+            wait(futures)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
         return [f.result() for f in futures]
 
 

@@ -310,12 +310,34 @@ class TestSample:
         assert server.arrived == 10
         assert server.max_in_flight == 8
 
-    def test_single_sample_uses_no_pool(self, http_server, monkeypatch):
-        monkeypatch.setattr(llm, "ThreadPoolExecutor", None)
-        _Handler.behaviors = [(200, _ok_body("only"))]
-        client = HttpChatClient(ClientConfig(
-            backend="http", endpoint=http_server, retry_backoff=0.0))
-        assert client.sample(MESSAGES, 1) == ["only"]
+    def test_interrupt_cancels_unsent_samples(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        def interrupted_wait(futures):
+            raise KeyboardInterrupt
+
+        release = threading.Event()
+        started = []
+
+        def blocking_complete(messages):
+            started.append(1)
+            release.wait(timeout=5)
+            return "reply"
+
+        monkeypatch.setattr(llm, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(llm, "wait", interrupted_wait)
+        client = HttpChatClient(ClientConfig(backend="http"))
+        client.complete = blocking_complete
+        with pytest.raises(KeyboardInterrupt):
+            client.sample(MESSAGES, 10)
+        release.set()
+        pools[0].shutdown(wait=True)
+        assert len(started) <= 8  # the queued samples never ran
 
 
 class TestContract:
