@@ -325,13 +325,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sampling_warning(args: argparse.Namespace) -> str | None:
+    """Self-consistency samples from an HTTP model at temperature 0 mostly
+    repeat one reply, so the extra requests buy no vote."""
+    n = getattr(args, "self_consistency", 1)
+    if n <= 1:
+        return None
+    config = _client_config(args)
+    if config.backend != "http" or config.temperature != 0:
+        return None
+    return (f"warning: --self-consistency {n} at temperature 0 sends {n} "
+            "identical requests per question; set a temperature above 0 in "
+            "--config, or use --self-consistency 1")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand. A failure prints only its one-line error; a
+    finished run that wasted model calls adds one warning line."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        warning = _sampling_warning(args)
     except (OSError, ValueError, GraphNotFoundError, ChatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if warning:
+        print(warning, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

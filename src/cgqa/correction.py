@@ -9,8 +9,11 @@ reports.
 
 from __future__ import annotations
 
+import heapq
 import re
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .dsl import DEFAULT_REGISTRY, FunctionRegistry, parse_plan, validate_plan
@@ -22,6 +25,7 @@ from .llm import ChatMessage, flatten_messages
 _STEP_LINE_RE = re.compile(r"^\s*query\d+\s*=")
 _PUNCT_RE = re.compile(r"[^\w\s.-]|_")
 _NUMERIC_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass
@@ -144,15 +148,26 @@ class CorrectionTrace:
         )
 
 
+@lru_cache(maxsize=4096)
+def _word_set(text: str) -> frozenset[str]:
+    # Retrieval compares one question with every pool question, so each
+    # pool question's words are computed once, not once per question.
+    # Questions share most words; interning stores each word once.
+    return frozenset(map(sys.intern, _WORD_RE.findall(text.casefold())))
+
+
 def token_set_jaccard(a: str, b: str) -> float:
     """Default demonstration similarity: Jaccard over casefolded word sets."""
-    ta = set(re.findall(r"\w+", a.casefold()))
-    tb = set(re.findall(r"\w+", b.casefold()))
+    return _jaccard(_word_set(a), _word_set(b))
+
+
+def _jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
     if not ta and not tb:
         return 1.0
     if not ta or not tb:
         return 0.0
-    return len(ta & tb) / len(ta | tb)
+    common = len(ta & tb)
+    return common / (len(ta) + len(tb) - common)
 
 
 def retrieve_demos(
@@ -163,14 +178,17 @@ def retrieve_demos(
     similarity: Callable[[str, str], float] | None = None,
 ) -> list[Demonstration]:
     """Top demonstrations by similarity; ties keep pool order."""
-    sim = similarity or token_set_jaccard
-    scored = sorted(
-        ((sim(question_text, d.question), i) for i, d in enumerate(pool)),
-        key=lambda pair: (-pair[0], pair[1]),
+    if similarity is None:
+        words = _word_set(question_text)
+        scores = (_jaccard(words, _word_set(d.question)) for d in pool)
+    else:
+        scores = (similarity(question_text, d.question) for d in pool)
+    top = heapq.nsmallest(
+        max(k_retrieve, 0), ((-score, i) for i, score in enumerate(scores))
     )
     picked: list[Demonstration] = []
     seen: set[tuple[str, str]] = set()
-    for _, i in scored[: max(k_retrieve, 0)]:
+    for _, i in top:
         demo = pool[i]
         ident = (demo.question, demo.plan_text)
         if ident in seen:
@@ -183,12 +201,9 @@ def retrieve_demos(
 
 
 def render_schema(schema: SchemaDescriptor) -> str:
-    """Deterministic schema block shown to the model."""
-    lines = [f"source: {schema.source_kind}"]
-    for relation in schema.relations:
-        samples = ", ".join(schema.sample_values.get(relation, []))
-        lines.append(f"{relation}: {samples}" if samples else f"{relation}:")
-    return "\n".join(lines)
+    """Deterministic schema block shown to the model (see
+    SchemaDescriptor.text), rendered once per descriptor."""
+    return schema.text
 
 
 def _system_text(registry: FunctionRegistry) -> str:

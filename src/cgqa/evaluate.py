@@ -110,6 +110,18 @@ class PipelineConfig:
     demo_pool: Sequence[Demonstration] = field(default_factory=tuple)
     jobs: int = 1
     full_history: bool = False
+    _correction_pool: tuple = field(default=(None, ()), init=False,
+                                    repr=False, compare=False)
+
+    def correction_pool(self) -> tuple[Demonstration, ...]:
+        """The correction demonstrations of demo_pool, filtered once per
+        pool object."""
+        pool, picked = self._correction_pool
+        if pool is not self.demo_pool:
+            pool = self.demo_pool
+            picked = tuple(d for d in pool if d.is_correction)
+            self._correction_pool = (pool, picked)
+        return picked
 
 
 def run_question(
@@ -122,9 +134,9 @@ def run_question(
     demos_q = retrieve_demos(
         question.text, config.demo_pool, config.retrieves, config.demos_query
     )
-    demos_c = [d for d in config.demo_pool if d.is_correction]
     demos_c = retrieve_demos(
-        question.text, demos_c, config.retrieves, config.demos_correction
+        question.text, config.correction_pool(), config.retrieves,
+        config.demos_correction,
     )
     match_mode = "hits1" if config.metric == METRIC_HITS1 else "denotation"
     return run_correction(

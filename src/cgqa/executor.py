@@ -8,7 +8,9 @@ Semantics per function:
                      relations; relation/key only -> tails (column access).
     min/max/mean/sum aggregate a referenced set; inputs must be all-numeric
                      (min/max also accept all-date); anything else is a
-                     trapped runtime fault.
+                     trapped runtime fault. Every result is a set, so an
+                     aggregate sees each distinct value once: sum over the
+                     ages 20, 20 and 30 of three people is 50, not 70.
     count            cardinality of a referenced set.
     keep             filter entities by a condition on a related value,
                      matching either a relation or a qualifier key.
@@ -22,18 +24,17 @@ step is an error (the final step too, under strict mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .dsl import QueryPlan, QueryStep, StepRef
 from .errors import ErrorKind, QueryError, classify_fault
 from .graph import (
     ConditionGraph,
-    Edge,
     Scalar,
-    compare_values,
     normalize,
     time_key,
     value_key,
+    value_matcher,
     value_text,
 )
 
@@ -120,28 +121,14 @@ def _dedupe(values: Iterable[Scalar]) -> frozenset[Scalar]:
     return frozenset(seen.values())
 
 
-def _resolve(value: Any, env: Mapping[int, StepResult]) -> Any:
-    if isinstance(value, StepRef):
-        return env[value.index]
-    return value
+def _bound_value(value: Any, env: Mapping[int, StepResult]) -> Any:
+    """A literal argument, or the value set of a referenced step."""
+    return env[value.index].values if isinstance(value, StepRef) else value
 
 
-def _as_set(value: Any) -> frozenset[Scalar]:
-    if isinstance(value, StepResult):
-        return value.values
-    return frozenset({value})
-
-
-def _match(edge_value: Scalar, bound: Any, cmp: str) -> bool:
-    """Match one edge field against a literal or a referenced result set."""
-    if isinstance(bound, StepResult):
-        if cmp != "=":
-            raise ValueError(
-                f"comparison symbol '{cmp}' cannot be applied to a step result"
-            )
-        keys = {value_key(v) for v in bound.values}
-        return value_key(edge_value) in keys
-    return compare_values(edge_value, bound, cmp)
+def _as_set(value: Any, env: Mapping[int, StepResult]) -> frozenset[Scalar]:
+    value = _bound_value(value, env)
+    return value if isinstance(value, frozenset) else frozenset({value})
 
 
 def execute_step(
@@ -165,131 +152,75 @@ def _exec_get_information(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     bound: dict[str, tuple[str, Any]] = {
-        a.name: (a.comparator, _resolve(a.value, env)) for a in step.args
+        a.name: (a.comparator, _bound_value(a.value, env)) for a in step.args
     }
-    head = bound.get("head_entity")
-    relation = bound.get("relation")
-    tail = bound.get("tail_entity")
-    key = bound.get("key")
-    value = bound.get("value")
-
-    candidates: Iterable[Edge]
-    if relation is not None and not isinstance(relation[1], StepResult):
-        ids = cg.relation_index.get(normalize(str(relation[1])), ())
-        candidates = (cg.edges[i] for i in ids)
-        relation = None  # already applied via the index
-    else:
-        candidates = cg.edges
-
-    hits: list[Edge] = []
-    for edge in candidates:
-        if head is not None and not _match(edge.head, head[1], head[0]):
-            continue
-        if relation is not None and not _match(
-            edge.relation, relation[1], relation[0]
-        ):
-            continue
-        if tail is not None and not _match(edge.tail, tail[1], tail[0]):
-            continue
-        if key is not None:
-            if edge.qualifier is None or not _match(
-                edge.qualifier[0], key[1], key[0]
-            ):
-                continue
-        if value is not None:
-            if edge.qualifier is None or not _match(
-                edge.qualifier[1], value[1], value[0]
-            ):
-                continue
-        hits.append(edge)
-
-    head_bound = "head_entity" in bound
-    tail_bound = "tail_entity" in bound or "value" in bound
-    if head_bound and not ("tail_entity" in bound):
-        out = _dedupe(e.tail for e in hits)
-        kind = VALUE_SET
-    elif tail_bound and not head_bound:
-        out = _dedupe(e.head for e in hits)
-        kind = ENTITY_SET
-    elif head_bound and "tail_entity" in bound:
+    head, relation, tail, key, value = (
+        bound.get(name, ("=", None))
+        for name in ("head_entity", "relation", "tail_entity", "key", "value")
+    )
+    hits = cg.lookup(
+        head=head[1], relation=relation[1], tail=tail[1], tail_cmp=tail[0],
+        qual_key=key[1], qual_value=value[1], qual_cmp=value[0],
+        head_cmp=head[0], relation_cmp=relation[0], key_cmp=key[0],
+    )
+    if "head_entity" in bound and "tail_entity" in bound:
         if "key" in bound:
-            out = _dedupe(e.qualifier[1] for e in hits if e.qualifier)
+            values = (e.qualifier[1] for e in hits if e.qualifier)
         else:
-            out = _dedupe(e.relation for e in hits)
-        kind = VALUE_SET
-    else:
-        # only relation and/or key bound: column access, project tails
-        out = _dedupe(e.tail for e in hits)
-        kind = VALUE_SET
-    return StepResult(index=step.index, values=out, kind=kind)
+            values = (e.relation for e in hits)
+    elif "head_entity" not in bound and ("tail_entity" in bound
+                                         or "value" in bound):
+        return StepResult(step.index, _dedupe(e.head for e in hits),
+                          ENTITY_SET)
+    else:  # head bound alone, or column access: project tails
+        values = (e.tail for e in hits)
+    return StepResult(step.index, _dedupe(values), VALUE_SET)
 
 
-def _numeric(values: Iterable[Scalar]) -> list[float] | None:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return None
-        out.append(float(v))
-    return out
+def _numeric(values: frozenset[Scalar]) -> list[float] | None:
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+           for v in values):
+        return [float(v) for v in values]
+    return None
 
 
 def _dates(values: Iterable[Scalar]) -> list[tuple[tuple[int, int, int], Scalar]] | None:
-    out = []
-    for v in values:
-        if not isinstance(v, str):
-            return None
-        tk = time_key(v)
-        if tk is None:
-            return None
-        out.append((tk, v))
-    return out
-
-
-def _fault_order(values: Iterable[Scalar]) -> list[Scalar]:
-    # Deterministic operand order so trapped fault text is stable.
-    return sort_values(values)
+    keyed = [(time_key(v) if isinstance(v, str) else None, v) for v in values]
+    return None if any(tk is None for tk, _ in keyed) else keyed
 
 
 def _exec_aggregate(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
-    source = _as_set(_resolve(step.args[0].value, env))
+    source = _as_set(step.args[0].value, env)
     fn = step.function
     if fn == "count":
         return StepResult(step.index, frozenset({len(source)}), SCALAR)
     nums = _numeric(source)
-    if nums is not None and nums:
-        if fn == "sum":
-            result: Scalar = _tighten(sum(nums))
-        elif fn == "mean":
-            result = _tighten(sum(nums) / len(nums))
-        elif fn == "min":
-            result = _tighten(min(nums))
-        else:
-            result = _tighten(max(nums))
+    if nums:
+        result = _tighten(_AGGREGATES[fn](nums))
         return StepResult(step.index, frozenset({result}), SCALAR)
     if fn in ("min", "max"):
         dated = _dates(source)
         if dated is not None and dated:
             picked = (min if fn == "min" else max)(dated)[1]
             return StepResult(step.index, frozenset({picked}), SCALAR)
-    # Mixed or non-numeric input: evaluate literally and let the fault bubble
-    # into a runtime-exception report.
-    ordered = _fault_order(source)
+    # Mixed or non-numeric input: evaluate literally, in a fixed operand
+    # order so the fault text is stable, and let the fault bubble into a
+    # runtime-exception report.
+    ordered = sort_values(source)
     if fn in ("min", "max") and ordered and all(
         isinstance(v, str) for v in ordered
     ):
         # Python would happily order text; the aggregate contract does not.
         raise TypeError("ordering not supported between text values")
-    if fn == "sum":
-        result = sum(ordered)  # type: ignore[arg-type]
-    elif fn == "mean":
-        result = sum(ordered) / len(ordered)  # type: ignore[arg-type]
-    elif fn == "min":
-        result = min(ordered)  # type: ignore[type-var]
-    else:
-        result = max(ordered)  # type: ignore[type-var]
+    result = _AGGREGATES[fn](ordered)
     return StepResult(step.index, frozenset({result}), SCALAR)
+
+
+_AGGREGATES: dict[str, Callable[[list], Any]] = {
+    "sum": sum, "mean": lambda xs: sum(xs) / len(xs), "min": min, "max": max,
+}
 
 
 def _tighten(value: float) -> Scalar:
@@ -300,27 +231,25 @@ def _exec_keep(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     bound = {a.name: a for a in step.args}
-    source = _as_set(_resolve(bound["set"].value, env))
-    key = _resolve(bound["key"].value, env)
-    if isinstance(key, StepResult):
+    source = _as_set(bound["set"].value, env)
+    key = _bound_value(bound["key"].value, env)
+    if isinstance(key, frozenset):
         raise ValueError("parameter 'key' of keep must be a literal")
     cond = bound["value"]
-    target = _resolve(cond.value, env)
+    match = value_matcher(_bound_value(cond.value, env), cond.comparator)
     key_norm = normalize(str(key))
     kept = []
     for entity in source:
         ids = cg.entity_index.get(normalize(value_text(entity)), ())
         for i in ids:
             edge = cg.edges[i]
-            if normalize(edge.relation) == key_norm and _match(
-                edge.tail, target, cond.comparator
-            ):
+            if normalize(edge.relation) == key_norm and match(edge.tail):
                 kept.append(entity)
                 break
             if (
                 edge.qualifier is not None
                 and normalize(edge.qualifier[0]) == key_norm
-                and _match(edge.qualifier[1], target, cond.comparator)
+                and match(edge.qualifier[1])
             ):
                 kept.append(entity)
                 break
@@ -331,18 +260,13 @@ def _exec_set_op(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     fn = step.function
-    bound = {a.name: _resolve(a.value, env) for a in step.args}
+    bound = {a.name: a.value for a in step.args}
     if fn == "set_negation":
-        source = _as_set(bound["set"])
-        kind = ENTITY_SET
-        exclude = {value_key(v) for v in source}
-        universe = cg.head_entities()
-        out = [u for u in universe if value_key(u) not in exclude]
-        return StepResult(step.index, _dedupe(out), kind)
-    left = _as_set(bound["set1"])
-    right = _as_set(bound["set2"])
-    lmap = {value_key(v): v for v in left}
-    rmap = {value_key(v): v for v in right}
+        exclude = {value_key(v) for v in _as_set(bound["set"], env)}
+        out = [u for u in cg.head_entities() if value_key(u) not in exclude]
+        return StepResult(step.index, _dedupe(out), ENTITY_SET)
+    lmap = {value_key(v): v for v in _as_set(bound["set1"], env)}
+    rmap = {value_key(v): v for v in _as_set(bound["set2"], env)}
     if fn == "set_intersection":
         keys = [k for k in lmap if k in rmap]
     elif fn == "set_union":
@@ -351,9 +275,8 @@ def _exec_set_op(
     else:  # set_difference
         keys = [k for k in lmap if k not in rmap]
     kinds = {
-        r.kind
-        for r in (_resolve(a.value, env) for a in step.args)
-        if isinstance(r, StepResult)
+        env[a.value.index].kind for a in step.args
+        if isinstance(a.value, StepRef)
     }
     kind = ENTITY_SET if kinds == {ENTITY_SET} else VALUE_SET
     return StepResult(step.index, frozenset(lmap[k] for k in keys), kind)
@@ -361,16 +284,10 @@ def _exec_set_op(
 
 _HANDLERS = {
     "get_information": _exec_get_information,
-    "min": _exec_aggregate,
-    "mean": _exec_aggregate,
-    "max": _exec_aggregate,
-    "count": _exec_aggregate,
-    "sum": _exec_aggregate,
     "keep": _exec_keep,
-    "set_intersection": _exec_set_op,
-    "set_union": _exec_set_op,
-    "set_negation": _exec_set_op,
-    "set_difference": _exec_set_op,
+    **dict.fromkeys(("min", "mean", "max", "count", "sum"), _exec_aggregate),
+    **dict.fromkeys(("set_intersection", "set_union", "set_negation",
+                     "set_difference"), _exec_set_op),
 }
 
 

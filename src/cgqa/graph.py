@@ -12,9 +12,13 @@ import csv
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence
 
 Scalar = str | int | float
+Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
 
 KIND_TEXT = "text"
 KIND_NUMERIC = "numeric"
@@ -192,19 +196,32 @@ class Edge:
 
 @dataclass
 class SchemaDescriptor:
-    """Relation inventory with sample values, rendered into prompts."""
+    """Relation inventory with sample values, rendered into prompts.
+    schema_summary shares one per graph, so treat it as read-only."""
 
     relations: list[str]
     sample_values: dict[str, list[str]]
     source_kind: str
 
+    @cached_property
+    def text(self) -> str:
+        """Deterministic schema block shown to the model."""
+        lines = [f"source: {self.source_kind}"]
+        for relation in self.relations:
+            samples = ", ".join(self.sample_values.get(relation, []))
+            lines.append(f"{relation}: {samples}" if samples
+                         else f"{relation}:")
+        return "\n".join(lines)
+
 
 class ConditionGraph:
     """Immutable, indexed edge set.
 
-    entity_index maps normalized head labels to edge ids; relation_index maps
-    normalized relation labels to edge ids. Both are accelerators only: lookup
-    results always equal a brute-force scan.
+    entity_index and relation_index map normalized head and relation labels
+    to edge ids; a tail-key index is built by the first lookup that can use
+    it. Indexes only accelerate: lookup results equal a brute-force scan.
+    The lazy caches (tail index, schema summaries) live on the graph and die
+    with it; two threads filling one at once store equal values.
     """
 
     def __init__(self, edges: Iterable[Edge], source_kind: str = "kg") -> None:
@@ -217,8 +234,6 @@ class ConditionGraph:
             seen.setdefault(edge, None)
         self.edges: tuple[Edge, ...] = tuple(seen)
         self.source_kind = source_kind
-        self.entity_index: dict[str, tuple[int, ...]] = {}
-        self.relation_index: dict[str, tuple[int, ...]] = {}
         ent: dict[str, list[int]] = {}
         rel: dict[str, list[int]] = {}
         for i, edge in enumerate(self.edges):
@@ -226,70 +241,132 @@ class ConditionGraph:
             rel.setdefault(normalize(edge.relation), []).append(i)
         self.entity_index = {k: tuple(v) for k, v in ent.items()}
         self.relation_index = {k: tuple(v) for k, v in rel.items()}
+        self._tail_index: tuple[dict | None, bool] | None = None
+        self._schemas: dict[int, SchemaDescriptor] = {}
 
     def __len__(self) -> int:
         return len(self.edges)
 
     def head_entities(self) -> list[str]:
         """Distinct head labels, first-seen surface form, insertion order."""
-        seen: dict[str, str] = {}
-        for edge in self.edges:
-            seen.setdefault(normalize(edge.head), edge.head)
-        return list(seen.values())
+        return [self.edges[ids[0]].head for ids in self.entity_index.values()]
 
-    def lookup(
-        self,
-        head: Scalar | None = None,
-        relation: str | None = None,
-        tail: Scalar | None = None,
-        tail_cmp: str = "=",
-        qual_key: str | None = None,
-        qual_value: Scalar | None = None,
-        qual_cmp: str = "=",
-    ) -> list[Edge]:
+    def _tail_keys(self) -> tuple[dict | None, bool]:
+        """(value_key of tail -> edge ids, None if a tail is not a scalar;
+        whether some text tail looks numeric), built on first use."""
+        if self._tail_index is None:
+            index: dict | None = {}
+            try:
+                # ids from relation_index: both share each id's int object
+                for ids in self.relation_index.values():
+                    for i in ids:
+                        key = value_key(self.edges[i].tail)
+                        index.setdefault(key, []).append(i)
+                index = {k: tuple(sorted(v)) for k, v in index.items()}
+            except AttributeError:  # a malformed dump: always scan
+                index = None
+            self._tail_index = (index, any(
+                isinstance(e.tail, str) and _NUM_RE.match(e.tail.strip())
+                for e in self.edges))
+        return self._tail_index
+
+    def lookup(self, head: Bound = None, relation: Bound = None,
+               tail: Bound = None, tail_cmp: str = "=", qual_key: Bound = None,
+               qual_value: Bound = None, qual_cmp: str = "=", *,
+               head_cmp: str = "=", relation_cmp: str = "=",
+               key_cmp: str = "=") -> list[Edge]:
         """Edges matching every bound field, in stable edge order.
 
-        tail_cmp/qual_cmp apply =, <, >, <=, >= on the tail / qualifier value;
-        non-equality against text raises KindMismatchError.
+        A bound field is a literal or a set of values, tested as
+        value_matcher says; a literal relation matches by normalized label
+        whatever its comparator. A scan tests relation literal, head,
+        relation set, tail, qualifier key and qualifier value in that order
+        and raises the first failing comparison. Candidates come from the
+        smallest index (relation, head, tail key) whose dropped edges would
+        fail a test without raising, so results and errors equal the scan's.
         """
-        if all(v is None for v in (head, relation, tail, qual_key, qual_value)):
-            raise GraphError("lookup requires at least one bound field")
-        ids: Sequence[int]
-        if relation is not None:
-            ids = self.relation_index.get(normalize(str(relation)), ())
-        elif head is not None and isinstance(head, str):
-            ids = self.entity_index.get(normalize(head), ())
-        else:
-            ids = range(len(self.edges))
+        options: list[Sequence[int]] = []
+        checks: list[tuple[Callable[[Edge], Any], Callable[[Any], bool]]] = []
+        rel_ids = None
+        if relation is not None and not _is_set(relation):
+            rel_norm = normalize(str(relation))
+            rel_ids = self.relation_index.get(rel_norm, ())
+            options.append(rel_ids)
+        if head is not None:
+            if head_cmp == "=" and _is_set(head):
+                options.append(_ids(self.entity_index, {
+                    normalize(v) for v in head if isinstance(v, str)}))
+            elif head_cmp == "=" and isinstance(_coerce_numeric(head), str):
+                options.append(self.entity_index.get(normalize(head), ()))
+            checks.append((_head, value_matcher(head, head_cmp)))
+        if relation is not None and _is_set(relation):
+            checks.append((_relation, value_matcher(relation, relation_cmp)))
+        if tail is not None:
+            if tail_cmp == head_cmp == "=" and (rel_ids is not None
+                                                or relation_cmp == "="):
+                index, numeric_text = self._tail_keys()
+                if index is not None and _is_set(tail):
+                    options.append(_ids(index, {value_key(v) for v in tail}))
+                elif index is not None and not numeric_text:
+                    key = value_key(_coerce_numeric(tail))
+                    options.append(index.get(key, ()))
+            checks.append((_tail, value_matcher(tail, tail_cmp)))
+        if qual_key is not None:
+            checks.append((_qualifier(0), value_matcher(qual_key, key_cmp)))
+        if qual_value is not None:
+            checks.append((_qualifier(1), value_matcher(qual_value, qual_cmp)))
+        ids = min(options, key=len) if options else range(len(self.edges))
+        if rel_ids is not None and ids is not rel_ids:
+            checks.insert(0, (_relation, lambda r: normalize(r) == rel_norm))
         out = []
         for i in ids:
             edge = self.edges[i]
-            if head is not None and not _equal(edge.head, head):
-                continue
-            if relation is not None and normalize(edge.relation) != normalize(
-                str(relation)
-            ):
-                continue
-            if tail is not None:
-                if edge.tail_kind == KIND_TEXT and tail_cmp != "=":
-                    raise KindMismatchError(
-                        f"comparison symbol '{tail_cmp}' applied to text "
-                        f"value '{value_text(edge.tail)}'"
-                    )
-                if not compare_values(edge.tail, tail, tail_cmp):
-                    continue
-            if qual_key is not None:
-                if edge.qualifier is None:
-                    continue
-                if normalize(edge.qualifier[0]) != normalize(qual_key):
-                    continue
-            if qual_value is not None:
-                if edge.qualifier is None:
-                    continue
-                if not compare_values(edge.qualifier[1], qual_value, qual_cmp):
-                    continue
-            out.append(edge)
+            for field, match in checks:
+                value = field(edge)
+                if value is _MISSING or not match(value):
+                    break
+            else:
+                out.append(edge)
         return out
+
+
+_MISSING = object()
+_head, _relation, _tail = (attrgetter(f) for f in ("head", "relation", "tail"))
+
+
+def _qualifier(part: int) -> Callable[[Edge], Any]:
+    return lambda edge: edge.qualifier[part] if edge.qualifier else _MISSING
+
+
+def _is_set(value: Any) -> bool:
+    return isinstance(value, (set, frozenset))
+
+
+def _ids(index: dict, keys: Iterable) -> list[int]:
+    """Edge ids under any of keys; distinct keys hold disjoint ids."""
+    return sorted(chain.from_iterable(index.get(k, ()) for k in keys))
+
+
+def value_matcher(bound: Bound, cmp: str) -> Callable[[Any], bool]:
+    """Test for one edge field bound to a literal or to a set of values.
+
+    A literal compares under compare_values. A set (an earlier step's
+    result) matches by value_key membership, without numeric coercion, and
+    admits only '='; its keys are computed once here, and a bad comparator
+    raises only when a value is tested, as a scan would.
+    """
+    if _is_set(bound):
+        if cmp != "=":
+            def reject(value: Any) -> bool:
+                raise ValueError(f"comparison symbol '{cmp}' cannot be "
+                                 "applied to a step result")
+            return reject
+        keys = {value_key(v) for v in bound}
+        return lambda value: value_key(value) in keys
+    if cmp == "=":
+        want = value_key(_coerce_numeric(bound))
+        return lambda value: value_key(_coerce_numeric(value)) == want
+    return lambda value: compare_values(value, bound, cmp)
 
 
 def ingest_table(
@@ -362,7 +439,14 @@ def ingest_temporal(quads: Iterable[Sequence[str]]) -> ConditionGraph:
 
 
 def schema_summary(cg: ConditionGraph, max_samples: int = 3) -> SchemaDescriptor:
-    """Relations (sorted) with up to max_samples first-seen tail values each."""
+    """Relations (sorted) with up to max_samples first-seen tail values each.
+
+    Computed once per graph and max_samples; later calls return the same
+    descriptor.
+    """
+    cached = cg._schemas.get(max_samples)
+    if cached is not None:
+        return cached
     surfaces: dict[str, str] = {}
     samples: dict[str, list[str]] = {}
     for edge in cg.edges:
@@ -372,12 +456,11 @@ def schema_summary(cg: ConditionGraph, max_samples: int = 3) -> SchemaDescriptor
         text = value_text(edge.tail)
         if text not in bucket and len(bucket) < max_samples:
             bucket.append(text)
-    relations = sorted(surfaces.values())
-    return SchemaDescriptor(
-        relations=relations,
+    return cg._schemas.setdefault(max_samples, SchemaDescriptor(
+        relations=sorted(surfaces.values()),
         sample_values={surfaces[k]: v for k, v in samples.items()},
         source_kind=cg.source_kind,
-    )
+    ))
 
 
 def read_delimited(path: str, delimiter: str | None = None) -> list[list[str]]:

@@ -99,11 +99,11 @@ def _dedupe(values):
     return list(seen.values())
 
 
-def _match_field(edge_value, bound, op, env_sets):
+def _match_field(edge_value, bound, op, env_keys):
     if isinstance(bound, StepRef):
         if op != "=":
             raise _Fault("comparator against a step result")
-        return _key(edge_value) in {_key(v) for v in env_sets[bound.index]}
+        return _key(edge_value) in env_keys[bound.index]
     return _cmp(edge_value, bound, op)
 
 
@@ -114,12 +114,13 @@ def run_reference(plan: QueryPlan, edges, strict_empty: bool = False) -> dict:
     Returns a summary dict comparable with summarize_outcome().
     """
     env: dict[int, list] = {}
+    env_keys: dict[int, set] = {}  # each step's value keys, built once
     steps_out = []
     last = len(plan.steps)
     for step in plan.steps:
         bound = {a.name: (a.comparator, a.value) for a in step.args}
         try:
-            values = _run_step(step, bound, edges, env)
+            values = _run_step(step, bound, edges, env, env_keys)
         except _Fault:
             return {
                 "status": "exec_error",
@@ -129,6 +130,7 @@ def run_reference(plan: QueryPlan, edges, strict_empty: bool = False) -> dict:
                 "answer": None,
             }
         env[step.index] = values
+        env_keys[step.index] = {_key(v) for v in values}
         steps_out.append(sorted(_canon(v) for v in values))
         if not values and (step.index != last or strict_empty):
             return {
@@ -147,7 +149,7 @@ def run_reference(plan: QueryPlan, edges, strict_empty: bool = False) -> dict:
     }
 
 
-def _run_step(step, bound, edges, env):
+def _run_step(step, bound, edges, env, env_keys):
     fn = step.function
     if fn == "get_information":
         hits = []
@@ -159,15 +161,15 @@ def _run_step(step, bound, edges, env):
                     continue
                 op, val = bound[name]
                 if name == "head_entity":
-                    ok = _match_field(head, val, op, env)
+                    ok = _match_field(head, val, op, env_keys)
                 elif name == "relation":
-                    ok = _match_field(rel, val, op, env)
+                    ok = _match_field(rel, val, op, env_keys)
                 elif name == "tail_entity":
-                    ok = _match_field(tail, val, op, env)
+                    ok = _match_field(tail, val, op, env_keys)
                 elif name == "key":
-                    ok = qk is not None and _match_field(qk, val, op, env)
+                    ok = qk is not None and _match_field(qk, val, op, env_keys)
                 else:
-                    ok = qv is not None and _match_field(qv, val, op, env)
+                    ok = qv is not None and _match_field(qv, val, op, env_keys)
                 if not ok:
                     break
             if ok:
@@ -224,14 +226,14 @@ def _run_step(step, bound, edges, env):
                 if not _eq(head, entity):
                     continue
                 if _norm(rel) == _norm(str(key)) and _match_field(
-                    tail, target, op, env
+                    tail, target, op, env_keys
                 ):
                     kept.append(entity)
                     break
                 if (
                     qk is not None
                     and _norm(qk) == _norm(str(key))
-                    and _match_field(qv, target, op, env)
+                    and _match_field(qv, target, op, env_keys)
                 ):
                     kept.append(entity)
                     break
@@ -327,3 +329,99 @@ def random_case(rng: random.Random):
     cg, tuples = random_graph(rng)
     plan = gen_plan(rng)
     return cg, tuples, plan
+
+
+# Graphs of a few thousand edges and plans that exercise every lookup index:
+# head-only and tail-only literals, reference-bound heads and tails, ordering
+# comparators that meet text tails, and text tails that look like numbers.
+
+BIG_ENTITIES = [f"e{i}" for i in range(300)]
+BIG_TEXTS = TEXTS + [f"town{i}" for i in range(40)]
+# "code" holds text tails; with numeric_text some of them read as numbers.
+BIG_RELATIONS = RELATIONS + ["code"]
+
+
+def random_large_graph(rng: random.Random, n_edges: int = 3000,
+                       numeric_text: bool = False):
+    """Like random_graph, over a wider vocabulary and n_edges draws."""
+    raw = []
+    for _ in range(n_edges):
+        head = rng.choice(BIG_ENTITIES)
+        rel = rng.choice(BIG_RELATIONS)
+        if rel in NUMERIC_RELATIONS:
+            tail, kind = rng.randint(0, 50), "numeric"
+        elif rel == "team":
+            tail, kind = rng.choice(BIG_ENTITIES), "text"
+        elif rel == "code" and numeric_text and rng.random() < 0.5:
+            tail, kind = str(rng.randint(0, 50)), "text"
+        else:
+            tail, kind = rng.choice(BIG_TEXTS), "text"
+        qual = None
+        if rng.random() < 0.3:
+            qual = ("time", str(rng.randint(1990, 2020)))
+        raw.append((head, rel, tail, kind, qual))
+    raw = list(dict.fromkeys(raw))
+    cg = ConditionGraph(Edge(h, r, t, k, q) for h, r, t, k, q in raw)
+    tuples = [
+        (h, r, t, q[0] if q else None, q[1] if q else None)
+        for h, r, t, _, q in raw
+    ]
+    return cg, tuples
+
+
+def _big_tail(rng: random.Random):
+    """A tail literal of any kind: number, number-like text, text, entity."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return rng.randint(0, 50)
+    if pick == 1:
+        return str(rng.randint(0, 50))
+    if pick == 2:
+        return rng.choice(BIG_TEXTS)
+    return rng.choice(BIG_ENTITIES)
+
+
+def gen_lookup_plan(rng: random.Random):
+    """A valid plan of one or two get_information steps, optionally followed
+    by keep, set_negation or an aggregate over the last result."""
+    from cgqa.dsl import Arg, QueryPlan, QueryStep
+
+    cmps = ["=", "<", ">", "<=", ">="]
+    rel = rng.choice(BIG_RELATIONS)
+    first = rng.choice([
+        [Arg("head_entity", "=", rng.choice(BIG_ENTITIES))],
+        [Arg("tail_entity", "=", _big_tail(rng))],
+        [Arg("tail_entity", rng.choice(cmps), rng.randint(0, 50))],
+        [Arg("head_entity", "=", rng.choice(BIG_ENTITIES)),
+         Arg("tail_entity", rng.choice(cmps[1:]), rng.randint(0, 50))],
+        [Arg("relation", "=", rel), Arg("tail_entity", "=", _big_tail(rng))],
+        [Arg("relation", "=", rel),
+         Arg("tail_entity", rng.choice(cmps), rng.randint(0, 50))],
+        [Arg("relation", "=", rel), Arg("key", "=", "time"),
+         Arg("value", rng.choice(cmps), rng.randint(1990, 2020))],
+    ])
+    steps = [QueryStep(1, "get_information", tuple(first))]
+    ref = StepRef(1)
+    if rng.random() < 0.7:
+        second = rng.choice([
+            [Arg("head_entity", "=", ref)],
+            [Arg("head_entity", "=", ref), Arg("relation", "=", rel)],
+            [Arg("tail_entity", "=", ref)],
+            [Arg("relation", "=", rel), Arg("tail_entity", "=", ref)],
+            [Arg("relation", "=", rel),
+             Arg("tail_entity", rng.choice(cmps[1:]), ref)],
+        ])
+        steps.append(QueryStep(2, "get_information", tuple(second)))
+        ref = StepRef(2)
+    if rng.random() < 0.4:
+        i = len(steps) + 1
+        steps.append(rng.choice([
+            QueryStep(i, "keep", (Arg("set", "=", ref),
+                                  Arg("key", "=", rel),
+                                  Arg("value", rng.choice(cmps),
+                                      rng.randint(0, 50)))),
+            QueryStep(i, "set_negation", (Arg("set", "=", ref),)),
+            QueryStep(i, rng.choice(["count", "sum", "max"]),
+                      (Arg("set", "=", ref),)),
+        ]))
+    return QueryPlan(steps=steps)

@@ -131,6 +131,76 @@ class TestModelFailures:
         assert err.count("\n") == 1
 
 
+class _PlanHandler(BaseHTTPRequestHandler):
+    """Answers every chat request with the same plan."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = json.dumps({"choices": [{"message": {"content": (
+            "query1 = get_information(head_entity='Alice', "
+            "relation='Hometown')")}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestSamplingWarning:
+    def ask(self, suite, tmp_path, capsys, temperature, *flags):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _PlanHandler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        config = tmp_path / "client.json"
+        config.write_text(json.dumps({
+            "endpoint": f"http://127.0.0.1:{server.server_port}/v1",
+            "temperature": temperature,
+        }), encoding="utf-8")
+        out = tmp_path / f"trace-{temperature}.json"
+        try:
+            code = main([
+                "ask", "Where is Alice from?",
+                "--graph", os.path.join(suite["graphs_dir"], "people.jsonl"),
+                "--backend", "http", "--config", str(config),
+                "--out", str(out), *flags,
+            ])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err, out.read_bytes()
+
+    def test_identical_samples_warn_once(self, suite, tmp_path, capsys):
+        out, err, trace = self.ask(suite, tmp_path, capsys, 0.0)
+        assert err.startswith("warning: --self-consistency 5 at temperature 0")
+        assert err.count("\n") == 1
+        warm_out, warm_err, warm_trace = self.ask(suite, tmp_path, capsys, 0.7)
+        assert warm_err == ""
+        assert (out, trace) == (warm_out, warm_trace)
+        assert json.loads(trace)["status"] == "solved_direct"
+
+    def test_one_sample_or_scripted_backend_is_quiet(self, suite, tmp_path,
+                                                      capsys):
+        assert self.ask(suite, tmp_path, capsys, 0.0,
+                        "--self-consistency", "1")[1] == ""
+        script = tmp_path / "ask.jsonl"
+        script.write_text(2 * (json.dumps({
+            "reply": "query1 = get_information(head_entity='Alice', "
+                     "relation='Hometown')"
+        }) + "\n"), encoding="utf-8")
+        code = main([
+            "ask", "Where is Alice from?",
+            "--graph", os.path.join(suite["graphs_dir"], "people.jsonl"),
+            "--backend", "scripted", "--script", str(script),
+            "--self-consistency", "2",
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestFlags:
     def test_strict_empty_changes_outcome(self, suite, tmp_path, capsys):
         script = tmp_path / "empty.jsonl"

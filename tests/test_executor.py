@@ -12,9 +12,22 @@ from hypothesis import strategies as st
 from cgqa.dsl import parse_plan, validate_plan
 from cgqa.errors import ErrorKind
 from cgqa.executor import execute_plan, sort_values
-from cgqa.graph import ingest_table
+from cgqa.errors import classify_fault
+from cgqa.graph import (
+    KindMismatchError,
+    compare_values,
+    dump_graph,
+    ingest_table,
+    load_graph,
+)
 
-from oracle import random_case, run_reference, summarize_outcome
+from oracle import (
+    gen_lookup_plan,
+    random_case,
+    random_large_graph,
+    run_reference,
+    summarize_outcome,
+)
 
 
 def run(text: str, cg, strict_empty: bool = False):
@@ -93,6 +106,18 @@ class TestGetInformation:
 
 
 class TestAggregates:
+    def test_aggregates_see_each_distinct_value_once(self):
+        # Results are sets: two people aged 20 contribute one 20.
+        cg = ingest_table([["Ann", "20"], ["Ben", "20"], ["Cy", "30"]],
+                          ["Name", "Age"])
+        base = "query1 = get_information(relation='Age')\n"
+        assert answer(base, cg) == {20, 30}
+        assert answer(base + "query2 = sum(set=output_of_query1)", cg) == {50}
+        assert answer(base + "query2 = count(set=output_of_query1)",
+                      cg) == {2}
+        assert answer(base + "query2 = mean(set=output_of_query1)",
+                      cg) == {25}
+
     def test_sum(self, toy_graph):
         got = answer(
             "query1 = get_information(relation='Age')\n"
@@ -342,3 +367,64 @@ def test_reference_agreement_quick():
         assert got == want, f"\nplan:\n{plan}\ngot:  {got}\nwant: {want}"
         agree += 1
     assert agree == 120
+
+
+@pytest.fixture(scope="module", params=[False, True],
+                ids=["numeric-tails", "numeric-looking-text-tails"])
+def large_case(request, tmp_path_factory):
+    """A graph of about 3000 edges, read back from its dump; the second
+    variant holds text tails such as "20" (tail_kind "text")."""
+    cg, tuples = random_large_graph(random.Random(31), 3000,
+                                    numeric_text=request.param)
+    path = str(tmp_path_factory.mktemp("large") / "graph.jsonl")
+    dump_graph(cg, path)
+    loaded = load_graph(path)
+    assert loaded.edges == cg.edges
+    if request.param:
+        assert any(e.tail == "20" and e.tail_kind == "text"
+                   for e in loaded.edges)
+    return loaded, tuples
+
+
+def test_reference_agreement_on_large_graphs(large_case):
+    cg, tuples = large_case
+    rng = random.Random(4242)
+    kinds = set()
+    for _ in range(120):
+        plan = validate_plan(gen_lookup_plan(rng))
+        got = summarize_outcome(execute_plan(plan, cg))
+        want = run_reference(plan, tuples)
+        assert got == want, f"\nplan:\n{plan}\ngot:  {got}\nwant: {want}"
+        kinds.add(got["status"] if got["error_kind"] is None
+                  else got["error_kind"])
+    # the plans reach answers, empty steps and trapped faults alike
+    assert kinds == {"success", "empty_mid_step_result", "runtime_exception"}
+
+
+def test_ordering_fault_names_the_first_edge_a_scan_reaches(large_case):
+    cg, _ = large_case
+    rng = random.Random(7)
+    faults = 0
+    for _ in range(60):
+        head = f"e{rng.randrange(300)}"
+        cmp = rng.choice(["<", ">", "<=", ">="])
+        limit = rng.randint(0, 50)
+        outcome = run(f"query1 = get_information(head_entity='{head}', "
+                      f"tail_entity{cmp}{limit})", cg)
+        expected = None
+        for edge in cg.edges:  # the first edge of the head whose tail is text
+            if edge.head != head:
+                continue
+            try:
+                compare_values(edge.tail, limit, cmp)
+            except KindMismatchError as exc:
+                expected = classify_fault("get_information", exc).message
+                break
+        if expected is None:
+            assert outcome.error is None or outcome.error.kind is not \
+                ErrorKind.RUNTIME_EXCEPTION
+        else:
+            faults += 1
+            assert outcome.error.kind is ErrorKind.RUNTIME_EXCEPTION
+            assert outcome.error.message == expected
+    assert faults > 10

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +30,12 @@ from cgqa.graph import (
     normalize,
     schema_summary,
     time_key,
+    value_key,
 )
+from cgqa.executor import execute_plan
+from cgqa.dsl import parse_plan, validate_plan
+
+from oracle import BIG_ENTITIES, BIG_RELATIONS, random_large_graph
 
 
 def brute_lookup(cg, head=None, relation=None, tail=None, tail_cmp="=",
@@ -246,6 +255,12 @@ def test_indices_cover_every_edge(people_graph):
         assert i in people_graph.relation_index[normalize(edge.relation)]
 
 
+def test_head_entities_keep_first_seen_surface_form():
+    cg = ingest_triples([("Bob", "r", "x"), ("Alice", "r", "y"),
+                         ("alice", "s", "z"), ("BOB", "s", "w")])
+    assert cg.head_entities() == ["Bob", "Alice"]
+
+
 def test_dedup_no_identical_edges(people_graph):
     seen = set()
     for edge in people_graph.edges:
@@ -280,6 +295,14 @@ class TestSchemaSummary:
         schema = schema_summary(movies_graph)
         assert schema.relations == sorted({"directed_by", "genre"})
 
+    def test_repeated_calls_agree(self, people_graph):
+        first = schema_summary(people_graph)
+        again = schema_summary(people_graph)
+        fresh = schema_summary(ConditionGraph(people_graph.edges, "table"))
+        assert first == again == fresh
+        assert first.text == fresh.text
+        assert schema_summary(people_graph, 1).sample_values["Age"] == ["20"]
+
 
 def test_infer_scalar_kinds():
     assert infer_scalar("20") == (20, "numeric")
@@ -296,3 +319,157 @@ def test_dump_load_round_trip(tmp_path, people_graph, terms_graph):
         back = load_graph(path)
         assert back.edges == cg.edges
         assert back.source_kind == cg.source_kind
+
+
+def scan_lookup(cg, head=None, relation=None, tail=None, tail_cmp="=",
+                qual_key=None, qual_value=None, qual_cmp="=", head_cmp="=",
+                relation_cmp="=", key_cmp="="):
+    """Every edge, every bound field, in lookup's documented test order,
+    with no index: the reference for results and raised errors."""
+    def match(value, bound, cmp):
+        if isinstance(bound, frozenset):
+            if cmp != "=":
+                raise ValueError(f"comparison symbol '{cmp}' cannot be "
+                                 "applied to a step result")
+            return value_key(value) in {value_key(v) for v in bound}
+        return compare_values(value, bound, cmp)
+
+    literal_relation = relation is not None and not isinstance(relation,
+                                                               frozenset)
+    hits = []
+    for edge in cg.edges:
+        q = edge.qualifier
+        if literal_relation and normalize(edge.relation) != normalize(
+                str(relation)):
+            continue
+        if head is not None and not match(edge.head, head, head_cmp):
+            continue
+        if isinstance(relation, frozenset) and not match(
+                edge.relation, relation, relation_cmp):
+            continue
+        if tail is not None and not match(edge.tail, tail, tail_cmp):
+            continue
+        if qual_key is not None and (q is None
+                                     or not match(q[0], qual_key, key_cmp)):
+            continue
+        if qual_value is not None and (
+                q is None or not match(q[1], qual_value, qual_cmp)):
+            continue
+        hits.append(edge)
+    return hits
+
+
+def _outcome(fn, **pattern):
+    try:
+        return ("hits", fn(**pattern))
+    except (KindMismatchError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _random_pattern(rng: random.Random) -> dict:
+    cmps = ["=", "<", ">", "<=", ">="]
+
+    def value():
+        return rng.choice([rng.randint(0, 50), str(rng.randint(0, 50)),
+                           rng.choice(BIG_ENTITIES), "austin", "nowhere"])
+
+    def bound():
+        if rng.random() < 0.4:
+            return frozenset(value() for _ in range(rng.randint(0, 30)))
+        return value()
+
+    pattern = {}
+    for name, cmp_name, p in (("head", "head_cmp", 0.4),
+                              ("tail", "tail_cmp", 0.6),
+                              ("qual_value", "qual_cmp", 0.15)):
+        if rng.random() < p:
+            pattern[name] = bound()
+            if rng.random() < 0.3:
+                pattern[cmp_name] = rng.choice(cmps)
+    if rng.random() < 0.5:
+        pattern["relation"] = (rng.choice(BIG_RELATIONS)
+                               if rng.random() < 0.8
+                               else frozenset(rng.sample(BIG_RELATIONS, 2)))
+        if rng.random() < 0.2:
+            pattern["relation_cmp"] = rng.choice(cmps)
+    if rng.random() < 0.15:
+        pattern["qual_key"] = "time"
+    return pattern
+
+
+@pytest.mark.parametrize("numeric_text", [False, True])
+def test_indexed_lookup_equals_scan_at_scale(numeric_text):
+    cg, _ = random_large_graph(random.Random(5), 3000, numeric_text)
+    rng = random.Random(11)
+    # A comparison that raises before the tail test must still raise when
+    # no edge holds the tail.
+    fixed = [{"head": "e1", "head_cmp": "<", "tail": "nowhere"},
+             {"relation": frozenset({"age"}), "relation_cmp": "<",
+              "tail": "nowhere"},
+             # set members that normalize alike must not repeat an edge
+             {"head": frozenset({"e1", "E1 "})},
+             {"tail": frozenset({"Austin", "austin", "e2", " E2"})}]
+    raised = hits = 0
+    for pattern in fixed + [_random_pattern(rng) for _ in range(400)]:
+        got = _outcome(cg.lookup, **pattern)
+        assert got == _outcome(scan_lookup, cg=cg, **pattern), pattern
+        raised += got[0] == "raised"
+        hits += got[0] == "hits" and bool(got[1])
+    assert raised > 20 and hits > 100
+
+
+def _lookup_patterns():
+    entities = frozenset(BIG_ENTITIES[:40])
+    return [
+        {"tail": 20}, {"tail": "20"}, {"tail": "austin"},
+        {"relation": "team", "tail": entities}, {"tail": entities},
+        {"head": entities, "relation": "age"}, {"head": "e7"},
+        {"relation": "age", "tail": 30, "tail_cmp": "<"},
+    ]
+
+
+def test_concurrent_first_lookups_match_one_thread():
+    edges = random_large_graph(random.Random(9), 3000, True)[0].edges
+    patterns = _lookup_patterns()
+    alone = ConditionGraph(edges)
+    want = ([alone.lookup(**p) for p in patterns], schema_summary(alone))
+
+    shared = ConditionGraph(edges)
+    barrier = threading.Barrier(4)
+    results = []
+
+    def work():
+        barrier.wait(timeout=10)
+        results.append(([shared.lookup(**p) for p in patterns],
+                        schema_summary(shared)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * 4
+
+
+def test_dropped_graph_leaves_no_step_result_alive():
+    cg, _ = random_large_graph(random.Random(3), 2000)
+    plan = validate_plan(parse_plan(
+        "query1 = get_information(relation='team', tail_entity='e5')\n"
+        "query2 = get_information(tail_entity=output_of_query1)\n"
+        "query3 = get_information(head_entity=output_of_query2, "
+        "relation='age')"
+    ))
+    outcome = execute_plan(plan, cg)
+    assert outcome.error is None and len(outcome.per_step) == 3
+    schema_summary(cg)
+    refs = [weakref.ref(step) for step in outcome.per_step]
+    refs.append(weakref.ref(cg))
+    del outcome, cg
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
