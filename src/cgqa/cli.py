@@ -341,11 +341,12 @@ def _sampling_warning(args: argparse.Namespace) -> str | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand. A failure prints only its one-line error; a
-    finished run that wasted model calls adds one warning line."""
+    finished run that wasted model calls adds one warning line, judged
+    before the command starts."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
         warning = _sampling_warning(args)
+        code = args.func(args)
     except (OSError, ValueError, GraphNotFoundError, ChatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

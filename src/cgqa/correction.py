@@ -13,8 +13,8 @@ import heapq
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Iterable, Mapping, Sequence
 
 from .dsl import DEFAULT_REGISTRY, FunctionRegistry, parse_plan, validate_plan
 from .errors import ErrorKind, QueryError
@@ -55,6 +55,12 @@ class Demonstration:
     @property
     def is_correction(self) -> bool:
         return self.wrong_plan_text is not None
+
+    @cached_property
+    def question_words(self) -> frozenset[str]:
+        """Word set of the question, computed once per demonstration:
+        retrieval compares every pool question with each new question."""
+        return _word_set(self.question)
 
 
 @dataclass
@@ -148,10 +154,7 @@ class CorrectionTrace:
         )
 
 
-@lru_cache(maxsize=4096)
 def _word_set(text: str) -> frozenset[str]:
-    # Retrieval compares one question with every pool question, so each
-    # pool question's words are computed once, not once per question.
     # Questions share most words; interning stores each word once.
     return frozenset(map(sys.intern, _WORD_RE.findall(text.casefold())))
 
@@ -175,17 +178,12 @@ def retrieve_demos(
     pool: Sequence[Demonstration],
     k_retrieve: int = 15,
     k_use: int = 8,
-    similarity: Callable[[str, str], float] | None = None,
 ) -> list[Demonstration]:
-    """Top demonstrations by similarity; ties keep pool order."""
-    if similarity is None:
-        words = _word_set(question_text)
-        scores = (_jaccard(words, _word_set(d.question)) for d in pool)
-    else:
-        scores = (similarity(question_text, d.question) for d in pool)
-    top = heapq.nsmallest(
-        max(k_retrieve, 0), ((-score, i) for i, score in enumerate(scores))
-    )
+    """Top demonstrations by token_set_jaccard; ties keep pool order."""
+    words = _word_set(question_text)
+    top = heapq.nsmallest(max(k_retrieve, 0), (
+        (-_jaccard(words, d.question_words), i) for i, d in enumerate(pool)
+    ))
     picked: list[Demonstration] = []
     seen: set[tuple[str, str]] = set()
     for _, i in top:

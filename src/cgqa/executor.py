@@ -24,7 +24,7 @@ step is an error (the final step too, under strict mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .dsl import QueryPlan, QueryStep, StepRef
 from .errors import ErrorKind, QueryError, classify_fault
@@ -121,14 +121,21 @@ def _dedupe(values: Iterable[Scalar]) -> frozenset[Scalar]:
     return frozenset(seen.values())
 
 
+def _resolve(value: Any, env: Mapping[int, StepResult]) -> Any:
+    if isinstance(value, StepRef):
+        return env[value.index]
+    return value
+
+
+def _as_set(value: Any) -> frozenset[Scalar]:
+    if isinstance(value, StepResult):
+        return value.values
+    return frozenset({value})
+
+
 def _bound_value(value: Any, env: Mapping[int, StepResult]) -> Any:
     """A literal argument, or the value set of a referenced step."""
     return env[value.index].values if isinstance(value, StepRef) else value
-
-
-def _as_set(value: Any, env: Mapping[int, StepResult]) -> frozenset[Scalar]:
-    value = _bound_value(value, env)
-    return value if isinstance(value, frozenset) else frozenset({value})
 
 
 def execute_step(
@@ -177,50 +184,72 @@ def _exec_get_information(
     return StepResult(step.index, _dedupe(values), VALUE_SET)
 
 
-def _numeric(values: frozenset[Scalar]) -> list[float] | None:
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-           for v in values):
-        return [float(v) for v in values]
-    return None
+def _numeric(values: Iterable[Scalar]) -> list[float] | None:
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return None
+        out.append(float(v))
+    return out
 
 
 def _dates(values: Iterable[Scalar]) -> list[tuple[tuple[int, int, int], Scalar]] | None:
-    keyed = [(time_key(v) if isinstance(v, str) else None, v) for v in values]
-    return None if any(tk is None for tk, _ in keyed) else keyed
+    out = []
+    for v in values:
+        if not isinstance(v, str):
+            return None
+        tk = time_key(v)
+        if tk is None:
+            return None
+        out.append((tk, v))
+    return out
+
+
+def _fault_order(values: Iterable[Scalar]) -> list[Scalar]:
+    # Deterministic operand order so trapped fault text is stable.
+    return sort_values(values)
 
 
 def _exec_aggregate(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
-    source = _as_set(step.args[0].value, env)
+    source = _as_set(_resolve(step.args[0].value, env))
     fn = step.function
     if fn == "count":
         return StepResult(step.index, frozenset({len(source)}), SCALAR)
     nums = _numeric(source)
-    if nums:
-        result = _tighten(_AGGREGATES[fn](nums))
+    if nums is not None and nums:
+        if fn == "sum":
+            result: Scalar = _tighten(sum(nums))
+        elif fn == "mean":
+            result = _tighten(sum(nums) / len(nums))
+        elif fn == "min":
+            result = _tighten(min(nums))
+        else:
+            result = _tighten(max(nums))
         return StepResult(step.index, frozenset({result}), SCALAR)
     if fn in ("min", "max"):
         dated = _dates(source)
         if dated is not None and dated:
             picked = (min if fn == "min" else max)(dated)[1]
             return StepResult(step.index, frozenset({picked}), SCALAR)
-    # Mixed or non-numeric input: evaluate literally, in a fixed operand
-    # order so the fault text is stable, and let the fault bubble into a
-    # runtime-exception report.
-    ordered = sort_values(source)
+    # Mixed or non-numeric input: evaluate literally and let the fault bubble
+    # into a runtime-exception report.
+    ordered = _fault_order(source)
     if fn in ("min", "max") and ordered and all(
         isinstance(v, str) for v in ordered
     ):
         # Python would happily order text; the aggregate contract does not.
         raise TypeError("ordering not supported between text values")
-    result = _AGGREGATES[fn](ordered)
+    if fn == "sum":
+        result = sum(ordered)  # type: ignore[arg-type]
+    elif fn == "mean":
+        result = sum(ordered) / len(ordered)  # type: ignore[arg-type]
+    elif fn == "min":
+        result = min(ordered)  # type: ignore[type-var]
+    else:
+        result = max(ordered)  # type: ignore[type-var]
     return StepResult(step.index, frozenset({result}), SCALAR)
-
-
-_AGGREGATES: dict[str, Callable[[list], Any]] = {
-    "sum": sum, "mean": lambda xs: sum(xs) / len(xs), "min": min, "max": max,
-}
 
 
 def _tighten(value: float) -> Scalar:
@@ -231,9 +260,9 @@ def _exec_keep(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     bound = {a.name: a for a in step.args}
-    source = _as_set(bound["set"].value, env)
-    key = _bound_value(bound["key"].value, env)
-    if isinstance(key, frozenset):
+    source = _as_set(_resolve(bound["set"].value, env))
+    key = _resolve(bound["key"].value, env)
+    if isinstance(key, StepResult):
         raise ValueError("parameter 'key' of keep must be a literal")
     cond = bound["value"]
     match = value_matcher(_bound_value(cond.value, env), cond.comparator)
@@ -260,13 +289,18 @@ def _exec_set_op(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     fn = step.function
-    bound = {a.name: a.value for a in step.args}
+    bound = {a.name: _resolve(a.value, env) for a in step.args}
     if fn == "set_negation":
-        exclude = {value_key(v) for v in _as_set(bound["set"], env)}
-        out = [u for u in cg.head_entities() if value_key(u) not in exclude]
-        return StepResult(step.index, _dedupe(out), ENTITY_SET)
-    lmap = {value_key(v): v for v in _as_set(bound["set1"], env)}
-    rmap = {value_key(v): v for v in _as_set(bound["set2"], env)}
+        source = _as_set(bound["set"])
+        kind = ENTITY_SET
+        exclude = {value_key(v) for v in source}
+        universe = cg.head_entities()
+        out = [u for u in universe if value_key(u) not in exclude]
+        return StepResult(step.index, _dedupe(out), kind)
+    left = _as_set(bound["set1"])
+    right = _as_set(bound["set2"])
+    lmap = {value_key(v): v for v in left}
+    rmap = {value_key(v): v for v in right}
     if fn == "set_intersection":
         keys = [k for k in lmap if k in rmap]
     elif fn == "set_union":
@@ -275,8 +309,9 @@ def _exec_set_op(
     else:  # set_difference
         keys = [k for k in lmap if k not in rmap]
     kinds = {
-        env[a.value.index].kind for a in step.args
-        if isinstance(a.value, StepRef)
+        r.kind
+        for r in (_resolve(a.value, env) for a in step.args)
+        if isinstance(r, StepResult)
     }
     kind = ENTITY_SET if kinds == {ENTITY_SET} else VALUE_SET
     return StepResult(step.index, frozenset(lmap[k] for k in keys), kind)
@@ -284,10 +319,16 @@ def _exec_set_op(
 
 _HANDLERS = {
     "get_information": _exec_get_information,
+    "min": _exec_aggregate,
+    "mean": _exec_aggregate,
+    "max": _exec_aggregate,
+    "count": _exec_aggregate,
+    "sum": _exec_aggregate,
     "keep": _exec_keep,
-    **dict.fromkeys(("min", "mean", "max", "count", "sum"), _exec_aggregate),
-    **dict.fromkeys(("set_intersection", "set_union", "set_negation",
-                     "set_difference"), _exec_set_op),
+    "set_intersection": _exec_set_op,
+    "set_union": _exec_set_op,
+    "set_negation": _exec_set_op,
+    "set_difference": _exec_set_op,
 }
 
 

@@ -149,8 +149,9 @@ class _PlanHandler(BaseHTTPRequestHandler):
 
 
 class TestSamplingWarning:
-    def ask(self, suite, tmp_path, capsys, temperature, *flags):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _PlanHandler)
+    def ask(self, suite, tmp_path, capsys, temperature, *flags,
+            handler=_PlanHandler):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.daemon_threads = True
         threading.Thread(target=server.serve_forever, daemon=True).start()
         config = tmp_path / "client.json"
@@ -180,6 +181,24 @@ class TestSamplingWarning:
         warm_out, warm_err, warm_trace = self.ask(suite, tmp_path, capsys, 0.7)
         assert warm_err == ""
         assert (out, trace) == (warm_out, warm_trace)
+        assert json.loads(trace)["status"] == "solved_direct"
+
+    def test_config_removed_during_the_run_still_succeeds(self, suite,
+                                                          tmp_path, capsys):
+        # The warning comes from the config read when the command starts,
+        # so a config file that goes away mid-run does not fail the run.
+        config = tmp_path / "client.json"
+
+        class RemovingHandler(_PlanHandler):
+            def do_POST(self):
+                config.unlink(missing_ok=True)
+                super().do_POST()
+
+        out, err, trace = self.ask(suite, tmp_path, capsys, 0.0,
+                                   handler=RemovingHandler)
+        assert not config.exists()
+        assert err.startswith("warning: --self-consistency 5")
+        assert err.count("\n") == 1
         assert json.loads(trace)["status"] == "solved_direct"
 
     def test_one_sample_or_scripted_backend_is_quiet(self, suite, tmp_path,

@@ -3,10 +3,13 @@ voting, round bookkeeping, and terminal statuses."""
 
 from __future__ import annotations
 
+import random
+import re
 from pathlib import Path
 
 import pytest
 
+from cgqa import correction
 from cgqa.correction import (
     CorrectionTrace,
     Demonstration,
@@ -83,6 +86,39 @@ class TestRetrieveDemos:
 
     def test_empty_pool(self):
         assert retrieve_demos("q", [], 15, 8) == []
+
+    def test_ranking_matches_plain_jaccard(self):
+        def jaccard(a, b):
+            ta = set(re.findall(r"\w+", a.casefold()))
+            tb = set(re.findall(r"\w+", b.casefold()))
+            return len(ta & tb) / len(ta | tb) if ta | tb else 1.0
+
+        rng = random.Random(3)
+        words = ["who", "What", "age", "Utah", "city", "mean", "of", "in",
+                 "team", "born", "2001", "the"]
+        pool = [Demonstration(" ".join(rng.sample(words, rng.randint(0, 6))),
+                              "s", f"p{i}") for i in range(200)]
+        for _ in range(20):
+            query = " ".join(rng.sample(words, rng.randint(0, 6)))
+            ranked = sorted(range(len(pool)),
+                            key=lambda i: (-jaccard(query, pool[i].question),
+                                           i))
+            got = retrieve_demos(query, pool, 15, 15)
+            assert [d.plan_text for d in got] == [
+                pool[i].plan_text for i in ranked[:15]]
+
+    def test_pool_words_are_computed_once(self, monkeypatch):
+        pool = [Demonstration(f"question about topic {i}", "s", f"p{i}")
+                for i in range(50)]
+        seen = []
+        word_set = correction._word_set
+        monkeypatch.setattr(correction, "_word_set",
+                            lambda text: seen.append(text) or word_set(text))
+        first = retrieve_demos("topic 3 question", pool, 15, 8)
+        assert len(seen) == 51
+        seen.clear()
+        assert retrieve_demos("topic 7", pool, 15, 8) != first
+        assert seen == ["topic 7"]
 
     def test_deduplication(self):
         demo = Demonstration("same", "s", "samep")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import sys
 import threading
@@ -362,7 +363,7 @@ def scan_lookup(cg, head=None, relation=None, tail=None, tail_cmp="=",
 def _outcome(fn, **pattern):
     try:
         return ("hits", fn(**pattern))
-    except (KindMismatchError, ValueError) as exc:
+    except (KindMismatchError, ValueError, AttributeError) as exc:
         return ("raised", type(exc), str(exc))
 
 
@@ -473,3 +474,46 @@ def test_dropped_graph_leaves_no_step_result_alive():
     del outcome, cg
     gc.collect()
     assert [r() for r in refs] == [None] * 4
+
+
+def test_null_tail_in_a_dump_keeps_scan_results_and_errors(tmp_path):
+    # A hand-written dump may hold "tail": null. A scan raises only on an
+    # edge whose tail it tests, so lookups that never reach that edge must
+    # still answer, and the rest must raise the scan's error.
+    path = tmp_path / "graph.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in [
+        {"head": "Ann", "relation": "age", "tail": 20, "tail_kind": "numeric"},
+        {"head": "Ann", "relation": "home", "tail": None, "tail_kind": "text"},
+        {"head": "Ben", "relation": "home", "tail": "Austin",
+         "tail_kind": "text"},
+        {"head": "Ben", "relation": "age", "tail": 30, "tail_kind": "numeric"},
+    ]), encoding="utf-8")
+    cg = load_graph(str(path))
+    patterns = [{"relation": "age", "tail": 20}, {"tail": "Austin"},
+                {"relation": "home", "tail": "Austin"},
+                {"tail": frozenset({"Austin"})}, {"head": "Ben"},
+                {"relation": "age", "tail": frozenset({20, 30})}]
+    for pattern in patterns:
+        want = _outcome(scan_lookup, cg=cg, **pattern)
+        assert _outcome(cg.lookup, **pattern) == want, pattern
+    assert cg.lookup(relation="age", tail=20) == [cg.edges[0]]
+
+    fault = ("runtime_exception", "Exception from executor in function "
+             "'get_information': 'NoneType' object has no attribute 'strip'")
+    for text, error, steps in [
+        ("query1 = get_information(relation='age', tail_entity=20)",
+         None, [["Ann"]]),
+        ("query1 = get_information(relation='home', tail_entity='Austin')",
+         fault, []),
+        ("query1 = get_information(relation='age', tail_entity=30)\n"
+         "query2 = get_information(relation='home', "
+         "tail_entity=output_of_query1)", fault, [["Ben"]]),
+        ("query1 = get_information(relation='age', tail_entity=30)\n"
+         "query2 = get_information(head_entity=output_of_query1, "
+         "relation='home')", None, [["Ben"], ["Austin"]]),
+    ]:
+        outcome = execute_plan(validate_plan(parse_plan(text)), cg)
+        got = outcome.error and (outcome.error.kind.value,
+                                 outcome.error.message)
+        assert got == error, text
+        assert [sorted(s.values) for s in outcome.per_step] == steps, text
