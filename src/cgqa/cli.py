@@ -32,7 +32,6 @@ from .distill import (
     self_records,
     stage1_loss,
     teacher_records,
-    write_jsonl,
 )
 from .evaluate import (
     METRIC_DENOTATION,
@@ -52,6 +51,7 @@ from .graph import (
     load_temporal_file,
     load_triples_file,
 )
+from .jsonl import read_json, read_jsonl, write_jsonl
 from .llm import ChatError, ClientConfig, make_client
 
 
@@ -65,34 +65,27 @@ def _emit(data: Any, out: str | None) -> None:
 
 
 def _client_config(args: argparse.Namespace) -> ClientConfig:
-    data: dict[str, Any] = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+    config = (read_json(args.config, lambda data: ClientConfig(**data))
+              if args.config else ClientConfig())
     if args.backend:
-        data["backend"] = args.backend
+        config.backend = args.backend
     if getattr(args, "script", None):
-        data["script_path"] = args.script
-    return ClientConfig(**data)
+        config.script_path = args.script
+    return config
+
+
+def _demonstration(data: dict[str, Any]) -> Demonstration:
+    demo = Demonstration(**data)
+    try:
+        validate_plan(parse_plan(demo.plan_text))
+    except QueryError as err:
+        raise ValueError(f"demonstration plan does not validate: {err.message}")
+    return demo
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    pool: list[Demonstration] = []
-    if getattr(args, "demo_pool", None):
-        with open(args.demo_pool, encoding="utf-8") as fh:
-            for n, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                demo = Demonstration(**json.loads(line))
-                try:
-                    validate_plan(parse_plan(demo.plan_text))
-                except QueryError as err:
-                    raise ValueError(
-                        f"{args.demo_pool}:{n}: demonstration plan does not "
-                        f"validate: {err.message}"
-                    )
-                pool.append(demo)
+    pool = (read_jsonl(args.demo_pool, _demonstration)
+            if getattr(args, "demo_pool", None) else [])
     return PipelineConfig(
         mct=args.mct,
         sc_n=args.self_consistency,
@@ -120,16 +113,6 @@ def _graph_resolver(graphs_dir: str):
         return cache[ref]
 
     return resolve
-
-
-def _read_traces(path: str) -> list[CorrectionTrace]:
-    traces = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                traces.append(CorrectionTrace.from_dict(json.loads(line)))
-    return traces
 
 
 def _add_loop_flags(p: argparse.ArgumentParser) -> None:
@@ -204,7 +187,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_sft(args: argparse.Namespace) -> int:
-    traces = _read_traces(args.traces)
+    traces = read_jsonl(args.traces, CorrectionTrace.from_dict)
     sft = []
     pairs = []
     for trace in traces:
@@ -254,7 +237,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_error_stats(args: argparse.Namespace) -> int:
-    stats = error_stats(_read_traces(args.traces))
+    stats = error_stats(read_jsonl(args.traces, CorrectionTrace.from_dict))
     _emit(stats.to_dict(), args.out)
     return 0
 

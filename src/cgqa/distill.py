@@ -15,7 +15,6 @@ negated; the preference loss is the negated sum of score gaps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Protocol, Sequence
 
@@ -27,6 +26,7 @@ from .correction import (
     query_prompt_text,
 )
 from .dsl import canonical_plan_text
+from .jsonl import read_json, read_jsonl, write_jsonl  # noqa: F401, re-export
 
 KIND_QUERY_GEN = "query_gen"
 KIND_CORRECTION = "correction"
@@ -38,8 +38,8 @@ class IneligibleTraceError(Exception):
     """Raised for traces that did not end in a gold-matched solution."""
 
 
-class ScorerFailure(Exception):
-    pass
+class ScorerFailure(ValueError):
+    """A scorer table that is malformed or has no entry for a target."""
 
 
 @dataclass
@@ -134,9 +134,8 @@ class TableTokenScorer:
 
     @classmethod
     def from_file(cls, path: str) -> "TableTokenScorer":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(data.get("entries", ()), data.get("default_logprob"))
+        return read_json(path, lambda data: cls(
+            data.get("entries", ()), data.get("default_logprob")))
 
     def token_logprobs(self, context: str, target: str) -> list[float]:
         if (context, target) in self._by_pair:
@@ -300,29 +299,9 @@ def preference_loss(pairs: Sequence[PreferencePair], scorer: TokenScorer) -> flo
     return total
 
 
-def write_jsonl(items: Iterable[Any], path: str) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            data = item.to_dict() if hasattr(item, "to_dict") else item
-            fh.write(json.dumps(data, ensure_ascii=False) + "\n")
-            count += 1
-    return count
-
-
 def read_sft_jsonl(path: str) -> list[SftRecord]:
-    return [SftRecord.from_dict(d) for d in _read_jsonl(path)]
+    return read_jsonl(path, SftRecord.from_dict)
 
 
 def read_preference_jsonl(path: str) -> list[PreferencePair]:
-    return [PreferencePair.from_dict(d) for d in _read_jsonl(path)]
-
-
-def _read_jsonl(path: str) -> list[dict[str, Any]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return read_jsonl(path, PreferencePair.from_dict)

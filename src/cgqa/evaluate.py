@@ -9,7 +9,6 @@ queries failed and how many of those were never repaired.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -27,6 +26,7 @@ from .correction import (
 )
 from .errors import ErrorKind
 from .graph import ConditionGraph, schema_summary
+from .jsonl import read_jsonl
 
 METRIC_DENOTATION = "denotation_accuracy"
 METRIC_HITS1 = "hits_at_1"
@@ -255,19 +255,9 @@ def error_stats(traces: Iterable[CorrectionTrace]) -> ErrorStats:
 
 def load_questions(path: str) -> list[Question]:
     """Read a dataset: JSONL of {id, question, gold, graph_ref}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            out.append(
-                Question(
-                    id=str(data["id"]),
-                    text=data["question"],
-                    gold_answer=data.get("gold"),
-                    graph_ref=data.get("graph_ref"),
-                )
-            )
-    return out
+    return read_jsonl(path, lambda data: Question(
+        id=str(data["id"]),
+        text=data["question"],
+        gold_answer=data.get("gold"),
+        graph_ref=data.get("graph_ref"),
+    ))

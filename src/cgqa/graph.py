@@ -9,13 +9,14 @@ and safe for concurrent readers.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
+
+from .jsonl import read_jsonl, write_jsonl
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -489,23 +490,18 @@ def load_temporal_file(path: str, delimiter: str = "\t") -> ConditionGraph:
 
 def dump_graph(cg: ConditionGraph, path: str) -> None:
     """Write one JSON object per line: a meta line, then one line per edge."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": {"source_kind": cg.source_kind}}) + "\n")
-        for edge in cg.edges:
-            fh.write(json.dumps(edge.to_dict(), ensure_ascii=False) + "\n")
+    write_jsonl(chain([{"meta": {"source_kind": cg.source_kind}}], cg.edges),
+                path)
 
 
 def load_graph(path: str) -> ConditionGraph:
-    source_kind = "kg"
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if "meta" in data:
-                source_kind = data["meta"].get("source_kind", source_kind)
-                continue
-            edges.append(Edge.from_dict(data))
-    return ConditionGraph(edges, source_kind=source_kind)
+    """Read a dump_graph file; a meta line sets the source kind."""
+    meta = {"source_kind": "kg"}
+
+    def build(data: dict[str, Any]) -> Edge | None:
+        if "meta" in data:
+            meta.update(data["meta"])
+            return None
+        return Edge.from_dict(data)
+    edges = read_jsonl(path, build)
+    return ConditionGraph(filter(None, edges), source_kind=meta["source_kind"])

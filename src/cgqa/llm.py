@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .jsonl import read_jsonl
+
 ROLES = ("system", "user", "assistant")
 _MAX_SAMPLES_IN_FLIGHT = 8
 
@@ -124,12 +126,8 @@ class ScriptedChatClient:
     @classmethod
     def from_file(cls, path: str, ordered_fallback: bool = True
                   ) -> "ScriptedChatClient":
-        entries = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
+        entries = read_jsonl(path, lambda entry: {
+            "key": entry.get("key"), "reply": entry["reply"]})
         return cls(entries, ordered_fallback=ordered_fallback)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:

@@ -6,6 +6,7 @@ import json
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -354,7 +355,7 @@ class TestPipeline:
             "--traces-out", str(tmp_path / "eval_traces.jsonl"),
         ])
         assert code == 0
-        with_report = json.loads(open(report_with).read())
+        with_report = json.loads(Path(report_with).read_text())
         assert with_report["value"] == 100.0
         assert with_report["solved_after_n"] == {"1": 8}
 
@@ -367,7 +368,7 @@ class TestPipeline:
             "--out", report_without,
         ])
         assert code == 0
-        without_report = json.loads(open(report_without).read())
+        without_report = json.loads(Path(report_without).read_text())
         assert without_report["value"] == 60.0
         assert without_report["failed_mct"] == 8
 
@@ -383,3 +384,159 @@ class TestPipeline:
         assert stats["overall"]["corrected_pct"] == 100.0
         assert stats["parsing"]["before"] == 6
         assert stats["execution"]["before"] == 2
+
+
+ALICE_PLAN = ("query1 = get_information(head_entity='Alice', "
+              "relation='Hometown')")
+ASK = ["ask", "Where is Alice from?", "--backend", "scripted",
+       "--self-consistency", "1"]
+# Line 2 of each bad file; "missing_key" drops the input's required key.
+BAD_LINES = {
+    "invalid_json": lambda good, key: '{"head": "Alice",',
+    "not_an_object": lambda good, key: "[1]",
+    "missing_key": lambda good, key: json.dumps(
+        {k: v for k, v in good.items() if k != key}),
+}
+
+
+@pytest.fixture
+def inputs(suite, tmp_path):
+    """Per JSONL input: a valid line, a required key, and the command that
+    reads the file, with "{path}" where the file goes."""
+    people = os.path.join(suite["graphs_dir"], "people.jsonl")
+    script = tmp_path / "good_script.jsonl"
+    script.write_text(json.dumps({"reply": ALICE_PLAN}) + "\n",
+                      encoding="utf-8")
+    trace_path = tmp_path / "trace.json"
+    assert main([*ASK, "--graph", people, "--script", str(script),
+                 "--out", str(trace_path)]) == 0
+    scorer = tmp_path / "scorer.json"
+    scorer.write_text(json.dumps({"default_logprob": -0.5}), encoding="utf-8")
+    ask = [*ASK, "--graph", people, "--script", str(script)]
+    trace = json.loads(trace_path.read_text(encoding="utf-8"))
+    return {
+        "ask --graph": (
+            {"head": "Alice", "relation": "Age", "tail": 20,
+             "tail_kind": "numeric", "qualifier": None},
+            "relation", [*ASK, "--script", str(script), "--graph", "{path}"]),
+        "--script": ({"reply": ALICE_PLAN}, "reply",
+                     [*ASK, "--graph", people, "--script", "{path}"]),
+        "--demo-pool": (
+            {"question": "Where is Bob from?",
+             "schema_text": "source: table\nHometown: Boston",
+             "plan_text": "query1 = get_information(head_entity='Bob', "
+                          "relation='Hometown')"},
+            "plan_text", [*ask, "--demo-pool", "{path}"]),
+        "correct --dataset": (
+            {"id": "q1", "question": "Where is Alice from?",
+             "gold": ["Texas"], "graph_ref": "people.jsonl"},
+            "question",
+            ["correct", "--dataset", "{path}", "--graphs",
+             suite["graphs_dir"], "--out", str(tmp_path / "out.jsonl"),
+             "--backend", "scripted", "--script", str(script)]),
+        "gen-sft --traces": (
+            trace, "question_text",
+            ["gen-sft", "--traces", "{path}",
+             "--sft-out", str(tmp_path / "sft_out.jsonl"),
+             "--pref-out", str(tmp_path / "pref_out.jsonl")]),
+        "error-stats --traces": (trace, "question_text",
+                                 ["error-stats", "--traces", "{path}"]),
+        "score-loss --sft": (
+            {"kind": "query_gen", "input": "prompt", "target": ALICE_PLAN,
+             "round": None, "trace_id": "ask"},
+            "target", ["score-loss", "--sft", "{path}",
+                       "--scorer", str(scorer)]),
+        "score-loss --pref": (
+            {"prompt": "prompt", "chosen": ALICE_PLAN, "rejected": "x",
+             "round": 1, "trace_id": "ask"},
+            "chosen", ["score-loss", "--pref", "{path}",
+                       "--scorer", str(scorer)]),
+    }
+
+
+def one_error_line(argv, path, capsys):
+    """Run argv with "{path}" filled in; return its only stderr line."""
+    capsys.readouterr()
+    code = main([str(path) if a == "{path}" else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestBadInputLines:
+    """Every JSONL input fails as one `error: path:line: reason` line."""
+
+    INPUTS = ["ask --graph", "--script", "--demo-pool", "correct --dataset",
+              "gen-sft --traces", "error-stats --traces", "score-loss --sft",
+              "score-loss --pref"]
+
+    @pytest.mark.parametrize("bad", list(BAD_LINES))
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_bad_line_names_file_and_line(self, inputs, tmp_path, capsys,
+                                          name, bad):
+        good, key, argv = inputs[name]
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps(good) + "\n" + BAD_LINES[bad](good, key)
+                        + "\n", encoding="utf-8")
+        err = one_error_line(argv, path, capsys)
+        assert err.startswith(f"error: {path}:2: ")
+        if bad == "missing_key":
+            assert f"'{key}'" in err
+
+    def test_unknown_demo_field_counts_blank_lines(self, inputs, tmp_path,
+                                                   capsys):
+        good, _, argv = inputs["--demo-pool"]
+        path = tmp_path / "pool.jsonl"
+        path.write_text(json.dumps(good) + "\n\n"
+                        + json.dumps({**good, "answer": "Boston"}) + "\n",
+                        encoding="utf-8")
+        err = one_error_line(argv, path, capsys)
+        assert err.startswith(f"error: {path}:3: ")
+        assert "'answer'" in err
+
+    def test_invalid_demo_plan_names_its_line(self, inputs, tmp_path,
+                                              capsys):
+        good, _, argv = inputs["--demo-pool"]
+        path = tmp_path / "pool.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(
+            {**good, "plan_text": "query1 = frobnicate(set='x')"}) + "\n",
+            encoding="utf-8")
+        err = one_error_line(argv, path, capsys)
+        assert err.startswith(
+            f"error: {path}:2: demonstration plan does not validate: ")
+
+
+class TestBadJsonFiles:
+    """--config and --scorer fail as one `error: path: reason` line."""
+
+    @pytest.mark.parametrize("content, prefix, reason", [
+        ('{"temperatur": 0.5}', ": ", "'temperatur'"),
+        ('{\n"temperature": 0.5,\n}', ":3: ", "invalid JSON"),
+    ], ids=["unknown_key", "invalid_json"])
+    def test_config(self, inputs, tmp_path, capsys, content, prefix, reason):
+        config = tmp_path / "client.json"
+        config.write_text(content, encoding="utf-8")
+        err = one_error_line([*inputs["--script"][2], "--config", "{path}"],
+                             config, capsys)
+        assert err.startswith(f"error: {config}{prefix}")
+        assert reason in err
+
+    @pytest.mark.parametrize("table, message", [
+        ({"entries": [{"target": ALICE_PLAN}]},
+         "{path}: missing key 'logprobs'"),
+        ([{"target": ALICE_PLAN, "logprobs": [-1.0]}],
+         "{path}: expected a JSON object"),
+        ({"entries": [{"target": "other", "logprobs": [-1.0]}]},
+         "no score table entry for target"),
+    ], ids=["missing_logprobs", "top_level_list", "no_entry_for_target"])
+    def test_scorer(self, inputs, tmp_path, capsys, table, message):
+        good, _, _ = inputs["score-loss --sft"]
+        sft = tmp_path / "sft.jsonl"
+        sft.write_text(json.dumps(good) + "\n", encoding="utf-8")
+        scorer = tmp_path / "scorer_table.json"
+        scorer.write_text(json.dumps(table), encoding="utf-8")
+        err = one_error_line(["score-loss", "--sft", str(sft),
+                              "--scorer", "{path}"], scorer, capsys)
+        assert err.startswith("error: " + message.replace("{path}",
+                                                          str(scorer)))

@@ -523,6 +523,7 @@ class TestBackendSubstitutability:
             assert trace.status == "solved_direct"
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestAnswersMatch:
