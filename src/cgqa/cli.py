@@ -51,7 +51,7 @@ from .graph import (
     load_temporal_file,
     load_triples_file,
 )
-from .jsonl import read_json, read_jsonl, write_jsonl
+from .jsonl import NULL, check_types, read_json, read_jsonl, write_jsonl
 from .llm import ChatError, ClientConfig, make_client
 
 
@@ -74,7 +74,15 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
     return config
 
 
+_DEMO_TYPES = {
+    **dict.fromkeys(("question", "schema_text", "plan_text"), (str,)),
+    **dict.fromkeys(("wrong_plan_text", "error_message", "analysis"),
+                    (str, NULL)),
+}
+
+
 def _demonstration(data: dict[str, Any]) -> Demonstration:
+    check_types(data, _DEMO_TYPES)
     demo = Demonstration(**data)
     try:
         validate_plan(parse_plan(demo.plan_text))

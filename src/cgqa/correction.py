@@ -12,14 +12,17 @@ from __future__ import annotations
 import heapq
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import Any, Iterable, Mapping, Sequence
 
 from .dsl import DEFAULT_REGISTRY, FunctionRegistry, parse_plan, validate_plan
 from .errors import ErrorKind, QueryError
 from .executor import ExecutionOutcome, execute_plan, sort_values
 from .graph import ConditionGraph, SchemaDescriptor, Scalar
+from .jsonl import NULL, check_types
 from .llm import ChatMessage, flatten_messages
 
 _STEP_LINE_RE = re.compile(r"^\s*query\d+\s*=")
@@ -58,8 +61,8 @@ class Demonstration:
 
     @cached_property
     def question_words(self) -> frozenset[str]:
-        """Word set of the question, computed once per demonstration:
-        retrieval compares every pool question with each new question."""
+        """Word set of the question, computed once per demonstration and
+        shared by every DemoIndex built over a pool that holds it."""
         return _word_set(self.question)
 
 
@@ -82,6 +85,9 @@ class CorrectionRound:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CorrectionRound":
+        check_types(data, {"index": (int,), "error_in": (dict,),
+                           "analysis": (str,), "updated_plan_text": (str,),
+                           "outcome_after": (dict,)})
         return cls(
             index=data["index"],
             error_in=QueryError.from_dict(data["error_in"]),
@@ -97,6 +103,14 @@ STATUS_FAILED_MCT = "failed_mct"
 STATUS_FAILED_GOLD_MISMATCH = "failed_gold_mismatch"
 
 SOLVED_STATUSES = (STATUS_SOLVED_DIRECT, STATUS_SOLVED_AFTER_N)
+
+
+_TRACE_TYPES = {
+    **dict.fromkeys(("question_id", "question_text", "schema_text", "author",
+                     "initial_plan_text", "status"), (str,)),
+    "initial_outcome": (dict,), "rounds": (list,), "n": (int,),
+    "final_plan_text": (str, NULL), "gold_answer": (list, NULL),
+}
 
 
 @dataclass
@@ -139,6 +153,7 @@ class CorrectionTrace:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CorrectionTrace":
+        check_types(data, _TRACE_TYPES)
         return cls(
             question_id=data["question_id"],
             question_text=data["question_text"],
@@ -173,28 +188,62 @@ def _jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
     return common / (len(ta) + len(tb) - common)
 
 
+_NO_WORDS = frozenset({""})
+
+
+class DemoIndex:
+    """Word -> pool positions, and each question's word count, so retrieval
+    scores only the demonstrations that share a word with the question.
+    Two texts without words have Jaccard 1 and match nothing else, so both
+    sides stand for an empty word set by the word "", which no word equals.
+    """
+
+    def __init__(self, pool: Sequence[Demonstration]) -> None:
+        self.pool = tuple(pool)
+        self.sizes: list[int] = []
+        self.postings: dict[str, list[int]] = {}
+        for i, demo in enumerate(self.pool):
+            words = demo.question_words or _NO_WORDS
+            self.sizes.append(len(words))
+            for word in words:
+                self.postings.setdefault(word, []).append(i)
+
+    def top(self, question_text: str, k: int) -> list[int]:
+        """Positions of the k best demonstrations by (-jaccard, position);
+        fewer than k scoring above zero are followed by the rest in pool
+        order."""
+        words = _word_set(question_text) or _NO_WORDS
+        shared = Counter(chain.from_iterable(
+            self.postings.get(w, ()) for w in words))
+        n, sizes = len(words), self.sizes
+        best = [i for _, i in heapq.nsmallest(k, (
+            (-c / (n + sizes[i] - c), i) for i, c in shared.items()))]
+        if len(best) < k:
+            rest = (i for i in range(len(self.pool)) if i not in shared)
+            best.extend(islice(rest, k - len(best)))
+        return best
+
+
 def retrieve_demos(
     question_text: str,
-    pool: Sequence[Demonstration],
+    pool: Sequence[Demonstration] | DemoIndex,
     k_retrieve: int = 15,
     k_use: int = 8,
 ) -> list[Demonstration]:
-    """Top demonstrations by token_set_jaccard; ties keep pool order."""
-    words = _word_set(question_text)
-    top = heapq.nsmallest(max(k_retrieve, 0), (
-        (-_jaccard(words, d.question_words), i) for i, d in enumerate(pool)
-    ))
+    """The k_use first distinct (question, plan) pairs among the k_retrieve
+    demonstrations most similar by token_set_jaccard; ties keep pool order.
+    A plain sequence is indexed for this call only."""
+    index = pool if isinstance(pool, DemoIndex) else DemoIndex(pool)
     picked: list[Demonstration] = []
     seen: set[tuple[str, str]] = set()
-    for _, i in top:
-        demo = pool[i]
-        ident = (demo.question, demo.plan_text)
-        if ident in seen:
-            continue
-        seen.add(ident)
-        picked.append(demo)
-        if len(picked) == max(k_use, 0):
+    for i in index.top(question_text, k_retrieve):
+        if len(picked) >= k_use:
             break
+        demo = index.pool[i]
+        ident = (demo.question, demo.plan_text)
+        if ident not in seen:
+            seen.add(ident)
+            picked.append(demo)
     return picked
 
 
@@ -381,13 +430,14 @@ def generate_initial(
     sc_n: int = 5,
     registry: FunctionRegistry = DEFAULT_REGISTRY,
     strict_empty: bool = False,
-) -> str:
+) -> tuple[str, ExecutionOutcome]:
     """Sample sc_n plans and majority-vote their executed answers.
 
     A client with a sample(messages, n) method gets all sc_n requests at
-    once; any other client is asked complete() sc_n times in a row. All
-    failing samples share one bucket; ties go to the earliest sample.
-    Returns the plan text of the first sample in the winning bucket.
+    once; any other client is asked complete() sc_n times in a row. Each
+    distinct plan text is assessed once. All failing samples share one
+    bucket; ties go to the earliest sample. Returns the plan text of the
+    first sample in the winning bucket and its outcome.
     """
     if sc_n < 1:
         raise ValueError("sc_n must be >= 1")
@@ -398,15 +448,17 @@ def generate_initial(
     else:
         completions = [client.complete(prompt) for _ in range(sc_n)]
     candidates: list[str] = []
+    outcomes: dict[str, ExecutionOutcome] = {}
     buckets: dict[tuple, list[int]] = {}
     for i, completion in enumerate(completions):
         _, plan_text = extract_plan(completion)
         plan_text = plan_text if plan_text is not None else completion.strip()
         candidates.append(plan_text)
-        outcome = assess(plan_text, cg, registry, strict_empty)
-        buckets.setdefault(_vote_key(outcome), []).append(i)
+        if plan_text not in outcomes:
+            outcomes[plan_text] = assess(plan_text, cg, registry, strict_empty)
+        buckets.setdefault(_vote_key(outcomes[plan_text]), []).append(i)
     best = max(buckets.values(), key=lambda idxs: (len(idxs), -idxs[0]))
-    return candidates[best[0]]
+    return candidates[best[0]], outcomes[candidates[best[0]]]
 
 
 def run_correction(
@@ -435,11 +487,10 @@ def run_correction(
     if mct < 0:
         raise ValueError("mct must be >= 0")
     schema_text = render_schema(schema)
-    initial_plan = generate_initial(
+    initial_plan, initial_outcome = generate_initial(
         question.text, schema_text, cg, client, demos_query, sc_n, registry,
         strict_empty,
     )
-    initial_outcome = assess(initial_plan, cg, registry, strict_empty)
 
     rounds: list[CorrectionRound] = []
     history: list[tuple[str, str]] = []

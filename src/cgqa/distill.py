@@ -26,7 +26,8 @@ from .correction import (
     query_prompt_text,
 )
 from .dsl import canonical_plan_text
-from .jsonl import read_json, read_jsonl, write_jsonl  # noqa: F401, re-export
+from .jsonl import NULL, check_types, read_json, read_jsonl
+from .jsonl import write_jsonl  # noqa: F401, re-export
 
 KIND_QUERY_GEN = "query_gen"
 KIND_CORRECTION = "correction"
@@ -61,6 +62,8 @@ class SftRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SftRecord":
+        check_types(data, {"kind": (str,), "input": (str,), "target": (str,),
+                           "round": (int, NULL), "trace_id": (str,)})
         return cls(
             kind=data["kind"],
             input_text=data["input"],
@@ -89,6 +92,9 @@ class PreferencePair:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PreferencePair":
+        check_types(data, {"prompt": (str,), "chosen": (str,),
+                           "rejected": (str,), "round": (int,),
+                           "trace_id": (str,)})
         return cls(
             input_text=data["prompt"],
             preferred=data["chosen"],

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Mapping
 
+from .jsonl import check_types
+
 
 class ErrorKind(enum.Enum):
     UNDEFINED_FUNCTION = "undefined_function"
@@ -83,6 +85,7 @@ class QueryError(Exception):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QueryError":
+        check_types(data, {"kind": (str,), "detail": (dict,)})
         return cls(ErrorKind(data["kind"]), **data.get("detail", {}))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

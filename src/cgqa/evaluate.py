@@ -19,6 +19,7 @@ from .correction import (
     STATUS_SOLVED_AFTER_N,
     STATUS_SOLVED_DIRECT,
     CorrectionTrace,
+    DemoIndex,
     Demonstration,
     Question,
     retrieve_demos,
@@ -26,7 +27,7 @@ from .correction import (
 )
 from .errors import ErrorKind
 from .graph import ConditionGraph, schema_summary
-from .jsonl import read_jsonl
+from .jsonl import NULL, check_types, read_jsonl
 
 METRIC_DENOTATION = "denotation_accuracy"
 METRIC_HITS1 = "hits_at_1"
@@ -110,18 +111,19 @@ class PipelineConfig:
     demo_pool: Sequence[Demonstration] = field(default_factory=tuple)
     jobs: int = 1
     full_history: bool = False
-    _correction_pool: tuple = field(default=(None, ()), init=False,
-                                    repr=False, compare=False)
+    _indexes: tuple = field(default=(None, None, None), init=False,
+                            repr=False, compare=False)
 
-    def correction_pool(self) -> tuple[Demonstration, ...]:
-        """The correction demonstrations of demo_pool, filtered once per
-        pool object."""
-        pool, picked = self._correction_pool
+    def demo_indexes(self) -> tuple[DemoIndex, DemoIndex]:
+        """Word indexes of demo_pool and of its correction demonstrations,
+        built once per pool object."""
+        pool, full, corrections = self._indexes
         if pool is not self.demo_pool:
             pool = self.demo_pool
-            picked = tuple(d for d in pool if d.is_correction)
-            self._correction_pool = (pool, picked)
-        return picked
+            full = DemoIndex(pool)
+            corrections = DemoIndex([d for d in full.pool if d.is_correction])
+            self._indexes = (pool, full, corrections)
+        return full, corrections
 
 
 def run_question(
@@ -131,12 +133,12 @@ def run_question(
     config: PipelineConfig,
 ) -> CorrectionTrace:
     """Resolve demonstrations and run the loop for one question."""
+    pool, corrections = config.demo_indexes()
     demos_q = retrieve_demos(
-        question.text, config.demo_pool, config.retrieves, config.demos_query
+        question.text, pool, config.retrieves, config.demos_query
     )
     demos_c = retrieve_demos(
-        question.text, config.correction_pool(), config.retrieves,
-        config.demos_correction,
+        question.text, corrections, config.retrieves, config.demos_correction
     )
     match_mode = "hits1" if config.metric == METRIC_HITS1 else "denotation"
     return run_correction(
@@ -255,9 +257,13 @@ def error_stats(traces: Iterable[CorrectionTrace]) -> ErrorStats:
 
 def load_questions(path: str) -> list[Question]:
     """Read a dataset: JSONL of {id, question, gold, graph_ref}."""
-    return read_jsonl(path, lambda data: Question(
-        id=str(data["id"]),
-        text=data["question"],
-        gold_answer=data.get("gold"),
-        graph_ref=data.get("graph_ref"),
-    ))
+    def build(data: dict[str, Any]) -> Question:
+        check_types(data, {"id": (str, int), "question": (str,),
+                           "gold": (list, NULL), "graph_ref": (str, NULL)})
+        return Question(
+            id=str(data["id"]),
+            text=data["question"],
+            gold_answer=data.get("gold"),
+            graph_ref=data.get("graph_ref"),
+        )
+    return read_jsonl(path, build)

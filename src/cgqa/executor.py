@@ -37,6 +37,7 @@ from .graph import (
     value_matcher,
     value_text,
 )
+from .jsonl import NULL, check_types
 
 ENTITY_SET = "entity-set"
 VALUE_SET = "value-set"
@@ -61,6 +62,8 @@ class StepResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StepResult":
+        check_types(data, {"index": (int,), "values": (list,),
+                           "kind": (str,)})
         return cls(
             index=data["index"],
             values=frozenset(data["values"]),
@@ -91,6 +94,8 @@ class ExecutionOutcome:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionOutcome":
+        check_types(data, {"status": (str,), "per_step": (list,),
+                           "answer": (list, NULL), "error": (dict, NULL)})
         return cls(
             status=data["status"],
             per_step=[StepResult.from_dict(s) for s in data["per_step"]],

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import NULL, check_types, read_jsonl, write_jsonl
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -160,6 +160,12 @@ def _order_key(value: Scalar) -> tuple[str, Any] | None:
     return None
 
 
+_EDGE_TYPES = {"head": (str,), "relation": (str,),
+               "tail": (str, int, float, NULL), "tail_kind": (str,),
+               "qualifier": (dict, NULL)}
+_QUALIFIER_TYPES = {"key": (str,), "value": (str,)}
+
+
 @dataclass(frozen=True)
 class Edge:
     """One fact: head --relation--> tail, optionally qualified (e.g. by time)."""
@@ -185,7 +191,10 @@ class Edge:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Edge":
+        check_types(data, _EDGE_TYPES)
         qual = data.get("qualifier")
+        if qual:
+            check_types(qual, _QUALIFIER_TYPES)
         return cls(
             head=data["head"],
             relation=data["relation"],

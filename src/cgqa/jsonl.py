@@ -1,14 +1,35 @@
 """The on-disk record format: JSON objects, one per line (JSONL) or per file.
 
 Bad JSON, a non-object, or a KeyError, TypeError or ValueError from a reader's
-build callable fails as one ValueError("path:line: reason")."""
+build callable fails as one ValueError("path:line: reason"). Builders check
+their fields' types with check_types, so a wrongly typed value fails there
+too instead of deep inside the pipeline."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 T = TypeVar("T")
+
+NULL = type(None)
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "a boolean", list: "an array", dict: "an object",
+               NULL: "null"}
+
+
+def check_types(data: Mapping[str, Any],
+                types: Mapping[str, tuple[type, ...]]) -> None:
+    """Raise TypeError for the first field of data whose value's exact type
+    is not among its tuple of types, so true and false are not integers.
+    Absent fields pass, so that the caller's lookup reports them."""
+    for key, wants in types.items():
+        if key in data and type(data[key]) not in wants:
+            got = type(data[key])
+            *names, last = (_JSON_NAMES[t] for t in wants)
+            names = f"{', '.join(names)} or {last}" if names else last
+            raise TypeError(f"field {key!r} must be {names}, not "
+                            f"{_JSON_NAMES.get(got, got.__name__)}")
 
 
 def read_jsonl(path: str, build: Callable[[dict[str, Any]], T]) -> list[T]:

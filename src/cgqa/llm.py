@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .jsonl import read_jsonl
+from .jsonl import NULL, check_types, read_jsonl
 
 ROLES = ("system", "user", "assistant")
 _MAX_SAMPLES_IN_FLIGHT = 8
@@ -126,9 +126,10 @@ class ScriptedChatClient:
     @classmethod
     def from_file(cls, path: str, ordered_fallback: bool = True
                   ) -> "ScriptedChatClient":
-        entries = read_jsonl(path, lambda entry: {
-            "key": entry.get("key"), "reply": entry["reply"]})
-        return cls(entries, ordered_fallback=ordered_fallback)
+        def build(entry: dict) -> dict:
+            check_types(entry, {"key": (str, NULL), "reply": (str,)})
+            return {"key": entry.get("key"), "reply": entry["reply"]}
+        return cls(read_jsonl(path, build), ordered_fallback=ordered_fallback)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         _check_messages(messages)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -398,6 +400,18 @@ BAD_LINES = {
         {k: v for k, v in good.items() if k != key}),
 }
 
+# Per JSONL input: a field, a wrongly typed value, and the type it needs.
+WRONG_TYPES = {
+    "ask --graph": ("tail", [1], "a string, an integer, a number or null"),
+    "--script": ("reply", 5, "a string"),
+    "--demo-pool": ("question", 5, "a string"),
+    "correct --dataset": ("question", 5, "a string"),
+    "gen-sft --traces": ("question_text", 5, "a string"),
+    "error-stats --traces": ("n", "1", "an integer"),
+    "score-loss --sft": ("round", True, "an integer or null"),
+    "score-loss --pref": ("chosen", ["x"], "a string"),
+}
+
 
 @pytest.fixture
 def inputs(suite, tmp_path):
@@ -495,6 +509,19 @@ class TestBadInputLines:
         assert err.startswith(f"error: {path}:3: ")
         assert "'answer'" in err
 
+    @pytest.mark.parametrize("name", list(WRONG_TYPES))
+    def test_wrong_type_names_file_line_and_field(self, inputs, tmp_path,
+                                                  capsys, name):
+        key, value, want = WRONG_TYPES[name]
+        good, _, argv = inputs[name]
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, key: value}) + "\n",
+                        encoding="utf-8")
+        err = one_error_line(argv, path, capsys)
+        assert err.startswith(f"error: {path}:2: field '{key}' must be "
+                              f"{want}, not ")
+
     def test_invalid_demo_plan_names_its_line(self, inputs, tmp_path,
                                               capsys):
         good, _, argv = inputs["--demo-pool"]
@@ -540,3 +567,13 @@ class TestBadJsonFiles:
                               "--scorer", "{path}"], scorer, capsys)
         assert err.startswith("error: " + message.replace("{path}",
                                                           str(scorer)))
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cgqa", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")
+    assert "error-stats" in done.stdout

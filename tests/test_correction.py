@@ -8,10 +8,13 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgqa import correction
 from cgqa.correction import (
     CorrectionTrace,
+    DemoIndex,
     Demonstration,
     Question,
     answers_match,
@@ -28,7 +31,8 @@ from cgqa.correction import (
     token_set_jaccard,
 )
 from cgqa.errors import ErrorKind
-from cgqa.graph import schema_summary
+from cgqa.evaluate import PipelineConfig
+from cgqa.graph import ingest_table, schema_summary
 from cgqa.llm import ScriptedChatClient, request_digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "prompts"
@@ -126,6 +130,82 @@ class TestRetrieveDemos:
         assert len(got) == 1
 
 
+def brute_force_demos(question, pool, k_retrieve, k_use):
+    """Rank the whole pool by (-jaccard, position), keep k_retrieve, then
+    the first k_use distinct (question, plan) pairs."""
+    def words(text):
+        return set(re.findall(r"\w+", text.casefold()))
+
+    def jaccard(a, b):
+        return len(a & b) / len(a | b) if a | b else 1.0
+
+    q = words(question)
+    ranked = sorted(range(len(pool)),
+                    key=lambda i: (-jaccard(q, words(pool[i].question)), i))
+    picked, seen = [], set()
+    for i in ranked[:max(k_retrieve, 0)]:
+        ident = (pool[i].question, pool[i].plan_text)
+        if ident not in seen and len(picked) < k_use:
+            seen.add(ident)
+            picked.append(pool[i])
+    return picked
+
+
+# Few words, so questions overlap, repeat and often share none; "?!" and ""
+# have no words; the casefold pairs differ only in case.
+RETRIEVAL_WORDS = ["who", "Utah", "age", "of", "the", "Straße", "STRASSE",
+                   "ǆemal", "ǅemal", "ΣΊΣΥΦΟΣ", "σίσυφος", "?!", "2001"]
+retrieval_texts = st.lists(st.sampled_from(RETRIEVAL_WORDS), max_size=4).map(
+    " ".join)
+
+
+class TestRetrievalIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(question=retrieval_texts,
+           pool=st.lists(st.tuples(retrieval_texts, st.sampled_from("pq")),
+                         max_size=25),
+           k_retrieve=st.integers(0, 30), k_use=st.integers(0, 30))
+    def test_equals_brute_force_ranking(self, question, pool, k_retrieve,
+                                        k_use):
+        demos = [Demonstration(q, "s", plan) for q, plan in pool]
+        want = brute_force_demos(question, demos, k_retrieve, k_use)
+        assert retrieve_demos(question, demos, k_retrieve, k_use) == want
+        assert retrieve_demos(question, DemoIndex(demos), k_retrieve,
+                              k_use) == want
+
+    def test_fewer_overlaps_than_k_fill_in_pool_order(self):
+        pool = [Demonstration(text, "s", f"p{i}") for i, text in enumerate(
+            ["who", "?!", "Utah age", "", "age of", "the"])]
+        got = retrieve_demos("age", pool, 5, 5)
+        assert [d.plan_text for d in got] == ["p2", "p4", "p0", "p1", "p3"]
+
+    def test_question_without_words_matches_demos_without_words(self):
+        pool = [Demonstration(text, "s", f"p{i}") for i, text in enumerate(
+            ["who", "?!", "Utah", ""])]
+        got = retrieve_demos("...", pool, 3, 3)
+        assert [d.plan_text for d in got] == ["p1", "p3", "p0"]
+
+    def test_zero_k_picks_nothing(self):
+        pool = [Demonstration("who", "s", "p")]
+        assert retrieve_demos("who", pool, 0, 8) == []
+        assert retrieve_demos("who", pool, 15, 0) == []
+
+    def test_pipeline_config_indexes_each_pool_once(self):
+        plain = Demonstration("who is from utah", "s", "p1")
+        fix = Demonstration("how old is bob", "s", "p2", wrong_plan_text="w",
+                            error_message="e", analysis="a")
+        config = PipelineConfig(demo_pool=(plain, fix))
+        full, corrections = config.demo_indexes()
+        assert full.pool == (plain, fix) and corrections.pool == (fix,)
+        again = config.demo_indexes()
+        assert again[0] is full and again[1] is corrections
+        config.demo_pool = (plain, fix)  # equal, but another object
+        rebuilt = config.demo_indexes()
+        assert rebuilt[0] is not full and rebuilt[1] is not corrections
+        assert rebuilt[0].pool == full.pool
+        assert config.demo_indexes()[0] is rebuilt[0]
+
+
 class TestPrompts:
     def test_query_prompt_golden(self, toy_graph):
         text = query_prompt_text(QUESTION, render_schema(schema_summary(toy_graph)))
@@ -212,7 +292,7 @@ class TestGenerateInitial:
 
     def test_single_sample(self, toy_graph):
         client = ordered_client(GOOD_PLAN)
-        got = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
+        got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
                                client, sc_n=1)
         assert got == GOOD_PLAN
 
@@ -220,7 +300,7 @@ class TestGenerateInitial:
         plan_b = "query1 = get_information(relation='Age')"
         replies = [GOOD_PLAN, GOOD_PLAN, plan_b, WRONG_SUBTRACT, GOOD_PLAN]
         client = ordered_client(*replies)
-        got = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
+        got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
                                client, sc_n=5)
         assert got == GOOD_PLAN
 
@@ -228,14 +308,14 @@ class TestGenerateInitial:
         plan_b = "query1 = get_information(relation='Age')"
         replies = [plan_b, plan_b, GOOD_PLAN, GOOD_PLAN, WRONG_SUBTRACT]
         client = ordered_client(*replies)
-        got = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
+        got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
                                client, sc_n=5)
         assert got == plan_b
 
     def test_error_outcomes_share_a_bucket(self, toy_graph):
         replies = [WRONG_SUBTRACT, WRONG_NESTED, GOOD_PLAN]
         client = ordered_client(*replies)
-        got = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
+        got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
                                client, sc_n=3)
         assert got == WRONG_SUBTRACT  # two errors outvote one clean answer
 
@@ -253,10 +333,80 @@ class TestGenerateInitial:
                 raise AssertionError("complete() called despite sample()")
 
         client = BatchClient()
-        got = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
+        got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
                                client, sc_n=3)
         assert got == GOOD_PLAN
         assert client.calls == [3]
+
+
+VOTE_GRAPH = ingest_table(
+    [["Alice", "Utah", "20", "Texas"], ["Bob", "Princeton", "25", "Boston"]],
+    ["Name", "Colleges", "Age", "Hometown"],
+)
+VOTE_PLANS = [
+    GOOD_PLAN,
+    "query1 = get_information(relation='Age')",
+    "query1 = get_information(relation='Hometown')",
+    "query1 = get_information(relation='Colleges')\n"
+    "query2 = sum(set=output_of_query1)",  # fails in the executor
+    WRONG_SUBTRACT,  # rejected by the validator
+    WRONG_NESTED,  # rejected by the parser
+]
+
+
+def vote_every_sample(samples, cg):
+    """The vote with every sample assessed on its own."""
+    buckets = {}
+    for i, plan in enumerate(samples):
+        buckets.setdefault(correction._vote_key(assess(plan, cg)),
+                           []).append(i)
+    best = max(buckets.values(), key=lambda idxs: (len(idxs), -idxs[0]))
+    return samples[best[0]]
+
+
+class TestVoteAssessesDistinctPlans:
+    def counting(self, monkeypatch, name):
+        calls = []
+        fn = getattr(correction, name)
+        monkeypatch.setattr(correction, name,
+                            lambda *a, **k: calls.append(a[0]) or fn(*a, **k))
+        return calls
+
+    def test_each_distinct_text_parsed_and_executed_once(self, monkeypatch):
+        parsed = self.counting(monkeypatch, "parse_plan")
+        executed = self.counting(monkeypatch, "execute_plan")
+        replies = [GOOD_PLAN, WRONG_SUBTRACT, GOOD_PLAN, VOTE_PLANS[1],
+                   WRONG_SUBTRACT, GOOD_PLAN, VOTE_PLANS[1]]
+        plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
+                                   ordered_client(*replies), sc_n=7)
+        assert plan == GOOD_PLAN
+        assert parsed == [GOOD_PLAN, WRONG_SUBTRACT, VOTE_PLANS[1]]
+        assert len(executed) == 2  # WRONG_SUBTRACT never validates
+
+    def test_identical_samples_assessed_once_per_question(self, monkeypatch):
+        parsed = self.counting(monkeypatch, "parse_plan")
+        trace = run_correction(make_question(gold=[1]),
+                               schema_summary(VOTE_GRAPH), VOTE_GRAPH,
+                               ordered_client(*[GOOD_PLAN] * 5), sc_n=5)
+        assert trace.status == "solved_direct"
+        assert parsed == [GOOD_PLAN]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(VOTE_PLANS), min_size=1, max_size=7))
+    def test_vote_and_outcome_match_assessing_every_sample(self, samples):
+        plan, outcome = generate_initial(QUESTION, "s", VOTE_GRAPH,
+                                         ordered_client(*samples),
+                                         sc_n=len(samples))
+        assert plan == vote_every_sample(samples, VOTE_GRAPH)
+        assert outcome.to_dict() == assess(plan, VOTE_GRAPH).to_dict()
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(correction, "execute_plan", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            generate_initial(QUESTION, "s", VOTE_GRAPH,
+                             ordered_client(GOOD_PLAN, GOOD_PLAN), sc_n=2)
 
 
 @pytest.mark.parametrize("plan", [
