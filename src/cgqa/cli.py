@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Any, Sequence
 
 from .correction import CorrectionTrace, Demonstration, Question
@@ -51,7 +52,7 @@ from .graph import (
     load_temporal_file,
     load_triples_file,
 )
-from .jsonl import NULL, check_types, read_json, read_jsonl, write_jsonl
+from .jsonl import read_json, read_jsonl, write_jsonl
 from .llm import ChatError, ClientConfig, make_client
 
 
@@ -65,7 +66,8 @@ def _emit(data: Any, out: str | None) -> None:
 
 
 def _client_config(args: argparse.Namespace) -> ClientConfig:
-    config = (read_json(args.config, lambda data: ClientConfig(**data))
+    config = (read_json(args.config,
+                        partial(ClientConfig.from_dict, strict=True))
               if args.config else ClientConfig())
     if args.backend:
         config.backend = args.backend
@@ -74,16 +76,8 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
     return config
 
 
-_DEMO_TYPES = {
-    **dict.fromkeys(("question", "schema_text", "plan_text"), (str,)),
-    **dict.fromkeys(("wrong_plan_text", "error_message", "analysis"),
-                    (str, NULL)),
-}
-
-
 def _demonstration(data: dict[str, Any]) -> Demonstration:
-    check_types(data, _DEMO_TYPES)
-    demo = Demonstration(**data)
+    demo = Demonstration.from_dict(data, strict=True)
     try:
         validate_plan(parse_plan(demo.plan_text))
     except QueryError as err:

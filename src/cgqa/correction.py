@@ -13,16 +13,16 @@ import heapq
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from .dsl import DEFAULT_REGISTRY, FunctionRegistry, parse_plan, validate_plan
 from .errors import ErrorKind, QueryError
 from .executor import ExecutionOutcome, execute_plan, sort_values
 from .graph import ConditionGraph, SchemaDescriptor, Scalar
-from .jsonl import NULL, check_types
+from .jsonl import Record
 from .llm import ChatMessage, flatten_messages
 
 _STEP_LINE_RE = re.compile(r"^\s*query\d+\s*=")
@@ -32,15 +32,15 @@ _WORD_RE = re.compile(r"\w+")
 
 
 @dataclass
-class Question:
-    id: str
-    text: str
-    gold_answer: list[Any] | None = None
+class Question(Record):
+    id: str = field(metadata={"decode": (str | int, str)})
+    text: str = field(metadata={"key": "question"})
+    gold_answer: list | None = field(default=None, metadata={"key": "gold"})
     graph_ref: str | None = None
 
 
 @dataclass
-class Demonstration:
+class Demonstration(Record):
     """Worked example embedded in prompts.
 
     Plain demonstrations carry a question/schema/plan triple; correction
@@ -67,34 +67,12 @@ class Demonstration:
 
 
 @dataclass
-class CorrectionRound:
+class CorrectionRound(Record):
     index: int
     error_in: QueryError
     analysis: str
     updated_plan_text: str
     outcome_after: ExecutionOutcome
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "error_in": self.error_in.to_dict(),
-            "analysis": self.analysis,
-            "updated_plan_text": self.updated_plan_text,
-            "outcome_after": self.outcome_after.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CorrectionRound":
-        check_types(data, {"index": (int,), "error_in": (dict,),
-                           "analysis": (str,), "updated_plan_text": (str,),
-                           "outcome_after": (dict,)})
-        return cls(
-            index=data["index"],
-            error_in=QueryError.from_dict(data["error_in"]),
-            analysis=data["analysis"],
-            updated_plan_text=data["updated_plan_text"],
-            outcome_after=ExecutionOutcome.from_dict(data["outcome_after"]),
-        )
 
 
 STATUS_SOLVED_DIRECT = "solved_direct"
@@ -105,16 +83,8 @@ STATUS_FAILED_GOLD_MISMATCH = "failed_gold_mismatch"
 SOLVED_STATUSES = (STATUS_SOLVED_DIRECT, STATUS_SOLVED_AFTER_N)
 
 
-_TRACE_TYPES = {
-    **dict.fromkeys(("question_id", "question_text", "schema_text", "author",
-                     "initial_plan_text", "status"), (str,)),
-    "initial_outcome": (dict,), "rounds": (list,), "n": (int,),
-    "final_plan_text": (str, NULL), "gold_answer": (list, NULL),
-}
-
-
 @dataclass
-class CorrectionTrace:
+class CorrectionTrace(Record):
     """Full record of one question's trip through the loop."""
 
     question_id: str
@@ -127,7 +97,7 @@ class CorrectionTrace:
     status: str
     n: int
     final_plan_text: str | None
-    gold_answer: list[Any] | None = None
+    gold_answer: list | None = None
 
     @property
     def trace_id(self) -> str:
@@ -135,38 +105,6 @@ class CorrectionTrace:
 
     def terminal_outcome(self) -> ExecutionOutcome:
         return self.rounds[-1].outcome_after if self.rounds else self.initial_outcome
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "question_id": self.question_id,
-            "question_text": self.question_text,
-            "schema_text": self.schema_text,
-            "author": self.author,
-            "initial_plan_text": self.initial_plan_text,
-            "initial_outcome": self.initial_outcome.to_dict(),
-            "rounds": [r.to_dict() for r in self.rounds],
-            "status": self.status,
-            "n": self.n,
-            "final_plan_text": self.final_plan_text,
-            "gold_answer": self.gold_answer,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CorrectionTrace":
-        check_types(data, _TRACE_TYPES)
-        return cls(
-            question_id=data["question_id"],
-            question_text=data["question_text"],
-            schema_text=data["schema_text"],
-            author=data["author"],
-            initial_plan_text=data["initial_plan_text"],
-            initial_outcome=ExecutionOutcome.from_dict(data["initial_outcome"]),
-            rounds=[CorrectionRound.from_dict(r) for r in data["rounds"]],
-            status=data["status"],
-            n=data["n"],
-            final_plan_text=data["final_plan_text"],
-            gold_answer=data.get("gold_answer"),
-        )
 
 
 def _word_set(text: str) -> frozenset[str]:

@@ -15,7 +15,7 @@ negated; the preference loss is the negated sum of score gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, Sequence
 
 from .correction import (
@@ -26,7 +26,7 @@ from .correction import (
     query_prompt_text,
 )
 from .dsl import canonical_plan_text
-from .jsonl import NULL, check_types, read_json, read_jsonl
+from .jsonl import Record, read_json, read_jsonl
 from .jsonl import write_jsonl  # noqa: F401, re-export
 
 KIND_QUERY_GEN = "query_gen"
@@ -44,64 +44,21 @@ class ScorerFailure(ValueError):
 
 
 @dataclass
-class SftRecord:
+class SftRecord(Record):
     kind: str  # "query_gen" | "correction"
-    input_text: str
-    target_text: str
-    round_index: int | None
+    input_text: str = field(metadata={"key": "input"})
+    target_text: str = field(metadata={"key": "target"})
+    round_index: int | None = field(metadata={"key": "round"})
     trace_id: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "input": self.input_text,
-            "target": self.target_text,
-            "round": self.round_index,
-            "trace_id": self.trace_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SftRecord":
-        check_types(data, {"kind": (str,), "input": (str,), "target": (str,),
-                           "round": (int, NULL), "trace_id": (str,)})
-        return cls(
-            kind=data["kind"],
-            input_text=data["input"],
-            target_text=data["target"],
-            round_index=data["round"],
-            trace_id=data["trace_id"],
-        )
 
 
 @dataclass
-class PreferencePair:
-    input_text: str
-    preferred: str
-    dispreferred: str
-    round_index: int
+class PreferencePair(Record):
+    input_text: str = field(metadata={"key": "prompt"})
+    preferred: str = field(metadata={"key": "chosen"})
+    dispreferred: str = field(metadata={"key": "rejected"})
+    round_index: int = field(metadata={"key": "round"})
     trace_id: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "prompt": self.input_text,
-            "chosen": self.preferred,
-            "rejected": self.dispreferred,
-            "round": self.round_index,
-            "trace_id": self.trace_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PreferencePair":
-        check_types(data, {"prompt": (str,), "chosen": (str,),
-                           "rejected": (str,), "round": (int,),
-                           "trace_id": (str,)})
-        return cls(
-            input_text=data["prompt"],
-            preferred=data["chosen"],
-            dispreferred=data["rejected"],
-            round_index=data["round"],
-            trace_id=data["trace_id"],
-        )
 
 
 class TokenScorer(Protocol):

@@ -85,7 +85,7 @@ class QueryError(Exception):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QueryError":
-        check_types(data, {"kind": (str,), "detail": (dict,)})
+        check_types(data, {"kind": str, "detail": dict})
         return cls(ErrorKind(data["kind"]), **data.get("detail", {}))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

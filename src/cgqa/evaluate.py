@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .correction import (
     STATUS_FAILED_GOLD_MISMATCH,
@@ -27,7 +27,7 @@ from .correction import (
 )
 from .errors import ErrorKind
 from .graph import ConditionGraph, schema_summary
-from .jsonl import NULL, check_types, read_jsonl
+from .jsonl import Record, read_jsonl
 
 METRIC_DENOTATION = "denotation_accuracy"
 METRIC_HITS1 = "hits_at_1"
@@ -42,7 +42,7 @@ class GraphNotFoundError(Exception):
 
 
 @dataclass
-class EvalReport:
+class EvalReport(Record):
     """Aggregate outcome counts and the headline metric (in percent).
 
     alignment_miss counts questions that executed cleanly but missed the
@@ -51,31 +51,21 @@ class EvalReport:
     """
 
     metric: str
-    value: float | None
+    value: float | None = field(metadata={
+        "encode": lambda v: "n/a" if v is None else round(v, 6),
+        "decode": (float | str, lambda v: None if v == "n/a" else v)})
     total: int
     solved_direct: int
-    solved_after_n: dict[int, int]
+    solved_after_n: dict[int, int] = field(metadata={
+        "encode": lambda d: {str(k): v for k, v in sorted(d.items())},
+        "decode": (dict[str, int], lambda d: {int(k): v for k, v in d.items()})})
     failed_mct: int
     failed_gold_mismatch: int
     alignment_miss: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "value": round(self.value, 6) if self.value is not None else "n/a",
-            "total": self.total,
-            "solved_direct": self.solved_direct,
-            "solved_after_n": {
-                str(k): v for k, v in sorted(self.solved_after_n.items())
-            },
-            "failed_mct": self.failed_mct,
-            "failed_gold_mismatch": self.failed_gold_mismatch,
-            "alignment_miss": self.alignment_miss,
-        }
-
 
 @dataclass
-class ErrorStats:
+class ErrorStats(Record):
     """Per-kind before/after correction counts.
 
     before tallies the error kinds of initial queries; after counts, against
@@ -86,14 +76,6 @@ class ErrorStats:
     parsing: dict[str, float]
     execution: dict[str, float]
     overall: dict[str, float]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "per_kind": self.per_kind,
-            "parsing": self.parsing,
-            "execution": self.execution,
-            "overall": self.overall,
-        }
 
 
 @dataclass
@@ -257,13 +239,4 @@ def error_stats(traces: Iterable[CorrectionTrace]) -> ErrorStats:
 
 def load_questions(path: str) -> list[Question]:
     """Read a dataset: JSONL of {id, question, gold, graph_ref}."""
-    def build(data: dict[str, Any]) -> Question:
-        check_types(data, {"id": (str, int), "question": (str,),
-                           "gold": (list, NULL), "graph_ref": (str, NULL)})
-        return Question(
-            id=str(data["id"]),
-            text=data["question"],
-            gold_answer=data.get("gold"),
-            graph_ref=data.get("graph_ref"),
-        )
-    return read_jsonl(path, build)
+    return read_jsonl(path, Question.from_dict)

@@ -23,7 +23,7 @@ step is an error (the final step too, under strict mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .dsl import QueryPlan, QueryStep, StepRef
@@ -37,75 +37,11 @@ from .graph import (
     value_matcher,
     value_text,
 )
-from .jsonl import NULL, check_types
+from .jsonl import Record
 
 ENTITY_SET = "entity-set"
 VALUE_SET = "value-set"
 SCALAR = "scalar"
-
-
-@dataclass
-class StepResult:
-    index: int
-    values: frozenset[Scalar]
-    kind: str
-
-    def sorted_values(self) -> list[Scalar]:
-        return sort_values(self.values)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "values": self.sorted_values(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StepResult":
-        check_types(data, {"index": (int,), "values": (list,),
-                           "kind": (str,)})
-        return cls(
-            index=data["index"],
-            values=frozenset(data["values"]),
-            kind=data["kind"],
-        )
-
-
-@dataclass
-class ExecutionOutcome:
-    """Result of running a plan: per-step prefix, final answer or error."""
-
-    status: str  # "success" | "exec_error"
-    per_step: list[StepResult]
-    answer: frozenset[Scalar] | None
-    error: QueryError | None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "per_step": [s.to_dict() for s in self.per_step],
-            "answer": sort_values(self.answer) if self.answer is not None else None,
-            "error": self.error.to_dict() if self.error else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionOutcome":
-        check_types(data, {"status": (str,), "per_step": (list,),
-                           "answer": (list, NULL), "error": (dict, NULL)})
-        return cls(
-            status=data["status"],
-            per_step=[StepResult.from_dict(s) for s in data["per_step"]],
-            answer=(
-                frozenset(data["answer"]) if data["answer"] is not None else None
-            ),
-            error=(
-                QueryError.from_dict(data["error"]) if data["error"] else None
-            ),
-        )
 
 
 def sort_values(values: Iterable[Scalar]) -> list[Scalar]:
@@ -117,6 +53,28 @@ def _sort_key(value: Scalar) -> tuple[int, float, str]:
     if isinstance(value, (int, float)):
         return (0, float(value), "")
     return (1, 0.0, normalize(value))
+
+
+@dataclass
+class StepResult(Record):
+    index: int
+    kind: str
+    values: frozenset[Scalar] = field(metadata={"encode": sort_values})
+
+
+@dataclass
+class ExecutionOutcome(Record):
+    """Result of running a plan: per-step prefix, final answer or error."""
+
+    status: str  # "success" | "exec_error"
+    per_step: list[StepResult]
+    answer: frozenset[Scalar] | None = field(metadata={
+        "encode": lambda a: None if a is None else sort_values(a)})
+    error: QueryError | None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
 
 
 def _dedupe(values: Iterable[Scalar]) -> frozenset[Scalar]:
@@ -182,11 +140,11 @@ def _exec_get_information(
             values = (e.relation for e in hits)
     elif "head_entity" not in bound and ("tail_entity" in bound
                                          or "value" in bound):
-        return StepResult(step.index, _dedupe(e.head for e in hits),
-                          ENTITY_SET)
+        return StepResult(step.index, kind=ENTITY_SET,
+                          values=_dedupe(e.head for e in hits))
     else:  # head bound alone, or column access: project tails
         values = (e.tail for e in hits)
-    return StepResult(step.index, _dedupe(values), VALUE_SET)
+    return StepResult(step.index, kind=VALUE_SET, values=_dedupe(values))
 
 
 def _numeric(values: Iterable[Scalar]) -> list[float] | None:
@@ -221,7 +179,7 @@ def _exec_aggregate(
     source = _as_set(_resolve(step.args[0].value, env))
     fn = step.function
     if fn == "count":
-        return StepResult(step.index, frozenset({len(source)}), SCALAR)
+        return StepResult(step.index, kind=SCALAR, values=frozenset({len(source)}))
     nums = _numeric(source)
     if nums is not None and nums:
         if fn == "sum":
@@ -232,12 +190,12 @@ def _exec_aggregate(
             result = _tighten(min(nums))
         else:
             result = _tighten(max(nums))
-        return StepResult(step.index, frozenset({result}), SCALAR)
+        return StepResult(step.index, kind=SCALAR, values=frozenset({result}))
     if fn in ("min", "max"):
         dated = _dates(source)
         if dated is not None and dated:
             picked = (min if fn == "min" else max)(dated)[1]
-            return StepResult(step.index, frozenset({picked}), SCALAR)
+            return StepResult(step.index, kind=SCALAR, values=frozenset({picked}))
     # Mixed or non-numeric input: evaluate literally and let the fault bubble
     # into a runtime-exception report.
     ordered = _fault_order(source)
@@ -254,7 +212,7 @@ def _exec_aggregate(
         result = min(ordered)  # type: ignore[type-var]
     else:
         result = max(ordered)  # type: ignore[type-var]
-    return StepResult(step.index, frozenset({result}), SCALAR)
+    return StepResult(step.index, kind=SCALAR, values=frozenset({result}))
 
 
 def _tighten(value: float) -> Scalar:
@@ -287,7 +245,7 @@ def _exec_keep(
             ):
                 kept.append(entity)
                 break
-    return StepResult(step.index, _dedupe(kept), ENTITY_SET)
+    return StepResult(step.index, kind=ENTITY_SET, values=_dedupe(kept))
 
 
 def _exec_set_op(
@@ -301,7 +259,7 @@ def _exec_set_op(
         exclude = {value_key(v) for v in source}
         universe = cg.head_entities()
         out = [u for u in universe if value_key(u) not in exclude]
-        return StepResult(step.index, _dedupe(out), kind)
+        return StepResult(step.index, kind=kind, values=_dedupe(out))
     left = _as_set(bound["set1"])
     right = _as_set(bound["set2"])
     lmap = {value_key(v): v for v in left}
@@ -319,7 +277,7 @@ def _exec_set_op(
         if isinstance(r, StepResult)
     }
     kind = ENTITY_SET if kinds == {ENTITY_SET} else VALUE_SET
-    return StepResult(step.index, frozenset(lmap[k] for k in keys), kind)
+    return StepResult(step.index, kind=kind, values=frozenset(lmap[k] for k in keys))
 
 
 _HANDLERS = {

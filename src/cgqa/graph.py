@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from .jsonl import NULL, check_types, read_jsonl, write_jsonl
+from .jsonl import Record, read_jsonl, write_jsonl
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -160,48 +160,18 @@ def _order_key(value: Scalar) -> tuple[str, Any] | None:
     return None
 
 
-_EDGE_TYPES = {"head": (str,), "relation": (str,),
-               "tail": (str, int, float, NULL), "tail_kind": (str,),
-               "qualifier": (dict, NULL)}
-_QUALIFIER_TYPES = {"key": (str,), "value": (str,)}
-
-
 @dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """One fact: head --relation--> tail, optionally qualified (e.g. by time)."""
 
     head: str
     relation: str
-    tail: Scalar
+    tail: Scalar | None
     tail_kind: str
-    qualifier: tuple[str, str] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "head": self.head,
-            "relation": self.relation,
-            "tail": self.tail,
-            "tail_kind": self.tail_kind,
-            "qualifier": (
-                {"key": self.qualifier[0], "value": self.qualifier[1]}
-                if self.qualifier
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Edge":
-        check_types(data, _EDGE_TYPES)
-        qual = data.get("qualifier")
-        if qual:
-            check_types(qual, _QUALIFIER_TYPES)
-        return cls(
-            head=data["head"],
-            relation=data["relation"],
-            tail=data["tail"],
-            tail_kind=data["tail_kind"],
-            qualifier=(qual["key"], qual["value"]) if qual else None,
-        )
+    qualifier: tuple[str, str] | None = field(default=None, metadata={
+        "encode": lambda q: {"key": q[0], "value": q[1]} if q else None,
+        "decode": (dict[str, str] | None,
+                   lambda q: (q["key"], q["value"]) if q else None)})
 
 
 @dataclass

@@ -1,35 +1,145 @@
 """The on-disk record format: JSON objects, one per line (JSONL) or per file.
 
 Bad JSON, a non-object, or a KeyError, TypeError or ValueError from a reader's
-build callable fails as one ValueError("path:line: reason"). Builders check
-their fields' types with check_types, so a wrongly typed value fails there
-too instead of deep inside the pipeline."""
+build callable fails as one ValueError("path:line: reason"). A Record reads
+and writes itself through a codec derived from its dataclass fields, so a
+wrongly typed value fails as it is read instead of deep inside the pipeline.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+import types
+from functools import cache
+from operator import attrgetter
+from typing import (Any, Callable, Iterable, Mapping, TypeVar, Union,
+                    get_args, get_origin, get_type_hints)
 
 T = TypeVar("T")
+R = TypeVar("R", bound="Record")
 
-NULL = type(None)
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
                bool: "a boolean", list: "an array", dict: "an object",
-               NULL: "null"}
+               type(None): "null"}
 
 
-def check_types(data: Mapping[str, Any],
-                types: Mapping[str, tuple[type, ...]]) -> None:
-    """Raise TypeError for the first field of data whose value's exact type
-    is not among its tuple of types, so true and false are not integers.
-    Absent fields pass, so that the caller's lookup reports them."""
-    for key, wants in types.items():
-        if key in data and type(data[key]) not in wants:
-            got = type(data[key])
-            *names, last = (_JSON_NAMES[t] for t in wants)
-            names = f"{', '.join(names)} or {last}" if names else last
-            raise TypeError(f"field {key!r} must be {names}, not "
-                            f"{_JSON_NAMES.get(got, got.__name__)}")
+class _Mismatch(TypeError):
+    """A value that does not fit its type; the caller says whose it is."""
+
+
+@cache
+def _spec(hint: Any) -> tuple[frozenset[type], str, Callable | None,
+                              Callable | None]:
+    """How a value of hint is kept in JSON: the exact JSON types it may
+    have, their names, and the conversions it needs from and to JSON, if
+    any. A float takes an integer too."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        specs = [_spec(arg) for arg in args]
+        *names, last = [names for _, names, _, _ in specs]
+        to = {t: read for ts, _, read, _ in specs if read for t in ts}
+        write = next(filter(None, [write for *_, write in specs]), None)
+        return (frozenset().union(*(ts for ts, *_ in specs)),
+                f"{', '.join(names)} or {last}",
+                to and (lambda v: to[type(v)](v) if type(v) in to else v),
+                write and (lambda v: None if v is None else write(v)))
+    if hint is float:
+        return frozenset({int, float}), "a number", None, None
+    if hint in _JSON_NAMES:
+        return frozenset({hint}), _JSON_NAMES[hint], None, None
+    if origin is dict:
+        item = _spec(args[1])
+        return frozenset({dict}), "an object", lambda v: {
+            k: _read(item, x, "items ") for k, x in v.items()}, None
+    if origin in (list, frozenset):
+        item = _spec(args[0])
+        write = item[3]
+        return (frozenset({list}), "an array", lambda v: origin(
+            _read(item, x, "items ") for x in v),
+            write and (lambda v: [write(x) for x in v]))
+    if hasattr(hint, "from_dict"):
+        return frozenset({dict}), "an object", hint.from_dict, hint.to_dict
+    raise TypeError(f"no JSON form for {hint!r}")
+
+
+def _read(spec: tuple, value: Any, part: str = "") -> Any:
+    types_, names, read, _ = spec
+    if type(value) not in types_:
+        got = _JSON_NAMES.get(type(value), type(value).__name__)
+        raise _Mismatch(f"{part}must be {names}, not {got}")
+    return read(value) if read else value
+
+
+def _read_fields(data: Mapping[str, Any], readers: Iterable[tuple]) -> dict:
+    """Field name -> value for each (key, field name, required, spec) of
+    readers whose key data holds."""
+    kwargs = {}
+    try:
+        for key, name, required, spec in readers:
+            if key in data:
+                kwargs[name] = _read(spec, data[key])
+            elif required:
+                raise KeyError(key)
+    except _Mismatch as exc:
+        raise TypeError(f"field {key!r} {exc}") from None
+    return kwargs
+
+
+def check_types(data: Mapping[str, Any], hints: Mapping[str, Any]) -> None:
+    """Raise TypeError for the first field of data, a JSON object that is
+    not a Record, whose value does not fit its type hint. Absent fields
+    pass, so that the caller's lookup reports them."""
+    _read_fields(data, [(k, k, False, _spec(h)) for k, h in hints.items()])
+
+
+@cache
+def _codec(cls: type) -> tuple:
+    """A record class's JSON keys, a getter of its field values, and the
+    (key, encode) and (key, name, required, spec) of its fields."""
+    hints, fields = get_type_hints(cls), dataclasses.fields(cls)
+    keys = tuple(f.metadata.get("key", f.name) for f in fields)
+    encoders, readers = [], []
+    for key, f in zip(keys, fields):
+        encode = f.metadata.get("encode") or _spec(hints[f.name])[3]
+        if encode:
+            encoders.append((key, encode))
+        wire, decode = f.metadata.get("decode", (hints[f.name], None))
+        spec = _spec(wire)
+        spec = spec if decode is None else (*spec[:2], decode, None)
+        required = f.default is f.default_factory is dataclasses.MISSING
+        readers.append((key, f.name, required, spec))
+    get = attrgetter(*(f.name for f in fields))
+    return (keys, get if len(fields) > 1 else lambda r: (get(r),),
+            encoders, readers)
+
+
+class Record:
+    """A dataclass that is written and read as one JSON object: one key per
+    field, in field order, typed by the field's type hint. Field metadata
+    sets the wire form only where it differs: "key" is the JSON key,
+    "encode" maps the value to JSON, and "decode" is a pair (JSON type
+    hint, function) that maps JSON of that type to the value.
+
+    from_dict ignores unknown keys unless strict. A missing key whose field
+    has no default fails as KeyError(key), and a wrongly typed value as
+    TypeError("field 'x' must be ..., not ...").
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        keys, values, encoders, _ = _codec(type(self))
+        data = dict(zip(keys, values(self)))
+        for key, encode in encoders:
+            data[key] = encode(data[key])
+        return data
+
+    @classmethod
+    def from_dict(cls: type[R], data: Mapping[str, Any],
+                  strict: bool = False) -> R:
+        keys, _, _, readers = _codec(cls)
+        if strict and (unknown := [k for k in data if k not in keys]):
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        return cls(**_read_fields(data, readers))
 
 
 def read_jsonl(path: str, build: Callable[[dict[str, Any]], T]) -> list[T]:

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .jsonl import NULL, check_types, read_jsonl
+from .jsonl import Record, check_types, read_jsonl
 
 ROLES = ("system", "user", "assistant")
 _MAX_SAMPLES_IN_FLIGHT = 8
@@ -62,7 +62,7 @@ class ChatMessage:
 
 
 @dataclass
-class ClientConfig:
+class ClientConfig(Record):
     backend: str = "scripted"  # "http" | "scripted"
     endpoint: str = ""
     model: str = ""
@@ -127,7 +127,7 @@ class ScriptedChatClient:
     def from_file(cls, path: str, ordered_fallback: bool = True
                   ) -> "ScriptedChatClient":
         def build(entry: dict) -> dict:
-            check_types(entry, {"key": (str, NULL), "reply": (str,)})
+            check_types(entry, {"key": str | None, "reply": str})
             return {"key": entry.get("key"), "reply": entry["reply"]}
         return cls(read_jsonl(path, build), ordered_fallback=ordered_fallback)
 
