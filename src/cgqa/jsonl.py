@@ -12,7 +12,6 @@ import dataclasses
 import json
 import types
 from functools import cache
-from operator import attrgetter
 from typing import (Any, Callable, Iterable, Mapping, TypeVar, Union,
                     get_args, get_origin, get_type_hints)
 
@@ -95,23 +94,24 @@ def check_types(data: Mapping[str, Any], hints: Mapping[str, Any]) -> None:
 
 @cache
 def _codec(cls: type) -> tuple:
-    """A record class's JSON keys, a getter of its field values, and the
-    (key, encode) and (key, name, required, spec) of its fields."""
+    """A record class's JSON keys, its to_dict, and the (key, field name,
+    required, spec) of its fields."""
     hints, fields = get_type_hints(cls), dataclasses.fields(cls)
     keys = tuple(f.metadata.get("key", f.name) for f in fields)
-    encoders, readers = [], []
+    encoders, items, readers = {}, [], []
     for key, f in zip(keys, fields):
-        encode = f.metadata.get("encode") or _spec(hints[f.name])[3]
-        if encode:
-            encoders.append((key, encode))
+        encoders[key] = f.metadata.get("encode") or _spec(hints[f.name])[3]
+        items.append(f"{key!r}: " + (f"enc[{key!r}](self.{f.name})"
+                                     if encoders[key] else f"self.{f.name}"))
         wire, decode = f.metadata.get("decode", (hints[f.name], None))
         spec = _spec(wire)
         spec = spec if decode is None else (*spec[:2], decode, None)
         required = f.default is f.default_factory is dataclasses.MISSING
         readers.append((key, f.name, required, spec))
-    get = attrgetter(*(f.name for f in fields))
-    return (keys, get if len(fields) > 1 else lambda r: (get(r),),
-            encoders, readers)
+    # A dict display compiled once per class, as dataclasses compiles
+    # __init__, so that writing a record costs no call per plain field.
+    to_dict = eval(f"lambda self: {{{', '.join(items)}}}", {"enc": encoders})
+    return keys, to_dict, readers
 
 
 class Record:
@@ -127,16 +127,12 @@ class Record:
     """
 
     def to_dict(self) -> dict[str, Any]:
-        keys, values, encoders, _ = _codec(type(self))
-        data = dict(zip(keys, values(self)))
-        for key, encode in encoders:
-            data[key] = encode(data[key])
-        return data
+        return _codec(type(self))[1](self)
 
     @classmethod
     def from_dict(cls: type[R], data: Mapping[str, Any],
                   strict: bool = False) -> R:
-        keys, _, _, readers = _codec(cls)
+        keys, _, readers = _codec(cls)
         if strict and (unknown := [k for k in data if k not in keys]):
             raise ValueError(f"unknown key {unknown[0]!r}")
         return cls(**_read_fields(data, readers))
