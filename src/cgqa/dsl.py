@@ -26,7 +26,11 @@ _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(<=|>=|=|<|>)\s*(.*)$", re.S)
 _REF_RE = re.compile(r"^output_of_query(\d+)$")
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\(.*\)$", re.S)
 _NUM_RE = re.compile(r"^-?\d+(\.\d+)?$")
-_STR_RE = re.compile(r"^'([^']*)'$")
+_STR_RE = re.compile(r"^'([^'\\]*(?:\\.[^'\\]*)*)'$")
+_ESCAPE_RE = re.compile(r"\\(['\\])")
+# A quoted string (to the end if it is not closed), or else one bracket or
+# comma, or a run of other characters.
+_PIECE_RE = re.compile(r"'[^'\\]*(?:\\.[^'\\]*)*'?|[^',()[\]]+|.", re.S)
 
 
 @dataclass(frozen=True)
@@ -125,23 +129,21 @@ def split_args(text: str) -> list[str]:
 
     Commas inside quotes, parentheses, or brackets do not split, so nested
     calls and bracketed lists come through as single (rejectable) tokens.
+    Inside quotes, a backslash escapes the next character.
     """
     parts: list[str] = []
     depth = 0
-    quoted = False
     current: list[str] = []
-    for ch in text:
-        if ch == "'" :
-            quoted = not quoted
-        elif not quoted and ch in "([":
+    for piece in _PIECE_RE.findall(text):
+        if piece in "([":
             depth += 1
-        elif not quoted and ch in ")]":
+        elif piece in ")]":
             depth -= 1
-        if ch == "," and depth == 0 and not quoted:
+        elif piece == "," and depth == 0:
             parts.append("".join(current))
             current = []
-        else:
-            current.append(ch)
+            continue
+        current.append(piece)
     if current:
         parts.append("".join(current))
     return [p.strip() for p in parts if p.strip()]
@@ -150,7 +152,8 @@ def split_args(text: str) -> list[str]:
 def _parse_value(raw: str, function: str) -> Literal:
     m = _STR_RE.match(raw)
     if m:
-        return m.group(1)
+        text = m.group(1)
+        return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
     if _NUM_RE.match(raw):
         return int(raw) if "." not in raw else float(raw)
     m = _REF_RE.match(raw)
@@ -284,7 +287,7 @@ def render_value(value: Literal) -> str:
     if isinstance(value, StepRef):
         return f"output_of_query{value.index}"
     if isinstance(value, str):
-        return f"'{value}'"
+        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
     if isinstance(value, float):
         return repr(value)
     return str(value)

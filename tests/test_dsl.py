@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from cgqa.dsl import (
     DEFAULT_REGISTRY,
+    Arg,
+    QueryPlan,
+    QueryStep,
     StepRef,
     default_registry,
     parse_plan,
     render_plan,
+    render_value,
+    split_args,
     validate_plan,
 )
 from cgqa.errors import ErrorKind, QueryError
@@ -182,6 +187,65 @@ class TestRendering:
         bad = "query1 = count(set=[a, b])"
         e1, e2 = first_error(bad), first_error(bad)
         assert (e1.kind, e1.detail) == (e2.kind, e2.detail)
+
+
+# Characters str.splitlines breaks on: a plan holds one step per line.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+LABELS = st.text(st.sampled_from("'\\,()[]=<> \"") | st.characters(
+    blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS))
+
+
+def scan_args(text: str) -> list[str]:
+    """split_args one character at a time: the reference it must match."""
+    parts, current, depth, quoted = [], [], 0, False
+    chars = iter(text)
+    for ch in chars:
+        if quoted and ch == "\\":
+            ch += next(chars, "")
+        elif ch == "'":
+            quoted = not quoted
+        elif not quoted and ch in "([":
+            depth += 1
+        elif not quoted and ch in ")]":
+            depth -= 1
+        if ch == "," and depth == 0 and not quoted:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return [p.strip() for p in parts if p.strip()]
+
+
+class TestQuoting:
+    def test_quote_and_backslash_are_escaped(self):
+        assert render_value("O'Brien") == "'O\\'Brien'"
+        assert render_value("C:\\") == "'C:\\\\'"
+
+    def test_escaped_quote_and_backslash_parse(self):
+        plan = parse_plan("query1 = get_information(head_entity='O\\'Brien', "
+                          "relation='a\\\\b, c')")
+        assert [a.value for a in plan.steps[0].args] == ["O'Brien", "a\\b, c"]
+
+    def test_other_backslashes_stay_literal(self):
+        plan = parse_plan("query1 = get_information(relation='C:\\path')")
+        assert plan.steps[0].args[0].value == "C:\\path"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from("'\\,()[] a=\n") | st.characters()))
+    def test_split_args_matches_a_character_scan(self, text):
+        assert split_args(text) == scan_args(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(LABELS, min_size=1, max_size=3), min_size=1,
+                    max_size=3))
+    def test_labels_round_trip(self, steps):
+        params = ("head_entity", "relation", "tail_entity")
+        plan = QueryPlan(steps=[
+            QueryStep(index=i, function="get_information", args=tuple(
+                Arg(name, "=", label) for name, label in zip(params, labels)))
+            for i, labels in enumerate(steps, start=1)])
+        assert parse_plan(render_plan(plan)).steps == plan.steps
 
 
 class TestGeneratedPlans:
