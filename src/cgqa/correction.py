@@ -31,11 +31,14 @@ _NUMERIC_RE = re.compile(r"^-?\d+(\.\d+)?$")
 _WORD_RE = re.compile(r"\w+")
 
 
+Gold = list[str | float | bool]  # normalize_answer_value takes booleans too
+
+
 @dataclass
 class Question(Record):
     id: str = field(metadata={"decode": (str | int, str)})
     text: str = field(metadata={"key": "question"})
-    gold_answer: list | None = field(default=None, metadata={"key": "gold"})
+    gold_answer: Gold | None = field(default=None, metadata={"key": "gold"})
     graph_ref: str | None = None
 
 
@@ -97,7 +100,7 @@ class CorrectionTrace(Record):
     status: str
     n: int
     final_plan_text: str | None
-    gold_answer: list | None = None
+    gold_answer: Gold | None = None
 
     @property
     def trace_id(self) -> str:

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from .jsonl import Record, read_jsonl, write_jsonl
+from .jsonl import Record, check_types, read_jsonl, write_jsonl
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -479,6 +479,8 @@ def load_graph(path: str) -> ConditionGraph:
 
     def build(data: dict[str, Any]) -> Edge | None:
         if "meta" in data:
+            check_types(data, {"meta": dict})
+            check_types(data["meta"], {"source_kind": str})
             meta.update(data["meta"])
             return None
         return Edge.from_dict(data)

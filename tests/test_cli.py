@@ -522,6 +522,31 @@ class TestBadInputLines:
         assert err.startswith(f"error: {path}:2: field '{key}' must be "
                               f"{want}, not ")
 
+    @pytest.mark.parametrize("name, bad, want", [
+        ("correct --dataset", lambda good: {**good, "gold": [[2]]},
+         "field 'gold' items must be a string, a number or a boolean, "
+         "not an array"),
+        ("gen-sft --traces", lambda good: {**good, "initial_outcome": {
+            **good["initial_outcome"], "answer": [[1]]}},
+         "field 'answer' items must be a string, an integer or a number, "
+         "not an array"),
+        ("error-stats --traces", lambda good: {**good, "initial_outcome": {
+            **good["initial_outcome"], "per_step": [
+                {"index": 1, "kind": "value-set", "values": [[1]]}]}},
+         "field 'values' items must be a string, an integer or a number, "
+         "not an array"),
+        ("ask --graph", lambda good: {"meta": {"source_kind": 5}},
+         "field 'source_kind' must be a string, not an integer"),
+    ], ids=["gold_item", "answer_item", "values_item", "meta_source_kind"])
+    def test_wrong_nested_type_names_file_line_and_field(
+            self, inputs, tmp_path, capsys, name, bad, want):
+        good, _, argv = inputs[name]
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad(good))
+                        + "\n", encoding="utf-8")
+        err = one_error_line(argv, path, capsys)
+        assert err == f"error: {path}:2: {want}\n"
+
     def test_invalid_demo_plan_names_its_line(self, inputs, tmp_path,
                                               capsys):
         good, _, argv = inputs["--demo-pool"]
@@ -548,6 +573,30 @@ class TestBadJsonFiles:
                              config, capsys)
         assert err.startswith(f"error: {config}{prefix}")
         assert reason in err
+
+    @pytest.mark.parametrize("config, want", [
+        ({"timeout": "30"}, "field 'timeout' must be a number, not a string"),
+        ({"retries": True}, "field 'retries' must be an integer, not a "
+                            "boolean"),
+        ({"retries": 1.5}, "field 'retries' must be an integer, not a number"),
+        ({"ordered_fallback": "no"}, "field 'ordered_fallback' must be a "
+                                     "boolean, not a string"),
+        ({"temperature": "hot"}, "field 'temperature' must be a number, not "
+                                 "a string"),
+    ], ids=["timeout_text", "retries_bool", "retries_float", "fallback_text",
+            "temperature_text"])
+    def test_config_wrong_type(self, inputs, tmp_path, capsys, config, want):
+        path = tmp_path / "client.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        err = one_error_line([*inputs["--script"][2], "--config", "{path}"],
+                             path, capsys)
+        assert err == f"error: {path}: {want}\n"
+
+    def test_config_integer_for_a_number_field(self, inputs, tmp_path):
+        path = tmp_path / "client.json"
+        path.write_text(json.dumps({"timeout": 30}), encoding="utf-8")
+        ask = inputs["--demo-pool"][2][:-2]  # ask with a good script
+        assert main([*ask, "--config", str(path)]) == 0
 
     @pytest.mark.parametrize("table, message", [
         ({"entries": [{"target": ALICE_PLAN}]},
