@@ -38,6 +38,7 @@ def _spec(hint: Any) -> tuple[frozenset[type], str, Callable | None,
         specs = [_spec(arg) for arg in args]
         *names, last = [names for _, names, _, _ in specs]
         to = {t: read for ts, _, read, _ in specs if read for t in ts}
+        # A union that holds a record or a list of them is X | None.
         write = next(filter(None, [write for *_, write in specs]), None)
         return (frozenset().union(*(ts for ts, *_ in specs)),
                 f"{', '.join(names)} or {last}",
