@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cgqa  # noqa: F401, imports every record class
 from cgqa.correction import (CorrectionRound, CorrectionTrace, Demonstration,
                              Question)
 from cgqa.distill import PreferencePair, SftRecord
