@@ -108,6 +108,8 @@ def _codec(cls: type) -> tuple:
                                      if encoders[key] else f"self.{f.name}"))
         wire, decode = f.metadata.get("decode", (hints[f.name], None))
         spec = _spec(wire)
+        if decode and (read := spec[2]):  # the wire type's reader checks items
+            decode = lambda v, read=read, decode=decode: decode(read(v))
         spec = spec if decode is None else (*spec[:2], decode, None)
         required = f.default is f.default_factory is dataclasses.MISSING
         readers.append((key, f.name, required, spec))
@@ -122,7 +124,7 @@ class Record:
     field, in field order, typed by the field's type hint. Field metadata
     sets the wire form only where it differs: "key" is the JSON key,
     "encode" maps the value to JSON, and "decode" is a pair (JSON type
-    hint, function) that maps JSON of that type to the value.
+    hint, function) that maps JSON, once read as that type, to the value.
 
     from_dict ignores unknown keys unless strict. A missing key whose field
     has no default fails as KeyError(key), and a wrongly typed value as

@@ -537,7 +537,17 @@ class TestBadInputLines:
          "not an array"),
         ("ask --graph", lambda good: {"meta": {"source_kind": 5}},
          "field 'source_kind' must be a string, not an integer"),
-    ], ids=["gold_item", "answer_item", "values_item", "meta_source_kind"])
+        ("ask --graph", lambda good: {**good, "qualifier": {
+            "key": "time", "value": 5}},
+         "field 'qualifier' items must be a string, not an integer"),
+        ("ask --graph", lambda good: {**good, "qualifier": {
+            "key": 5, "value": "2000"}},
+         "field 'qualifier' items must be a string, not an integer"),
+        ("gen-sft --traces", lambda good: {**good, "initial_outcome": {
+            **good["initial_outcome"], "error": {}}},
+         "missing key 'kind'"),
+    ], ids=["gold_item", "answer_item", "values_item", "meta_source_kind",
+            "qualifier_value", "qualifier_key", "empty_error"])
     def test_wrong_nested_type_names_file_line_and_field(
             self, inputs, tmp_path, capsys, name, bad, want):
         good, _, argv = inputs[name]

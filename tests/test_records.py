@@ -154,3 +154,10 @@ def test_question_id_may_be_an_integer():
     question = Question.from_dict({"id": 7, "question": "q"})
     assert (question.id, question.gold_answer, question.graph_ref) == (
         "7", None, None)
+
+
+def test_solved_after_n_counts_must_be_integers():
+    wire = EvalReport("accuracy", 50.0, 2, 1, {1: 1}, 0, 0, 0).to_dict()
+    with pytest.raises(TypeError, match="field 'solved_after_n' items must "
+                                        "be an integer, not a string"):
+        EvalReport.from_dict({**wire, "solved_after_n": {"1": "1"}})
