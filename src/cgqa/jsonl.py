@@ -77,10 +77,8 @@ def _read_fields(data: Mapping[str, Any], readers: Iterable[tuple]) -> dict:
     kwargs = {}
     try:
         for key, name, required, spec in readers:
-            if key in data:  # a plain JSON value needs no call to _read
-                value = data[key]
-                kwargs[name] = (value if type(value) in spec[0] and not spec[2]
-                                else _read(spec, value))
+            if key in data:
+                kwargs[name] = _read(spec, data[key])
             elif required:
                 raise KeyError(key)
     except _Mismatch as exc:
