@@ -85,11 +85,24 @@ class QueryError(Exception):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QueryError":
+        """A bad or missing detail key fails as "field 'detail' ..."."""
         check_types(data, {"kind": str, "detail": dict})
-        return cls(ErrorKind(data["kind"]), **data.get("detail", {}))
+        kind, detail = ErrorKind(data["kind"]), data.get("detail", {})
+        check_types(detail, _DETAIL_TYPES, "field 'detail' key")
+        try:
+            return cls(kind, **detail)
+        except KeyError as exc:  # a template read a key detail lacks
+            raise TypeError(f"field 'detail' has no key {exc}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryError({self.kind.value}, {self.detail!r})"
+
+
+# The JSON type of every detail key that a message template reads.
+_DETAIL_TYPES = {"registry": list[str], "allowed": list[str],
+                 "parameters": list[str], "step": int, **dict.fromkeys((
+                     "function", "parameter", "reason", "comparator", "outer",
+                     "inner", "text", "what", "fault"), str)}
 
 
 def _render_undefined_function(d: Mapping[str, Any]) -> str:

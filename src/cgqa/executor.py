@@ -34,7 +34,6 @@ from .graph import (
     normalize,
     time_key,
     value_key,
-    value_matcher,
     value_text,
 )
 from .jsonl import Record
@@ -228,21 +227,16 @@ def _exec_keep(
     if isinstance(key, StepResult):
         raise ValueError("parameter 'key' of keep must be a literal")
     cond = bound["value"]
-    match = value_matcher(_bound_value(cond.value, env), cond.comparator)
+    value = _bound_value(cond.value, env)
+    tails, tail_ok = cg.field_test("tail", value, cond.comparator)
+    values, value_ok = cg.field_test("qvalue", value, cond.comparator)
     key_norm = normalize(str(key))
+    relations, quals = cg.relation_keys, cg.edge_keys("qkey", "in")[0]
     kept = []
     for entity in source:
-        ids = cg.entity_index.get(normalize(value_text(entity)), ())
-        for i in ids:
-            edge = cg.edges[i]
-            if normalize(edge.relation) == key_norm and match(edge.tail):
-                kept.append(entity)
-                break
-            if (
-                edge.qualifier is not None
-                and normalize(edge.qualifier[0]) == key_norm
-                and match(edge.qualifier[1])
-            ):
+        for i in cg.entity_index.get(normalize(value_text(entity)), ()):
+            if relations[i] == key_norm and tail_ok(tails[i]) or (
+                    quals[i] == key_norm and value_ok(values[i])):
                 kept.append(entity)
                 break
     return StepResult(step.index, kind=ENTITY_SET, values=_dedupe(kept))
@@ -254,12 +248,11 @@ def _exec_set_op(
     fn = step.function
     bound = {a.name: _resolve(a.value, env) for a in step.args}
     if fn == "set_negation":
-        source = _as_set(bound["set"])
-        kind = ENTITY_SET
-        exclude = {value_key(v) for v in source}
-        universe = cg.head_entities()
-        out = [u for u in universe if value_key(u) not in exclude]
-        return StepResult(step.index, kind=kind, values=_dedupe(out))
+        exclude = {value_key(v) for v in _as_set(bound["set"])}
+        # a head's value_key is ("t", its entity_index key)
+        out = [cg.edges[ids[0]].head for head, ids in cg.entity_index.items()
+               if ("t", head) not in exclude]
+        return StepResult(step.index, kind=ENTITY_SET, values=frozenset(out))
     left = _as_set(bound["set1"])
     right = _as_set(bound["set2"])
     lmap = {value_key(v): v for v in left}

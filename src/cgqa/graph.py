@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, eq, ge, gt, le, lt
 from typing import Any, Callable, Iterable, Sequence
 
 from .jsonl import Record, check_types, read_jsonl, write_jsonl
@@ -110,34 +110,35 @@ def compare_values(left: Scalar, right: Scalar, op: str) -> bool:
     comparator against text raises KindMismatchError.
     """
     if op == "=":
-        return _equal(left, right)
-    lk, rk = _order_key(left), _order_key(right)
-    if lk is not None and rk is not None and lk[0] != rk[0]:
+        return _eq_key(left) == _eq_key(right)
+    return _compare_keys(_order_key(left), _order_key(right), left, right, op)
+
+
+def _compare_keys(lk: tuple[str, Any] | None, rk: tuple[str, Any] | None,
+                  left: Scalar, right: Scalar, op: str) -> bool:
+    """compare_values for a non-equal op, given both values' order keys."""
+    if lk and rk and lk[0] != rk[0]:
         # Year against full date: promote integral numbers to January 1.
-        if lk[0] == "d" and rk[0] == "n":
-            promoted = time_key(right)
-            rk = ("d", promoted) if promoted else rk
-        elif lk[0] == "n" and rk[0] == "d":
-            promoted = time_key(left)
-            lk = ("d", promoted) if promoted else lk
-    if lk is None or rk is None or lk[0] != rk[0]:
+        if lk[0] == "n" and (promoted := time_key(left)):
+            lk = ("d", promoted)
+        elif rk[0] == "n" and (promoted := time_key(right)):
+            rk = ("d", promoted)
+    if not (lk and rk and lk[0] == rk[0]):
         raise KindMismatchError(
             f"comparison symbol '{op}' is not supported between "
             f"'{value_text(left)}' and '{value_text(right)}'"
         )
-    if op == "<":
-        return lk < rk
-    if op == ">":
-        return lk > rk
-    if op == "<=":
-        return lk <= rk
-    if op == ">=":
-        return lk >= rk
-    raise KindMismatchError(f"unknown comparison symbol '{op}'")
+    if op not in _ORDERS:
+        raise KindMismatchError(f"unknown comparison symbol '{op}'")
+    return _ORDERS[op](lk, rk)
 
 
-def _equal(left: Scalar, right: Scalar) -> bool:
-    return value_key(_coerce_numeric(left)) == value_key(_coerce_numeric(right))
+_ORDERS = {"<": lt, ">": gt, "<=": le, ">=": ge}
+
+
+def _eq_key(value: Scalar) -> tuple[str, Any]:
+    """value_key under '=', where '20' and 20 match."""
+    return value_key(_coerce_numeric(value))
 
 
 def _coerce_numeric(value: Scalar) -> Scalar:
@@ -198,30 +199,40 @@ class ConditionGraph:
     """Immutable, indexed edge set.
 
     entity_index and relation_index map normalized head and relation labels
-    to edge ids; a tail-key index is built by the first lookup that can use
-    it. Indexes only accelerate: lookup results equal a brute-force scan.
-    The lazy caches (tail index, schema summaries) live on the graph and die
-    with it; two threads filling one at once store equal values.
+    to edge ids; relation_keys holds each edge's. Other keys (edge_keys) and
+    a tail-key index are built by the first lookup that tests them. Indexes
+    and keys only accelerate: lookup results equal a brute-force scan.
+    The lazy caches live on the graph and die with it; two threads filling
+    one at once store equal values.
     """
 
     def __init__(self, edges: Iterable[Edge], source_kind: str = "kg") -> None:
         seen: dict[Edge, None] = {}
+        heads, relations, labels = [], [], {}  # one str object per label
         for edge in edges:
-            if normalize(edge.head) == "" or normalize(edge.relation) == "":
-                raise EmptyFieldError(
-                    f"edge with empty head or relation: {edge.to_dict()!r}"
-                )
+            head, relation = normalize(edge.head), normalize(edge.relation)
+            if head == "" or relation == "":
+                raise EmptyFieldError("edge with empty head or relation: "
+                                      f"{edge.to_dict()!r}")
             seen.setdefault(edge, None)
+            if len(seen) > len(heads):  # a new edge
+                heads.append(labels.setdefault(head, head))
+                relations.append(labels.setdefault(relation, relation))
         self.edges: tuple[Edge, ...] = tuple(seen)
         self.source_kind = source_kind
+        self.relation_keys = tuple(relations)
         ent: dict[str, list[int]] = {}
         rel: dict[str, list[int]] = {}
-        for i, edge in enumerate(self.edges):
-            ent.setdefault(normalize(edge.head), []).append(i)
-            rel.setdefault(normalize(edge.relation), []).append(i)
+        for i, (head, relation) in enumerate(zip(heads, relations)):
+            ent.setdefault(head, []).append(i)
+            rel.setdefault(relation, []).append(i)
         self.entity_index = {k: tuple(v) for k, v in ent.items()}
         self.relation_index = {k: tuple(v) for k, v in rel.items()}
-        self._tail_index: tuple[dict | None, bool] | None = None
+        self._edge_keys: dict[tuple[str, str], tuple[tuple, bool]] = {
+            # a label's "in" key (value_key without its "t") is the label
+            ("head", "in"): (tuple(heads), False),
+            ("relation", "in"): (self.relation_keys, False)}
+        self._tail_index: dict | None = None
         self._schemas: dict[int, SchemaDescriptor] = {}
 
     def __len__(self) -> int:
@@ -231,23 +242,37 @@ class ConditionGraph:
         """Distinct head labels, first-seen surface form, insertion order."""
         return [self.edges[ids[0]].head for ids in self.entity_index.values()]
 
-    def _tail_keys(self) -> tuple[dict | None, bool]:
-        """(value_key of tail -> edge ids, None if a tail is not a scalar;
-        whether some text tail looks numeric), built on first use."""
-        if self._tail_index is None:
-            index: dict | None = {}
-            try:
-                # ids from relation_index: both share each id's int object
-                for ids in self.relation_index.values():
-                    for i in ids:
-                        key = value_key(self.edges[i].tail)
-                        index.setdefault(key, []).append(i)
-                index = {k: tuple(sorted(v)) for k, v in index.items()}
-            except AttributeError:  # a malformed dump: always scan
-                index = None
-            self._tail_index = (index, any(
-                isinstance(e.tail, str) and _NUM_RE.match(e.tail.strip())
-                for e in self.edges))
+    def edge_keys(self, field: str, test: str) -> tuple[tuple, bool]:
+        """(each edge's key of a _FIELDS field under test "in" (value_key),
+        "=" (_eq_key) or "<" (order key), whether one is _RAW: uncomputable),
+        built once; "=" reuses "in" if no text looks numeric. Equal keys
+        share one object; a missing qualifier is _MISSING."""
+        table = self._edge_keys.get((field, test))
+        if table is None:
+            get, key, interned, keys = _FIELDS[field], _KEY_OF[test], {}, []
+            if test == "=" and not any(isinstance(v, str) and _NUM_RE.match(
+                    v.strip()) for v in map(get, self.edges)):
+                return self._edge_keys.setdefault(
+                    (field, test), self.edge_keys(field, "in"))
+            for value in map(get, self.edges):
+                try:
+                    k = value if value is _MISSING else key(value)
+                except AttributeError:  # a null tail in a hand-written dump
+                    k = _RAW
+                keys.append(interned.setdefault(k, k))
+            table = self._edge_keys.setdefault(
+                (field, test), (tuple(keys), _RAW in interned))
+        return table
+
+    def _tail_keys(self) -> dict | None:
+        """Tail "in" key -> edge ids; None if a key is _RAW: always scan."""
+        keys, raw = self.edge_keys("tail", "in")
+        if self._tail_index is None and not raw:
+            index: dict = {}
+            for ids in self.relation_index.values():  # share its int objects
+                for i in ids:
+                    index.setdefault(keys[i], []).append(i)
+            self._tail_index = {k: tuple(sorted(v)) for k, v in index.items()}
         return self._tail_index
 
     def lookup(self, head: Bound = None, relation: Bound = None,
@@ -257,65 +282,101 @@ class ConditionGraph:
                key_cmp: str = "=") -> list[Edge]:
         """Edges matching every bound field, in stable edge order.
 
-        A bound field is a literal or a set of values, tested as
-        value_matcher says; a literal relation matches by normalized label
+        A bound field is a literal or a set of values, tested as field_test
+        says, on stored keys; a literal relation matches by normalized label
         whatever its comparator. A scan tests relation literal, head,
-        relation set, tail, qualifier key and qualifier value in that order
-        and raises the first failing comparison. Candidates come from the
-        smallest index (relation, head, tail key) whose dropped edges would
-        fail a test without raising, so results and errors equal the scan's.
+        relation set, tail, qualifier key and qualifier value in that order,
+        raising the first failing comparison. Candidates come from the
+        smallest index whose dropped edges fail a test without raising, so
+        results and errors equal the scan's.
         """
         options: list[Sequence[int]] = []
-        checks: list[tuple[Callable[[Edge], Any], Callable[[Any], bool]]] = []
         rel_ids = None
         if relation is not None and not _is_set(relation):
             rel_norm = normalize(str(relation))
             rel_ids = self.relation_index.get(rel_norm, ())
             options.append(rel_ids)
-        if head is not None:
-            if head_cmp == "=" and _is_set(head):
-                options.append(_ids(self.entity_index, {
-                    normalize(v) for v in head if isinstance(v, str)}))
-            elif head_cmp == "=" and isinstance(_coerce_numeric(head), str):
-                options.append(self.entity_index.get(normalize(head), ()))
-            checks.append((_head, value_matcher(head, head_cmp)))
-        if relation is not None and _is_set(relation):
-            checks.append((_relation, value_matcher(relation, relation_cmp)))
-        if tail is not None:
-            if tail_cmp == head_cmp == "=" and (rel_ids is not None
-                                                or relation_cmp == "="):
-                index, numeric_text = self._tail_keys()
-                if index is not None and _is_set(tail):
-                    options.append(_ids(index, {value_key(v) for v in tail}))
-                elif index is not None and not numeric_text:
-                    key = value_key(_coerce_numeric(tail))
-                    options.append(index.get(key, ()))
-            checks.append((_tail, value_matcher(tail, tail_cmp)))
-        if qual_key is not None:
-            checks.append((_qualifier(0), value_matcher(qual_key, key_cmp)))
-        if qual_value is not None:
-            checks.append((_qualifier(1), value_matcher(qual_value, qual_cmp)))
+        if head is not None and head_cmp == "=" and _is_set(head):
+            options.append(_ids(self.entity_index, {
+                normalize(v) for v in head if isinstance(v, str)}))
+        elif head is not None and head_cmp == "=" and isinstance(
+                _coerce_numeric(head), str):
+            options.append(self.entity_index.get(normalize(head), ()))
+        if tail is not None and tail_cmp == head_cmp == "=" and (
+                rel_ids is not None or relation_cmp == "="):
+            index = self._tail_keys()
+            if index is not None and _is_set(tail):
+                options.append(_ids(index, {value_key(v)[1] for v in tail}))
+            elif index is not None and (self.edge_keys("tail", "=")
+                                        is self.edge_keys("tail", "in")):
+                options.append(index.get(_eq_key(tail)[1], ()))
         ids = min(options, key=len) if options else range(len(self.edges))
+        if not ids:
+            return []
+        set_relation = relation if rel_ids is None else None
+        checks = [self.field_test(*test) for test in (
+            ("head", head, head_cmp), ("relation", set_relation, relation_cmp),
+            ("tail", tail, tail_cmp), ("qkey", qual_key, key_cmp),
+            ("qvalue", qual_value, qual_cmp)) if test[1] is not None]
         if rel_ids is not None and ids is not rel_ids:
-            checks.insert(0, (_relation, lambda r: normalize(r) == rel_norm))
+            checks.insert(0, (self.relation_keys, partial(eq, rel_norm)))
         out = []
         for i in ids:
-            edge = self.edges[i]
-            for field, match in checks:
-                value = field(edge)
-                if value is _MISSING or not match(value):
+            for keys, test in checks:
+                if not test(keys[i]):
                     break
             else:
-                out.append(edge)
+                out.append(self.edges[i])
         return out
 
+    def field_test(self, field: str, bound: Bound, cmp: str
+                   ) -> tuple[Sequence, Callable[[Any], bool]]:
+        """(a sequence indexed by edge id, a test of its item): whether an
+        edge's field (one of _FIELDS) matches bound under cmp, as a scan
+        tests it. A literal compares under compare_values. A set (an
+        earlier step's result) matches by value_key membership, without
+        numeric coercion, and admits only '='; a bad comparator raises only
+        when an edge is tested. An edge without a qualifier fails a
+        qualifier test without raising. The bound's key is computed once."""
+        edges, get = self.edges, _FIELDS[field]
+        if cmp == "=":
+            test = "in" if _is_set(bound) else "="
+            keys, raw = self.edge_keys(field, test)
+            match = ({value_key(v)[1] for v in bound}.__contains__
+                     if _is_set(bound) else partial(eq, _eq_key(bound)[1]))
+            if not raw:
+                return keys, match
+            key = _KEY_OF[test]  # recomputed, it raises where a scan would
+            return range(len(edges)), lambda i: match(
+                keys[i] if keys[i] is not _RAW else key(get(edges[i])))
+        if _is_set(bound):
+            def reject(i: int) -> bool:
+                if get(edges[i]) is _MISSING:
+                    return False
+                raise ValueError(f"comparison symbol '{cmp}' cannot be "
+                                 "applied to a step result")
+            return range(len(edges)), reject
+        order, rk = self.edge_keys(field, "<")[0], _order_key(bound)
+        fast = rk and _ORDERS.get(cmp)  # for keys of one kind
+        return range(len(edges)), lambda i: (
+            (lk := order[i]) is not _MISSING
+            and (fast(lk, rk) if fast and lk and lk[0] == rk[0] else
+                 _compare_keys(lk, rk, get(edges[i]), bound, cmp)))
 
-_MISSING = object()
-_head, _relation, _tail = (attrgetter(f) for f in ("head", "relation", "tail"))
+
+_MISSING, _RAW = object(), object()
 
 
 def _qualifier(part: int) -> Callable[[Edge], Any]:
     return lambda edge: edge.qualifier[part] if edge.qualifier else _MISSING
+
+
+_FIELDS = {**{f: attrgetter(f) for f in ("head", "relation", "tail")},
+           "qkey": _qualifier(0), "qvalue": _qualifier(1)}
+# An "in" or "=" key is kept as its text or its number alone: str and float
+# never compare equal, so it matches as the (kind, value) pair would.
+_KEY_OF = {"in": lambda v: value_key(v)[1], "<": _order_key,
+           "=": lambda v: _eq_key(v)[1]}
 
 
 def _is_set(value: Any) -> bool:
@@ -325,28 +386,6 @@ def _is_set(value: Any) -> bool:
 def _ids(index: dict, keys: Iterable) -> list[int]:
     """Edge ids under any of keys; distinct keys hold disjoint ids."""
     return sorted(chain.from_iterable(index.get(k, ()) for k in keys))
-
-
-def value_matcher(bound: Bound, cmp: str) -> Callable[[Any], bool]:
-    """Test for one edge field bound to a literal or to a set of values.
-
-    A literal compares under compare_values. A set (an earlier step's
-    result) matches by value_key membership, without numeric coercion, and
-    admits only '='; its keys are computed once here, and a bad comparator
-    raises only when a value is tested, as a scan would.
-    """
-    if _is_set(bound):
-        if cmp != "=":
-            def reject(value: Any) -> bool:
-                raise ValueError(f"comparison symbol '{cmp}' cannot be "
-                                 "applied to a step result")
-            return reject
-        keys = {value_key(v) for v in bound}
-        return lambda value: value_key(value) in keys
-    if cmp == "=":
-        want = value_key(_coerce_numeric(bound))
-        return lambda value: value_key(_coerce_numeric(value)) == want
-    return lambda value: compare_values(value, bound, cmp)
 
 
 def ingest_table(

@@ -71,9 +71,10 @@ def _read(spec: tuple, value: Any, part: str = "") -> Any:
     return read(value) if read else value
 
 
-def _read_fields(data: Mapping[str, Any], readers: Iterable[tuple]) -> dict:
+def _read_fields(data: Mapping[str, Any], readers: Iterable[tuple],
+                 what: str = "field") -> dict:
     """Field name -> value for each (key, field name, required, spec) of
-    readers whose key data holds."""
+    readers whose key data holds; a mismatch names the key as what."""
     kwargs = {}
     try:
         for key, name, required, spec in readers:
@@ -82,15 +83,17 @@ def _read_fields(data: Mapping[str, Any], readers: Iterable[tuple]) -> dict:
             elif required:
                 raise KeyError(key)
     except _Mismatch as exc:
-        raise TypeError(f"field {key!r} {exc}") from None
+        raise TypeError(f"{what} {key!r} {exc}") from None
     return kwargs
 
 
-def check_types(data: Mapping[str, Any], hints: Mapping[str, Any]) -> None:
-    """Raise TypeError for the first field of data, a JSON object that is
-    not a Record, whose value does not fit its type hint. Absent fields
-    pass, so that the caller's lookup reports them."""
-    _read_fields(data, [(k, k, False, _spec(h)) for k, h in hints.items()])
+def check_types(data: Mapping[str, Any], hints: Mapping[str, Any],
+                what: str = "field") -> None:
+    """Raise TypeError("<what> 'x' must be ...") for the first field x of
+    data, a JSON object that is not a Record, whose value does not fit its
+    type hint. Absent fields pass, so that the caller's lookup reports them."""
+    _read_fields(data, [(k, k, False, _spec(h)) for k, h in hints.items()],
+                 what)
 
 
 @cache

@@ -1,8 +1,8 @@
 """Chat-completion clients: an HTTP backend and a deterministic scripted one.
 
 The correction loop only sees an object with a complete() method, so the two
-backends are interchangeable; the HTTP client also has sample(), which sends
-the self-consistency requests of one prompt concurrently. The scripted
+backends are interchangeable; sample() asks for the self-consistency replies
+of one prompt at once, sent concurrently or digested once. The scripted
 client replays canned replies —
 keyed by a digest of the exact request, with an optional in-order fallback —
 and fails loudly when asked something it has no reply for.
@@ -132,17 +132,25 @@ class ScriptedChatClient:
         return cls(read_jsonl(path, build), ordered_fallback=ordered_fallback)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
+        return self.sample(messages, 1)[0]
+
+    def sample(self, messages: Sequence[ChatMessage], n: int) -> list[str]:
+        """What n complete() calls would return, raise and leave queued,
+        from one digest and one hold of the lock."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
         _check_messages(messages)
         digest = request_digest(messages)
         with self._lock:
-            queue = self._keyed.get(digest)
-            if queue:
-                return queue.pop(0)
-            if self._ordered_enabled and self._ordered:
-                return self._ordered.pop(0)
-        raise ScriptExhaustedError(
-            f"no scripted reply for request digest {digest}"
-        )
+            queue = self._keyed.get(digest, [])
+            ordered = self._ordered if self._ordered_enabled else []
+            keyed = queue[:n]
+            replies = keyed + ordered[:n - len(keyed)]
+            del queue[:len(keyed)], ordered[:len(replies) - len(keyed)]
+        if len(replies) < n:
+            raise ScriptExhaustedError(f"no scripted reply for request "
+                                       f"digest {digest}")
+        return replies
 
 
 class HttpChatClient:

@@ -557,6 +557,18 @@ class TestBadInputLines:
         err = one_error_line(argv, path, capsys)
         assert err == f"error: {path}:2: {want}\n"
 
+    def test_bad_error_detail_names_file_line_and_field(self, inputs,
+                                                        tmp_path, capsys):
+        good, _, argv = inputs["gen-sft --traces"]
+        bad = {**good, "initial_outcome": {**good["initial_outcome"], "error": {
+            "kind": "undefined_function", "detail": {"registry": 5}}}}
+        path = tmp_path / "traces.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        err = one_error_line(argv, path, capsys)
+        assert err == (f"error: {path}:2: field 'detail' key 'registry' "
+                       "must be an array, not an integer\n")
+
     def test_invalid_demo_plan_names_its_line(self, inputs, tmp_path,
                                               capsys):
         good, _, argv = inputs["--demo-pool"]

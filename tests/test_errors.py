@@ -170,3 +170,18 @@ def test_parse_and_validate_raise_query_error_only():
         with pytest.raises(QueryError) as exc_info:
             validate_plan(parse_plan(text))
         assert exc_info.value.kind in PARSING_KINDS
+
+
+@pytest.mark.parametrize("data, want", [
+    ({"kind": "non_standard_expression", "detail": {}},
+     "field 'detail' has no key 'text'"),
+    ({"kind": "undefined_function",
+      "detail": {"function": "f", "registry": 5}},
+     "field 'detail' key 'registry' must be an array, not an integer"),
+    ({"kind": "empty_mid_step_result", "detail": {"step": [1]}},
+     "field 'detail' key 'step' must be an integer, not an array"),
+], ids=["missing_text", "registry_number", "step_array"])
+def test_from_dict_names_the_bad_detail_key(data, want):
+    with pytest.raises(TypeError) as exc_info:
+        QueryError.from_dict(data)
+    assert str(exc_info.value) == want

@@ -9,16 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgqa.dsl import parse_plan, validate_plan
-from cgqa.errors import ErrorKind
-from cgqa.executor import execute_plan, sort_values
+from cgqa.dsl import Arg, QueryStep, StepRef, parse_plan, validate_plan
+from cgqa.errors import ErrorKind, QueryError
+from cgqa.executor import (ENTITY_SET, VALUE_SET, StepResult, execute_plan,
+                           execute_step, sort_values)
 from cgqa.errors import classify_fault
 from cgqa.graph import (
+    ConditionGraph,
     KindMismatchError,
     compare_values,
     dump_graph,
     ingest_table,
     load_graph,
+    normalize,
+    value_key,
 )
 
 from oracle import (
@@ -28,6 +32,7 @@ from oracle import (
     run_reference,
     summarize_outcome,
 )
+from test_graph import _iso, _temporal_edges
 
 
 def run(text: str, cg, strict_empty: bool = False):
@@ -428,3 +433,65 @@ def test_ordering_fault_names_the_first_edge_a_scan_reaches(large_case):
             assert outcome.error.kind is ErrorKind.RUNTIME_EXCEPTION
             assert outcome.error.message == expected
     assert faults > 10
+
+
+def _first_match_keep(cg, entities, key, bound, cmp):
+    """keep by a scan: an entity stays if, among its edges in edge order,
+    the first whose relation or qualifier key is key also matches bound."""
+    def match(value):
+        if isinstance(bound, frozenset):
+            if cmp != "=":
+                raise ValueError(f"comparison symbol '{cmp}' cannot be "
+                                 "applied to a step result")
+            return value_key(value) in {value_key(v) for v in bound}
+        return compare_values(value, bound, cmp)
+
+    by_head: dict = {}
+    for edge in cg.edges:
+        by_head.setdefault(normalize(edge.head), []).append(edge)
+    kept = []
+    for entity in entities:
+        for edge in by_head.get(normalize(entity), []):
+            q = edge.qualifier
+            if (normalize(edge.relation) == normalize(key) and match(edge.tail)
+                    or q and normalize(q[0]) == normalize(key)
+                    and match(q[1])):
+                kept.append(entity)
+                break
+    return sorted(kept)
+
+
+def test_keep_equals_a_first_match_scan_on_a_temporal_graph():
+    cg = ConditionGraph(_temporal_edges(random.Random(13), 1500))
+    rng = random.Random(3)
+    cmps = ["=", "<", ">", "<=", ">="]
+    outcomes = set()
+    for _ in range(200):
+        entities = frozenset(f"org{rng.randrange(160)}"
+                             for _ in range(rng.randint(1, 12)))
+        key = rng.choice(["time", " TIME", "budget", "opened", "chair",
+                          "source"])
+        value = rng.choice([rng.randint(0, 60), rng.randint(1990, 2020),
+                            str(rng.randint(1990, 2020)), _iso(rng),
+                            f"p{rng.randrange(80)}", "unknown"])
+        bound = (frozenset({value, _iso(rng)}) if rng.random() < 0.2
+                 else value)
+        cmp = rng.choice(cmps)
+        env = {1: StepResult(1, ENTITY_SET, entities),
+               2: StepResult(2, VALUE_SET, bound if isinstance(
+                   bound, frozenset) else frozenset())}
+        step = QueryStep(3, "keep", (
+            Arg("set", "=", StepRef(1)), Arg("key", "=", key),
+            Arg("value", cmp, StepRef(2) if isinstance(bound, frozenset)
+                else bound)))
+        try:
+            want = ("kept", _first_match_keep(cg, entities, key, bound, cmp))
+        except (KindMismatchError, ValueError) as exc:
+            want = ("raised", str(exc))
+        try:
+            got = ("kept", sorted(execute_step(step, env, cg).values))
+        except QueryError as err:
+            got = ("raised", err.detail["fault"])
+        assert got == want, (sorted(entities), key, bound, cmp)
+        outcomes.add(got[0] if got[0] == "raised" else bool(got[1]))
+    assert outcomes == {"raised", True, False}

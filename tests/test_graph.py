@@ -517,3 +517,123 @@ def test_null_tail_in_a_dump_keeps_scan_results_and_errors(tmp_path):
                                  outcome.error.message)
         assert got == error, text
         assert [sorted(s.values) for s in outcome.per_step] == steps, text
+
+
+TEMPORAL_RELATIONS = ["chair", "budget", "opened", "member"]
+
+
+def _iso(rng: random.Random) -> str:
+    return (f"{rng.randint(1990, 2020)}-{rng.randint(1, 12):02d}-"
+            f"{rng.randint(1, 28):02d}")
+
+
+def _temporal_edges(rng: random.Random, n_edges: int = 3000) -> list[Edge]:
+    """Qualifier values are ISO dates, bare years and a few text values;
+    tails are numbers, dates and text; some edges have no qualifier."""
+    edges: dict[Edge, None] = {}
+    while len(edges) < n_edges:
+        relation = rng.choice(TEMPORAL_RELATIONS)
+        if relation == "budget":
+            tail, kind = rng.randint(0, 60), "numeric"
+        elif relation == "opened":
+            tail, kind = _iso(rng), "date"
+        else:
+            tail, kind = f"p{rng.randrange(80)}", "text"
+        pick = rng.random()
+        when = (str(rng.randint(1990, 2020)) if pick < 0.45 else _iso(rng)
+                if pick < 0.9 else rng.choice(["unknown", "Ongoing"]))
+        qualifier = (None if rng.random() < 0.1 else
+                     ("source", "press") if rng.random() < 0.05 else
+                     ("time", when))
+        edges[Edge(f"org{rng.randrange(150)}", relation, tail, kind,
+                   qualifier)] = None
+    return list(edges)
+
+
+def _temporal_pattern(rng: random.Random) -> dict:
+    cmps = ["=", "<", ">", "<=", ">="]
+
+    def when():
+        return rng.choice([rng.randint(1990, 2020),
+                           str(rng.randint(1990, 2020)), _iso(rng),
+                           "unknown", " Ongoing"])
+
+    def tail():
+        return rng.choice([rng.randint(0, 60), str(rng.randint(0, 60)),
+                           _iso(rng), f"p{rng.randrange(80)}"])
+
+    def bound(value):
+        if rng.random() < 0.3:
+            return frozenset(value() for _ in range(rng.randint(0, 6)))
+        return value()
+
+    pattern: dict = {}
+    if rng.random() < 0.7:
+        pattern["relation"] = rng.choice(TEMPORAL_RELATIONS)
+    if rng.random() < 0.6:
+        pattern["qual_key"] = rng.choice(["time", " TIME", "source"])
+    if rng.random() < 0.7:
+        pattern["qual_value"] = bound(when)
+        pattern["qual_cmp"] = rng.choice(cmps)
+    if rng.random() < 0.4:
+        pattern["tail"] = bound(tail)
+        pattern["tail_cmp"] = rng.choice(cmps)
+    if rng.random() < 0.2:
+        pattern["head"] = f"org{rng.randrange(150)}"
+    return pattern or {"relation": "chair"}
+
+
+def test_temporal_lookups_equal_scan_before_and_after_key_tables():
+    edges = _temporal_edges(random.Random(21))
+    rng = random.Random(4)
+    raised = hits = 0
+    for pattern in [_temporal_pattern(rng) for _ in range(150)]:
+        cg = ConditionGraph(edges, "temporal_kg")  # no key table built yet
+        want = _outcome(scan_lookup, cg=cg, **pattern)
+        assert _outcome(cg.lookup, **pattern) == want, pattern
+        assert _outcome(cg.lookup, **pattern) == want, pattern
+        raised += want[0] == "raised"
+        hits += want[0] == "hits" and bool(want[1])
+    assert raised > 20 and hits > 40
+
+
+def test_edges_without_qualifier_never_raise_under_a_qualifier_test():
+    cg = ConditionGraph([Edge("Ann", "age", 20, "numeric"),
+                         Edge("Ann", "chair", "Bo", "text", ("time", "1999")),
+                         Edge("Cy", "age", 30, "numeric")], "temporal_kg")
+    for pattern in [{"qual_value": frozenset({1999}), "qual_cmp": "<"},
+                    {"qual_value": "x", "qual_cmp": ">"},
+                    {"qual_key": frozenset({"time"}), "key_cmp": "<"}]:
+        for head, raises in (("Cy", False), ("Ann", True)):
+            got = _outcome(cg.lookup, head=head, **pattern)
+            assert got == _outcome(scan_lookup, cg=cg, head=head, **pattern)
+            assert (got[0] == "raised") is raises, (head, pattern)
+
+
+def test_concurrent_first_temporal_lookups_match_one_thread():
+    edges = _temporal_edges(random.Random(8))
+    rng = random.Random(6)
+    patterns = [_temporal_pattern(rng) for _ in range(12)]
+    alone = ConditionGraph(edges, "temporal_kg")
+    want = [_outcome(alone.lookup, **p) for p in patterns]
+
+    shared = ConditionGraph(edges, "temporal_kg")
+    barrier = threading.Barrier(4)
+    results = []
+
+    def work():
+        barrier.wait(timeout=10)
+        results.append([_outcome(shared.lookup, **p) for p in patterns])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * 4

@@ -9,8 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgqa import llm
+from cgqa.correction import generate_initial
+from cgqa.graph import ingest_table
 from cgqa.llm import (
     ChatError,
     ChatMessage,
@@ -396,3 +400,69 @@ def test_scripted_client_is_thread_safe():
     for t in threads:
         t.join()
     assert sorted(got, key=int) == [str(i) for i in range(64)]
+
+
+def test_digest_bytes_are_pinned():
+    # Reply scripts written by older versions key replies by these digests.
+    messages = [
+        ChatMessage("system", 'Answer with a plan.\nUse "query1 = ..." lines.'),
+        ChatMessage("user", 'Wer leitete die Oper in Zürich? C:\\temp \\ '
+                            '"quoted" — 東京'),
+        ChatMessage("assistant", "query1 = get_information("
+                                 "head_entity='O\\'Brien')"),
+    ]
+    assert request_digest(messages) == "ffcfc987e7e253c3"
+
+
+OTHER = [ChatMessage("system", "You are terse."), ChatMessage("user", "bye")]
+
+
+def _outcome(call):
+    try:
+        return ("replies", call())
+    except ChatError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.tuples(
+        st.sampled_from([request_digest(MESSAGES), request_digest(OTHER),
+                         None]),
+        st.sampled_from(["a", "b", "c", "d"])), max_size=12),
+    ordered_fallback=st.booleans(),
+    n=st.integers(1, 8),
+    after=st.lists(st.booleans(), max_size=8),
+)
+def test_sample_equals_repeated_complete(entries, ordered_fallback, n, after):
+    script = [{"key": key, "reply": f"{reply}{i}"}
+              for i, (key, reply) in enumerate(entries)]
+    batched = ScriptedChatClient(script, ordered_fallback=ordered_fallback)
+    one_by_one = ScriptedChatClient(script, ordered_fallback=ordered_fallback)
+
+    def n_completes():
+        return [one_by_one.complete(MESSAGES) for _ in range(n)]
+
+    assert _outcome(lambda: batched.sample(MESSAGES, n)) == _outcome(
+        n_completes)
+    # Both clients are left with the same queues.
+    for messages in (MESSAGES if same else OTHER for same in after):
+        assert _outcome(lambda: batched.complete(messages)) == _outcome(
+            lambda: one_by_one.complete(messages))
+
+
+def test_generate_initial_digests_one_batch_once(monkeypatch):
+    digests = []
+
+    def counting_digest(messages):
+        digests.append(1)
+        return request_digest(messages)
+
+    monkeypatch.setattr(llm, "request_digest", counting_digest)
+    cg = ingest_table([["Alice", "20"]], ["Name", "Age"])
+    plan = "query1 = get_information(head_entity='Alice', relation='Age')"
+    client = ScriptedChatClient([{"reply": plan}] * 5)
+    text, outcome = generate_initial("How old is Alice?", "source: table",
+                                     cg, client, sc_n=5)
+    assert (text, outcome.answer) == (plan, frozenset({20}))
+    assert len(digests) == 1
