@@ -54,6 +54,6 @@ from .graph import (
     ingest_triples,
     schema_summary,
 )
-from .llm import ChatMessage, ClientConfig, ScriptedChatClient, chat
+from .llm import ChatMessage, ClientConfig, ScriptedChatClient
 
 __version__ = "0.1.0"

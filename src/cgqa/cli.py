@@ -43,6 +43,7 @@ from .evaluate import (
     evaluate,
     load_questions,
     run_question,
+    run_questions,
 )
 from .graph import (
     ConditionGraph,
@@ -86,19 +87,17 @@ def _demonstration(data: dict[str, Any]) -> Demonstration:
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    pool = (read_jsonl(args.demo_pool, _demonstration)
-            if getattr(args, "demo_pool", None) else [])
+    pool = read_jsonl(args.demo_pool, _demonstration) if args.demo_pool else []
     return PipelineConfig(
-        mct=args.mct,
+        mct=0 if getattr(args, "no_correction", False) else args.mct,
         sc_n=args.self_consistency,
-        demos_query=args.demos,
-        demos_correction=args.demos,
+        demos=args.demos,
         retrieves=args.retrieves,
         strict_empty=args.strict_empty,
         metric=METRIC_HITS1 if args.metric == "hits1" else METRIC_DENOTATION,
         author=args.author,
         demo_pool=tuple(pool),
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", 1),
         full_history=args.full_history,
     )
 
@@ -117,7 +116,7 @@ def _graph_resolver(graphs_dir: str):
     return resolve
 
 
-def _add_loop_flags(p: argparse.ArgumentParser) -> None:
+def _add_loop_flags(p: argparse.ArgumentParser, batch: bool) -> None:
     p.add_argument("--mct", type=int, default=3,
                    help="max correction rounds (0 disables correction)")
     p.add_argument("--demos", type=int, default=8,
@@ -140,8 +139,10 @@ def _add_loop_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--author", choices=["teacher", "student"],
                    default="teacher",
                    help="which model role produced the initial queries")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="questions evaluated concurrently")
+    if batch:
+        p.add_argument("--jobs", type=int, default=1,
+                       help="questions run concurrently (scripted replies "
+                            "must then be keyed)")
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -159,10 +160,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_ask(args: argparse.Namespace) -> int:
     cg = load_graph(args.graph)
-    client = make_client(_client_config(args))
+    client = make_client(args.client_config)
     config = _pipeline_config(args)
-    if args.no_correction:
-        config.mct = 0
     question = Question(
         id="ask",
         text=args.question,
@@ -177,12 +176,8 @@ def _cmd_ask(args: argparse.Namespace) -> int:
 def _cmd_correct(args: argparse.Namespace) -> int:
     questions = load_questions(args.dataset)
     resolve = _graph_resolver(args.graphs)
-    client = make_client(_client_config(args))
-    config = _pipeline_config(args)
-    traces = [
-        run_question(q, resolve(q.graph_ref or ""), client, config)
-        for q in questions
-    ]
+    client = make_client(args.client_config)
+    traces = run_questions(questions, resolve, client, _pipeline_config(args))
     count = write_jsonl(traces, args.out)
     print(f"wrote {count} traces to {args.out}")
     return 0
@@ -227,11 +222,9 @@ def _cmd_score_loss(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     questions = load_questions(args.dataset)
     resolve = _graph_resolver(args.graphs)
-    client = make_client(_client_config(args))
-    config = _pipeline_config(args)
-    if args.no_correction:
-        config.mct = 0
-    report, traces = evaluate(questions, resolve, client, config)
+    client = make_client(args.client_config)
+    report, traces = evaluate(questions, resolve, client,
+                              _pipeline_config(args))
     if args.traces_out:
         write_jsonl(traces, args.traces_out)
     _emit(report.to_dict(), args.out)
@@ -269,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", help="gold answer as a JSON list")
     p.add_argument("--no-correction", action="store_true")
     p.add_argument("--out")
-    _add_loop_flags(p)
+    _add_loop_flags(p, batch=False)
     p.set_defaults(func=_cmd_ask)
 
     p = sub.add_parser("correct", help="run the loop over a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--graphs", required=True, help="directory of graph dumps")
     p.add_argument("--out", required=True, help="trace JSONL output")
-    _add_loop_flags(p)
+    _add_loop_flags(p, batch=True)
     p.set_defaults(func=_cmd_correct)
 
     p = sub.add_parser("gen-sft", help="traces -> training data")
@@ -299,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single-pass inference")
     p.add_argument("--traces-out", help="also write traces (JSONL)")
     p.add_argument("--out")
-    _add_loop_flags(p)
+    _add_loop_flags(p, batch=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("error-stats", help="summarize errors in traces")
@@ -316,7 +309,7 @@ def _sampling_warning(args: argparse.Namespace) -> str | None:
     n = getattr(args, "self_consistency", 1)
     if n <= 1:
         return None
-    config = _client_config(args)
+    config = args.client_config
     if config.backend != "http" or config.temperature != 0:
         return None
     return (f"warning: --self-consistency {n} at temperature 0 sends {n} "
@@ -327,9 +320,11 @@ def _sampling_warning(args: argparse.Namespace) -> str | None:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand. A failure prints only its one-line error; a
     finished run that wasted model calls adds one warning line, judged
-    before the command starts."""
+    before the command starts. --config is read once, here."""
     args = build_parser().parse_args(argv)
     try:
+        if "backend" in args:  # a command that talks to a model
+            args.client_config = _client_config(args)
         warning = _sampling_warning(args)
         code = args.func(args)
     except (OSError, ValueError, GraphNotFoundError, ChatError) as exc:

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import Any, Iterable, Sequence
 
-from .dsl import DEFAULT_REGISTRY, FunctionRegistry, parse_plan, validate_plan
+from .dsl import DEFAULT_REGISTRY, parse_plan, validate_plan
 from .errors import ErrorKind, QueryError
 from .executor import ExecutionOutcome, execute_plan, sort_values
 from .graph import ConditionGraph, SchemaDescriptor, Scalar
@@ -194,18 +194,16 @@ def render_schema(schema: SchemaDescriptor) -> str:
     return schema.text
 
 
-def _system_text(registry: FunctionRegistry) -> str:
-    names = ", ".join(registry.names())
-    return (
-        "You answer questions over structured data by writing a short query "
-        "plan, one atomic function call per line, in the form "
-        "queryN = function(parameter=value, ...).\n"
-        f"Available functions: {names}.\n"
-        "Reference an earlier step's result as output_of_queryN. String "
-        "values use single quotes; numbers are written bare. Comparators "
-        "<, >, <=, >= are allowed only on parameters 'tail_entity' and "
-        "'value'. The final step's result is the answer."
-    )
+_SYSTEM_TEXT = (
+    "You answer questions over structured data by writing a short query "
+    "plan, one atomic function call per line, in the form "
+    "queryN = function(parameter=value, ...).\n"
+    f"Available functions: {', '.join(DEFAULT_REGISTRY.names())}.\n"
+    "Reference an earlier step's result as output_of_queryN. String "
+    "values use single quotes; numbers are written bare. Comparators "
+    "<, >, <=, >= are allowed only on parameters 'tail_entity' and "
+    "'value'. The final step's result is the answer."
+)
 
 
 def _demo_block(demos: Sequence[Demonstration]) -> str:
@@ -237,7 +235,6 @@ def build_query_prompt(
     question_text: str,
     schema_text: str,
     demos: Sequence[Demonstration] = (),
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
 ) -> list[ChatMessage]:
     """Prompt asking for an initial query plan."""
     user = (
@@ -246,10 +243,7 @@ def build_query_prompt(
         f"Question: {question_text}\n"
         "Write the query plan only."
     )
-    return [
-        ChatMessage("system", _system_text(registry)),
-        ChatMessage("user", user),
-    ]
+    return [ChatMessage("system", _SYSTEM_TEXT), ChatMessage("user", user)]
 
 
 def build_correction_prompt(
@@ -258,7 +252,6 @@ def build_correction_prompt(
     wrong_plan_text: str,
     error_message: str,
     demos: Sequence[Demonstration] = (),
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
     history: Sequence[tuple[str, str]] = (),
 ) -> list[ChatMessage]:
     """Prompt carrying the latest wrong plan and its error message.
@@ -283,22 +276,12 @@ def build_correction_prompt(
         "First explain what went wrong, then write the corrected full "
         "query plan (queryN = ... lines)."
     )
-    return [
-        ChatMessage("system", _system_text(registry)),
-        ChatMessage("user", user),
-    ]
+    return [ChatMessage("system", _SYSTEM_TEXT), ChatMessage("user", user)]
 
 
-def query_prompt_text(
-    question_text: str,
-    schema_text: str,
-    demos: Sequence[Demonstration] = (),
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
-) -> str:
-    return flatten_messages(
-        build_query_prompt(question_text, schema_text, demos, registry),
-        add_assistant_cue=True,
-    )
+def query_prompt_text(question_text: str, schema_text: str) -> str:
+    return flatten_messages(build_query_prompt(question_text, schema_text),
+                            add_assistant_cue=True)
 
 
 def correction_prompt_text(
@@ -306,13 +289,10 @@ def correction_prompt_text(
     schema_text: str,
     wrong_plan_text: str,
     error_message: str,
-    demos: Sequence[Demonstration] = (),
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
 ) -> str:
     return flatten_messages(
         build_correction_prompt(
-            question_text, schema_text, wrong_plan_text, error_message, demos,
-            registry,
+            question_text, schema_text, wrong_plan_text, error_message
         ),
         add_assistant_cue=True,
     )
@@ -343,14 +323,11 @@ def extract_plan(completion: str) -> tuple[str, str | None]:
 
 
 def assess(
-    plan_text: str,
-    cg: ConditionGraph,
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
-    strict_empty: bool = False,
+    plan_text: str, cg: ConditionGraph, strict_empty: bool = False
 ) -> ExecutionOutcome:
     """Parse, validate, and execute plan text; failures become outcomes."""
     try:
-        plan = validate_plan(parse_plan(plan_text), registry)
+        plan = validate_plan(parse_plan(plan_text))
     except QueryError as err:
         return ExecutionOutcome("exec_error", [], None, err.detached())
     return execute_plan(plan, cg, strict_empty=strict_empty)
@@ -369,7 +346,6 @@ def generate_initial(
     client,
     demos: Sequence[Demonstration] = (),
     sc_n: int = 5,
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
     strict_empty: bool = False,
 ) -> tuple[str, ExecutionOutcome]:
     """Sample sc_n plans and majority-vote their executed answers.
@@ -382,7 +358,7 @@ def generate_initial(
     """
     if sc_n < 1:
         raise ValueError("sc_n must be >= 1")
-    prompt = build_query_prompt(question_text, schema_text, demos, registry)
+    prompt = build_query_prompt(question_text, schema_text, demos)
     sample = getattr(client, "sample", None)
     if sample is not None:
         completions = sample(prompt, sc_n)
@@ -396,7 +372,7 @@ def generate_initial(
         plan_text = plan_text if plan_text is not None else completion.strip()
         candidates.append(plan_text)
         if plan_text not in outcomes:
-            outcomes[plan_text] = assess(plan_text, cg, registry, strict_empty)
+            outcomes[plan_text] = assess(plan_text, cg, strict_empty)
         buckets.setdefault(_vote_key(outcomes[plan_text]), []).append(i)
     best = max(buckets.values(), key=lambda idxs: (len(idxs), -idxs[0]))
     return candidates[best[0]], outcomes[candidates[best[0]]]
@@ -411,7 +387,6 @@ def run_correction(
     demos_query: Sequence[Demonstration] = (),
     demos_correction: Sequence[Demonstration] = (),
     sc_n: int = 5,
-    registry: FunctionRegistry = DEFAULT_REGISTRY,
     strict_empty: bool = False,
     author: str = "teacher",
     match_mode: str = "denotation",
@@ -429,8 +404,7 @@ def run_correction(
         raise ValueError("mct must be >= 0")
     schema_text = render_schema(schema)
     initial_plan, initial_outcome = generate_initial(
-        question.text, schema_text, cg, client, demos_query, sc_n, registry,
-        strict_empty,
+        question.text, schema_text, cg, client, demos_query, sc_n, strict_empty
     )
 
     rounds: list[CorrectionRound] = []
@@ -443,7 +417,6 @@ def run_correction(
             current_plan,
             current_outcome.error.message,
             demos_correction,
-            registry,
             history=tuple(history) if full_history else (),
         )
         history.append((current_plan, current_outcome.error.message))
@@ -462,7 +435,7 @@ def run_correction(
                 ),
             )
         else:
-            outcome_after = assess(new_plan, cg, registry, strict_empty)
+            outcome_after = assess(new_plan, cg, strict_empty)
         rounds.append(
             CorrectionRound(
                 index=len(rounds) + 1,

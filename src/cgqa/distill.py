@@ -21,7 +21,6 @@ from typing import Any, Iterable, Protocol, Sequence
 from .correction import (
     SOLVED_STATUSES,
     CorrectionTrace,
-    Demonstration,
     correction_prompt_text,
     query_prompt_text,
 )
@@ -130,11 +129,7 @@ def _concat_target(analysis: str, plan_text: str) -> str:
     return TARGET_SEPARATOR.join(parts)
 
 
-def teacher_records(
-    trace: CorrectionTrace,
-    demos_query: Sequence[Demonstration] = (),
-    demos_correction: Sequence[Demonstration] = (),
-) -> list[SftRecord]:
+def teacher_records(trace: CorrectionTrace) -> list[SftRecord]:
     """Supervised records from one solved trace.
 
     Every correction record targets the trace's final plan, not that round's
@@ -146,9 +141,8 @@ def teacher_records(
     records = [
         SftRecord(
             kind=KIND_QUERY_GEN,
-            input_text=query_prompt_text(
-                trace.question_text, trace.schema_text, demos_query
-            ),
+            input_text=query_prompt_text(trace.question_text,
+                                         trace.schema_text),
             target_text=final_plan,
             round_index=None,
             trace_id=trace.trace_id,
@@ -163,7 +157,6 @@ def teacher_records(
                     trace.schema_text,
                     _attempt_before_round(trace, rnd.index),
                     rnd.error_in.message,
-                    demos_correction,
                 ),
                 target_text=_concat_target(rnd.analysis, final_plan),
                 round_index=rnd.index,
@@ -173,9 +166,7 @@ def teacher_records(
     return records
 
 
-def self_records(
-    trace: CorrectionTrace, demos_query: Sequence[Demonstration] = ()
-) -> list[PreferencePair]:
+def self_records(trace: CorrectionTrace) -> list[PreferencePair]:
     """Preference pairs from a solved student trace: final plan over each
     earlier failed attempt. Direct solutions yield no pairs."""
     _require_solved(trace)
@@ -186,8 +177,7 @@ def self_records(
         )
     final_plan = trace.final_plan_text
     assert final_plan is not None
-    prompt = query_prompt_text(trace.question_text, trace.schema_text,
-                               demos_query)
+    prompt = query_prompt_text(trace.question_text, trace.schema_text)
     pairs = []
     for rnd in trace.rounds:
         attempt = _attempt_before_round(trace, rnd.index)

@@ -19,15 +19,20 @@ from dataclasses import dataclass
 
 from .errors import ErrorKind, QueryError
 
-COMPARATORS = ("<=", ">=", "=", "<", ">")
-
 _STEP_RE = re.compile(r"^query(\d+)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$")
 _ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(<=|>=|=|<|>)\s*(.*)$", re.S)
 _REF_RE = re.compile(r"^output_of_query(\d+)$")
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\(.*\)$", re.S)
 _NUM_RE = re.compile(r"^-?\d+(\.\d+)?$")
 _STR_RE = re.compile(r"^'([^'\\]*(?:\\.[^'\\]*)*)'$")
-_ESCAPE_RE = re.compile(r"\\(['\\])")
+# Escapes inside a quoted string: the quote, the backslash, and every
+# character str.splitlines breaks on, so a label never splits its step.
+_ESCAPES = {"'": "'", "\\": "\\", "n": "\n", "r": "\r", "v": "\x0b",
+            "f": "\x0c", "x1c": "\x1c", "x1d": "\x1d", "x1e": "\x1e",
+            "x85": "\x85", "u2028": "\u2028", "u2029": "\u2029"}
+_ESCAPE_RE = re.compile(r"\\(x1[cde]|x85|u202[89]|['\\nrvf])")
+_BREAK_ESCAPES = str.maketrans({c: "\\" + e for e, c in _ESCAPES.items()
+                                if c not in "'\\"})
 # A quoted string (to the end if it is not closed), or else one bracket or
 # comma, or a run of other characters.
 _PIECE_RE = re.compile(r"'[^'\\]*(?:\\.[^'\\]*)*'?|[^',()[\]]+|.", re.S)
@@ -149,11 +154,15 @@ def split_args(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES[m.group(1)]
+
+
 def _parse_value(raw: str, function: str) -> Literal:
     m = _STR_RE.match(raw)
     if m:
         text = m.group(1)
-        return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+        return _ESCAPE_RE.sub(_unescape, text) if "\\" in text else text
     if _NUM_RE.match(raw):
         return int(raw) if "." not in raw else float(raw)
     m = _REF_RE.match(raw)
@@ -287,7 +296,10 @@ def render_value(value: Literal) -> str:
     if isinstance(value, StepRef):
         return f"output_of_query{value.index}"
     if isinstance(value, str):
-        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+        text = value.replace("\\", "\\\\").replace("'", "\\'")
+        if not text.isprintable():  # it may hold a line break
+            text = text.translate(_BREAK_ESCAPES)
+        return f"'{text}'"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -84,8 +84,7 @@ class PipelineConfig:
 
     mct: int = 3
     sc_n: int = 5
-    demos_query: int = 8
-    demos_correction: int = 8
+    demos: int = 8
     retrieves: int = 15
     strict_empty: bool = False
     metric: str = METRIC_DENOTATION
@@ -116,12 +115,10 @@ def run_question(
 ) -> CorrectionTrace:
     """Resolve demonstrations and run the loop for one question."""
     pool, corrections = config.demo_indexes()
-    demos_q = retrieve_demos(
-        question.text, pool, config.retrieves, config.demos_query
-    )
-    demos_c = retrieve_demos(
-        question.text, corrections, config.retrieves, config.demos_correction
-    )
+    demos_q = retrieve_demos(question.text, pool, config.retrieves,
+                             config.demos)
+    demos_c = retrieve_demos(question.text, corrections, config.retrieves,
+                             config.demos)
     match_mode = "hits1" if config.metric == METRIC_HITS1 else "denotation"
     return run_correction(
         question,
@@ -139,39 +136,51 @@ def run_question(
     )
 
 
+def run_questions(
+    questions: Sequence[Question],
+    resolve_graph: Callable[[str], ConditionGraph],
+    client,
+    config: PipelineConfig,
+) -> list[CorrectionTrace]:
+    """Run every question, config.jobs at a time; the traces come back in
+    dataset order. Questions finish in any order, so jobs above 1 refuse a
+    client that replies by request order (keyless scripted replies)."""
+    if config.jobs > 1 and getattr(client, "replays_in_order", False):
+        raise ValueError(f"--jobs {config.jobs} needs keyed script replies: "
+                         "a keyless reply goes to whichever question asks "
+                         "first")
+
+    def _one(q: Question) -> CorrectionTrace:
+        try:
+            cg = resolve_graph(q.graph_ref or "")
+        except GraphNotFoundError:
+            raise
+        except Exception as exc:
+            raise GraphNotFoundError(str(exc)) from exc
+        return run_question(q, cg, client, config)
+
+    if config.jobs <= 1:
+        return [_one(q) for q in questions]
+    pool = ThreadPoolExecutor(max_workers=config.jobs)
+    try:
+        return list(pool.map(_one, questions))
+    finally:  # after a failure, questions not yet started never start
+        pool.shutdown(cancel_futures=True)
+
+
 def evaluate(
     questions: Sequence[Question],
     resolve_graph: Callable[[str], ConditionGraph],
     client,
     config: PipelineConfig | None = None,
 ) -> tuple[EvalReport, list[CorrectionTrace]]:
-    """Run all questions and assemble the report; traces come back too.
-
-    Questions run in dataset order (optionally across config.jobs workers,
-    results kept in order); every question must carry a gold answer and a
-    resolvable graph reference.
-    """
+    """Run all questions (see run_questions) and assemble the report; the
+    traces come back too. Every question must carry a gold answer."""
     config = config or PipelineConfig()
     for q in questions:
         if q.gold_answer is None:
             raise MissingGoldError(f"question {q.id} has no gold answer")
-
-    def _resolve(ref: str | None) -> ConditionGraph:
-        try:
-            return resolve_graph(ref or "")
-        except GraphNotFoundError:
-            raise
-        except Exception as exc:
-            raise GraphNotFoundError(str(exc)) from exc
-
-    def _one(q: Question) -> CorrectionTrace:
-        return run_question(q, _resolve(q.graph_ref), client, config)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            traces = list(pool.map(_one, questions))
-    else:
-        traces = [_one(q) for q in questions]
+    traces = run_questions(questions, resolve_graph, client, config)
 
     counts = {
         STATUS_SOLVED_DIRECT: 0,

@@ -83,15 +83,10 @@ def _dedupe(values: Iterable[Scalar]) -> frozenset[Scalar]:
     return frozenset(seen.values())
 
 
-def _resolve(value: Any, env: Mapping[int, StepResult]) -> Any:
+def _value_set(value: Any, env: Mapping[int, StepResult]) -> frozenset[Scalar]:
+    """The value set of a referenced step, or a literal as a one-value set."""
     if isinstance(value, StepRef):
-        return env[value.index]
-    return value
-
-
-def _as_set(value: Any) -> frozenset[Scalar]:
-    if isinstance(value, StepResult):
-        return value.values
+        return env[value.index].values
     return frozenset({value})
 
 
@@ -167,50 +162,36 @@ def _dates(values: Iterable[Scalar]) -> list[tuple[tuple[int, int, int], Scalar]
     return out
 
 
-def _fault_order(values: Iterable[Scalar]) -> list[Scalar]:
-    # Deterministic operand order so trapped fault text is stable.
-    return sort_values(values)
+_AGGREGATES = {
+    "sum": sum,
+    "mean": lambda values: sum(values) / len(values),
+    "min": min,
+    "max": max,
+}
 
 
 def _exec_aggregate(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
-    source = _as_set(_resolve(step.args[0].value, env))
+    source = _value_set(step.args[0].value, env)
     fn = step.function
     if fn == "count":
-        return StepResult(step.index, kind=SCALAR, values=frozenset({len(source)}))
-    nums = _numeric(source)
-    if nums is not None and nums:
-        if fn == "sum":
-            result: Scalar = _tighten(sum(nums))
-        elif fn == "mean":
-            result = _tighten(sum(nums) / len(nums))
-        elif fn == "min":
-            result = _tighten(min(nums))
-        else:
-            result = _tighten(max(nums))
-        return StepResult(step.index, kind=SCALAR, values=frozenset({result}))
-    if fn in ("min", "max"):
-        dated = _dates(source)
-        if dated is not None and dated:
-            picked = (min if fn == "min" else max)(dated)[1]
-            return StepResult(step.index, kind=SCALAR, values=frozenset({picked}))
-    # Mixed or non-numeric input: evaluate literally and let the fault bubble
-    # into a runtime-exception report.
-    ordered = _fault_order(source)
-    if fn in ("min", "max") and ordered and all(
-        isinstance(v, str) for v in ordered
-    ):
-        # Python would happily order text; the aggregate contract does not.
-        raise TypeError("ordering not supported between text values")
-    if fn == "sum":
-        result = sum(ordered)  # type: ignore[arg-type]
-    elif fn == "mean":
-        result = sum(ordered) / len(ordered)  # type: ignore[arg-type]
-    elif fn == "min":
-        result = min(ordered)  # type: ignore[type-var]
+        result: Scalar = len(source)
+    elif nums := _numeric(source):
+        result = _tighten(_AGGREGATES[fn](nums))
+    elif fn in ("min", "max") and (dated := _dates(source)):
+        result = _AGGREGATES[fn](dated)[1]
     else:
-        result = max(ordered)  # type: ignore[type-var]
+        # Mixed or non-numeric input: evaluate literally, in a fixed operand
+        # order so the fault text is stable, and let the fault bubble into a
+        # runtime-exception report.
+        ordered = sort_values(source)
+        if fn in ("min", "max") and ordered and all(
+            isinstance(v, str) for v in ordered
+        ):
+            # Python would happily order text; the aggregate contract does not.
+            raise TypeError("ordering not supported between text values")
+        result = _AGGREGATES[fn](ordered)
     return StepResult(step.index, kind=SCALAR, values=frozenset({result}))
 
 
@@ -222,9 +203,9 @@ def _exec_keep(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     bound = {a.name: a for a in step.args}
-    source = _as_set(_resolve(bound["set"].value, env))
-    key = _resolve(bound["key"].value, env)
-    if isinstance(key, StepResult):
+    source = _value_set(bound["set"].value, env)
+    key = bound["key"].value
+    if isinstance(key, StepRef):
         raise ValueError("parameter 'key' of keep must be a literal")
     cond = bound["value"]
     value = _bound_value(cond.value, env)
@@ -246,17 +227,15 @@ def _exec_set_op(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     fn = step.function
-    bound = {a.name: _resolve(a.value, env) for a in step.args}
+    bound = {a.name: _value_set(a.value, env) for a in step.args}
     if fn == "set_negation":
-        exclude = {value_key(v) for v in _as_set(bound["set"])}
+        exclude = {value_key(v) for v in bound["set"]}
         # a head's value_key is ("t", its entity_index key)
         out = [cg.edges[ids[0]].head for head, ids in cg.entity_index.items()
                if ("t", head) not in exclude]
         return StepResult(step.index, kind=ENTITY_SET, values=frozenset(out))
-    left = _as_set(bound["set1"])
-    right = _as_set(bound["set2"])
-    lmap = {value_key(v): v for v in left}
-    rmap = {value_key(v): v for v in right}
+    lmap = {value_key(v): v for v in bound["set1"]}
+    rmap = {value_key(v): v for v in bound["set2"]}
     if fn == "set_intersection":
         keys = [k for k in lmap if k in rmap]
     elif fn == "set_union":
@@ -264,11 +243,8 @@ def _exec_set_op(
         lmap = {**lmap, **{k: v for k, v in rmap.items() if k not in lmap}}
     else:  # set_difference
         keys = [k for k in lmap if k not in rmap]
-    kinds = {
-        r.kind
-        for r in (_resolve(a.value, env) for a in step.args)
-        if isinstance(r, StepResult)
-    }
+    kinds = {env[a.value.index].kind for a in step.args
+             if isinstance(a.value, StepRef)}
     kind = ENTITY_SET if kinds == {ENTITY_SET} else VALUE_SET
     return StepResult(step.index, kind=kind, values=frozenset(lmap[k] for k in keys))
 

@@ -131,6 +131,12 @@ class ScriptedChatClient:
             return {"key": entry.get("key"), "reply": entry["reply"]}
         return cls(read_jsonl(path, build), ordered_fallback=ordered_fallback)
 
+    @property
+    def replays_in_order(self) -> bool:
+        """Whether some reply goes to whichever request comes first rather
+        than to one request: then concurrent callers race for it."""
+        return self._ordered_enabled and bool(self._ordered)
+
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         return self.sample(messages, 1)[0]
 
@@ -250,8 +256,3 @@ def make_client(config: ClientConfig):
     if config.backend == "http":
         return HttpChatClient(config)
     raise ChatError(f"unknown backend {config.backend!r}")
-
-
-def chat(messages: Sequence[ChatMessage], config: ClientConfig) -> str:
-    """One-shot convenience: build the configured client and complete."""
-    return make_client(config).complete(messages)

@@ -14,6 +14,12 @@ import pytest
 
 from cgqa.cli import main
 from cgqa.graph import load_graph
+from cgqa.llm import (
+    ChatError,
+    ScriptedChatClient,
+    make_client,
+    request_digest,
+)
 
 import mini_suite
 
@@ -386,6 +392,93 @@ class TestPipeline:
         assert stats["overall"]["corrected_pct"] == 100.0
         assert stats["parsing"]["before"] == 6
         assert stats["execution"]["before"] == 2
+
+
+class _RecordingClient:
+    """Passes requests on and records each as a keyed script entry."""
+
+    def __init__(self, client):
+        self.client, self.entries = client, []
+
+    def complete(self, messages):
+        reply = self.client.complete(messages)
+        self.entries.append({"key": request_digest(messages), "reply": reply})
+        return reply
+
+
+class TestJobs:
+    def run(self, suite, command, script, out_dir, *flags):
+        """Run correct or eval over the bundled suite; return the bytes of
+        every file it wrote, by name."""
+        os.makedirs(out_dir, exist_ok=True)
+        outs = {"correct": ["--out", "traces.jsonl"],
+                "eval": ["--out", "report.json",
+                         "--traces-out", "traces.jsonl"]}[command]
+        code = main([
+            command, "--dataset", suite["dataset"],
+            "--graphs", suite["graphs_dir"],
+            "--backend", "scripted", "--script", script,
+            "--self-consistency", "1", "--mct", "3", *flags,
+            *(a if a.startswith("--") else os.path.join(out_dir, a)
+              for a in outs),
+        ])
+        assert code == 0
+        return {name: (Path(out_dir) / name).read_bytes()
+                for name in os.listdir(out_dir)}
+
+    @pytest.mark.parametrize("command", ["correct", "eval"])
+    def test_keyless_script_fails_before_any_model_call(
+            self, suite, tmp_path, capsys, monkeypatch, command):
+        calls = []
+
+        def sample(self, messages, n):
+            calls.append(n)
+            raise ChatError("no model call expected")
+        monkeypatch.setattr(ScriptedChatClient, "sample", sample)
+        code = main([
+            command, "--dataset", suite["dataset"],
+            "--graphs", suite["graphs_dir"],
+            "--out", str(tmp_path / "out.json"),
+            "--backend", "scripted", "--script", suite["script_with"],
+            "--self-consistency", "1", "--jobs", "2",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "keyed" in err
+        assert calls == []
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["correct", "eval"])
+    def test_keyed_script_output_is_the_same_for_any_jobs(
+            self, suite, tmp_path, monkeypatch, command):
+        import cgqa.cli
+        recorders = []
+
+        def recording(config):
+            recorders.append(_RecordingClient(make_client(config)))
+            return recorders[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cgqa.cli, "make_client", recording)
+            want = self.run(suite, command, suite["script_with"],
+                            tmp_path / "keyless")
+        keyed = tmp_path / "keyed.jsonl"
+        keyed.write_text("".join(json.dumps(e) + "\n"
+                                 for e in recorders[0].entries),
+                         encoding="utf-8")
+        assert len(recorders[0].entries) == 28  # 20 initial, 8 corrections
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to mix questions
+        try:
+            for jobs in (1, 2, 4):
+                for run in range(10):
+                    got = self.run(suite, command, str(keyed),
+                                   tmp_path / f"jobs{jobs}-{run}",
+                                   "--jobs", str(jobs))
+                    assert got == want, (jobs, run)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 ALICE_PLAN = ("query1 = get_information(head_entity='Alice', "

@@ -248,6 +248,31 @@ class TestQuoting:
             for i, labels in enumerate(steps, start=1)])
         assert parse_plan(render_plan(plan)).steps == plan.steps
 
+    def test_line_breaks_are_escaped(self):
+        assert render_value("Al\nice") == "'Al\\nice'"
+        assert render_value("a\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029b") == (
+            "'a\\r\\v\\f\\x1c\\x1d\\x1e\\x85\\u2028\\u2029b'")
+        assert len(render_value(LINE_BREAKS).splitlines()) == 1
+
+    def test_line_break_escapes_parse(self):
+        plan = parse_plan("query1 = get_information(head_entity='Al\\nice', "
+                          "relation='a\\\\nb')")
+        assert [a.value for a in plan.steps[0].args] == ["Al\nice", "a\\nb"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(LINE_BREAKS + "'\\nrvfxu12c")
+                            | st.characters(blacklist_categories=("Cs",))),
+                    min_size=1, max_size=3))
+    def test_labels_with_line_breaks_round_trip(self, labels):
+        params = ("head_entity", "relation", "tail_entity")
+        plan = QueryPlan(steps=[QueryStep(index=1, function="get_information",
+                                          args=tuple(Arg(name, "=", label)
+                                                     for name, label
+                                                     in zip(params, labels)))])
+        text = render_plan(plan)
+        assert len(text.splitlines()) == 1
+        assert parse_plan(text).steps == plan.steps
+
 
 class TestGeneratedPlans:
     def test_generated_plans_validate(self):

@@ -24,7 +24,6 @@ from cgqa.llm import (
     MalformedResponseError,
     ScriptExhaustedError,
     ScriptedChatClient,
-    chat,
     flatten_messages,
     make_client,
     request_digest,
@@ -366,12 +365,6 @@ class TestContract:
         assert isinstance(http, HttpChatClient)
         with pytest.raises(ChatError):
             make_client(ClientConfig(backend="carrier-pigeon"))
-
-    def test_chat_convenience(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"reply": "hello back"}\n', encoding="utf-8")
-        config = ClientConfig(backend="scripted", script_path=str(path))
-        assert chat(MESSAGES, config) == "hello back"
 
 
 def test_flatten_messages_role_prefixes():
