@@ -490,14 +490,9 @@ def normalize_answer_value(value: Any) -> tuple[str, Any]:
     return ("t", " ".join(cleaned.split()))
 
 
-def _norm_sort_key(kv: tuple[str, Any]) -> tuple[str, float, str]:
-    if kv[0] == "n":
-        return ("n", kv[1], "")
-    return ("t", 0.0, kv[1])
-
-
 def _norm_values(values: Iterable[Any]) -> list[tuple[str, Any]]:
-    return sorted({normalize_answer_value(v) for v in values}, key=_norm_sort_key)
+    """Distinct normalized values: ("n", float)s by value, then ("t", str)s."""
+    return sorted({normalize_answer_value(v) for v in values})
 
 
 def answers_match(

@@ -9,7 +9,7 @@ queries failed and how many of those were never repaired.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -95,6 +95,11 @@ class PipelineConfig:
     _indexes: tuple = field(default=(None, None, None), init=False,
                             repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        for name, low in (("jobs", 1), ("demos", 0), ("retrieves", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+
     def demo_indexes(self) -> tuple[DemoIndex, DemoIndex]:
         """Word indexes of demo_pool and of its correction demonstrations,
         built once per pool object."""
@@ -144,13 +149,17 @@ def run_questions(
 ) -> list[CorrectionTrace]:
     """Run every question, config.jobs at a time; the traces come back in
     dataset order. Questions finish in any order, so jobs above 1 refuse a
-    client that replies by request order (keyless scripted replies)."""
+    client that replies by request order (keyless scripted replies). Only
+    questions with one text can send the same request and share its keyed
+    replies, so each waits for the last earlier question with its text."""
     if config.jobs > 1 and getattr(client, "replays_in_order", False):
         raise ValueError(f"--jobs {config.jobs} needs keyed script replies: "
                          "a keyless reply goes to whichever question asks "
                          "first")
 
-    def _one(q: Question) -> CorrectionTrace:
+    def _one(q: Question, earlier: Future | None = None) -> CorrectionTrace:
+        if earlier is not None:
+            wait([earlier])
         try:
             cg = resolve_graph(q.graph_ref or "")
         except GraphNotFoundError:
@@ -159,11 +168,18 @@ def run_questions(
             raise GraphNotFoundError(str(exc)) from exc
         return run_question(q, cg, client, config)
 
-    if config.jobs <= 1:
+    if config.jobs == 1:
         return [_one(q) for q in questions]
     pool = ThreadPoolExecutor(max_workers=config.jobs)
+    futures: list[Future] = []
+    latest: dict[str, Future] = {}  # question text -> its last question
     try:
-        return list(pool.map(_one, questions))
+        # Workers start questions in submission order, so an earlier future
+        # has started before a later one waits on it: no deadlock.
+        for q in questions:
+            futures.append(pool.submit(_one, q, latest.get(q.text)))
+            latest[q.text] = futures[-1]
+        return [f.result() for f in futures]
     finally:  # after a failure, questions not yet started never start
         pool.shutdown(cancel_futures=True)
 

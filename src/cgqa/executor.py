@@ -45,13 +45,7 @@ SCALAR = "scalar"
 
 def sort_values(values: Iterable[Scalar]) -> list[Scalar]:
     """Stable rendering order: numbers first by value, then text."""
-    return sorted(values, key=_sort_key)
-
-
-def _sort_key(value: Scalar) -> tuple[int, float, str]:
-    if isinstance(value, (int, float)):
-        return (0, float(value), "")
-    return (1, 0.0, normalize(value))
+    return sorted(values, key=lambda v: (isinstance(v, str), value_key(v)))
 
 
 @dataclass
@@ -77,7 +71,7 @@ class ExecutionOutcome(Record):
 
 
 def _dedupe(values: Iterable[Scalar]) -> frozenset[Scalar]:
-    seen: dict[tuple[str, Any], Scalar] = {}
+    seen: dict[float | str, Scalar] = {}
     for v in values:
         seen.setdefault(value_key(v), v)
     return frozenset(seen.values())
@@ -212,7 +206,7 @@ def _exec_keep(
     tails, tail_ok = cg.field_test("tail", value, cond.comparator)
     values, value_ok = cg.field_test("qvalue", value, cond.comparator)
     key_norm = normalize(str(key))
-    relations, quals = cg.relation_keys, cg.edge_keys("qkey", "in")[0]
+    relations, quals = cg.relation_keys, cg.edge_keys("qkey", "in")
     kept = []
     for entity in source:
         for i in cg.entity_index.get(normalize(value_text(entity)), ()):
@@ -230,23 +224,22 @@ def _exec_set_op(
     bound = {a.name: _value_set(a.value, env) for a in step.args}
     if fn == "set_negation":
         exclude = {value_key(v) for v in bound["set"]}
-        # a head's value_key is ("t", its entity_index key)
+        # a head's value_key is its entity_index key
         out = [cg.edges[ids[0]].head for head, ids in cg.entity_index.items()
-               if ("t", head) not in exclude]
+               if head not in exclude]
         return StepResult(step.index, kind=ENTITY_SET, values=frozenset(out))
     lmap = {value_key(v): v for v in bound["set1"]}
     rmap = {value_key(v): v for v in bound["set2"]}
     if fn == "set_intersection":
-        keys = [k for k in lmap if k in rmap]
-    elif fn == "set_union":
-        keys = list(lmap) + [k for k in rmap if k not in lmap]
-        lmap = {**lmap, **{k: v for k, v in rmap.items() if k not in lmap}}
+        values = [v for k, v in lmap.items() if k in rmap]
+    elif fn == "set_union":  # set1's value wins on a shared key
+        values = {**rmap, **lmap}.values()
     else:  # set_difference
-        keys = [k for k in lmap if k not in rmap]
+        values = [v for k, v in lmap.items() if k not in rmap]
     kinds = {env[a.value.index].kind for a in step.args
              if isinstance(a.value, StepRef)}
     kind = ENTITY_SET if kinds == {ENTITY_SET} else VALUE_SET
-    return StepResult(step.index, kind=kind, values=frozenset(lmap[k] for k in keys))
+    return StepResult(step.index, kind=kind, values=frozenset(values))
 
 
 _HANDLERS = {

@@ -95,11 +95,12 @@ def value_text(value: Scalar) -> str:
     return str(value)
 
 
-def value_key(value: Scalar) -> tuple[str, Any]:
-    """Identity key used for set membership and deduplication."""
+def value_key(value: Scalar) -> float | str:
+    """Identity key used for set membership and deduplication: the number,
+    or the normalized text. A str never equals a float, so kinds stay apart."""
     if isinstance(value, (int, float)):
-        return ("n", float(value))
-    return ("t", normalize(value))
+        return float(value)
+    return normalize(value)
 
 
 def compare_values(left: Scalar, right: Scalar, op: str) -> bool:
@@ -136,16 +137,11 @@ def _compare_keys(lk: tuple[str, Any] | None, rk: tuple[str, Any] | None,
 _ORDERS = {"<": lt, ">": gt, "<=": le, ">=": ge}
 
 
-def _eq_key(value: Scalar) -> tuple[str, Any]:
+def _eq_key(value: Scalar) -> float | str:
     """value_key under '=', where '20' and 20 match."""
-    return value_key(_coerce_numeric(value))
-
-
-def _coerce_numeric(value: Scalar) -> Scalar:
-    # '20' and 20 must match under equality.
     if isinstance(value, str) and _NUM_RE.match(value.strip()):
         return float(value)
-    return value
+    return value_key(value)
 
 
 def _order_key(value: Scalar) -> tuple[str, Any] | None:
@@ -167,7 +163,7 @@ class Edge(Record):
 
     head: str
     relation: str
-    tail: Scalar | None
+    tail: Scalar
     tail_kind: str
     qualifier: tuple[str, str] | None = field(default=None, metadata={
         "encode": lambda q: {"key": q[0], "value": q[1]} if q else None,
@@ -228,10 +224,10 @@ class ConditionGraph:
             rel.setdefault(relation, []).append(i)
         self.entity_index = {k: tuple(v) for k, v in ent.items()}
         self.relation_index = {k: tuple(v) for k, v in rel.items()}
-        self._edge_keys: dict[tuple[str, str], tuple[tuple, bool]] = {
-            # a label's "in" key (value_key without its "t") is the label
-            ("head", "in"): (tuple(heads), False),
-            ("relation", "in"): (self.relation_keys, False)}
+        self._edge_keys: dict[tuple[str, str], tuple] = {
+            # a label's "in" key (value_key) is its normalized label
+            ("head", "in"): tuple(heads),
+            ("relation", "in"): self.relation_keys}
         self._tail_index: dict | None = None
         self._schemas: dict[int, SchemaDescriptor] = {}
 
@@ -242,32 +238,28 @@ class ConditionGraph:
         """Distinct head labels, first-seen surface form, insertion order."""
         return [self.edges[ids[0]].head for ids in self.entity_index.values()]
 
-    def edge_keys(self, field: str, test: str) -> tuple[tuple, bool]:
-        """(each edge's key of a _FIELDS field under test "in" (value_key),
-        "=" (_eq_key) or "<" (order key), whether one is _RAW: uncomputable),
-        built once; "=" reuses "in" if no text looks numeric. Equal keys
-        share one object; a missing qualifier is _MISSING."""
+    def edge_keys(self, field: str, test: str) -> tuple:
+        """Each edge's key of a _FIELDS field under test "in" (value_key),
+        "=" (_eq_key) or "<" (order key), built once; "=" reuses "in" if no
+        text looks numeric. Equal keys share one object; a missing
+        qualifier is _MISSING."""
         table = self._edge_keys.get((field, test))
         if table is None:
-            get, key, interned, keys = _FIELDS[field], _KEY_OF[test], {}, []
+            get, key, interned = _FIELDS[field], _KEY_OF[test], {}
             if test == "=" and not any(isinstance(v, str) and _NUM_RE.match(
                     v.strip()) for v in map(get, self.edges)):
                 return self._edge_keys.setdefault(
                     (field, test), self.edge_keys(field, "in"))
-            for value in map(get, self.edges):
-                try:
-                    k = value if value is _MISSING else key(value)
-                except AttributeError:  # a null tail in a hand-written dump
-                    k = _RAW
-                keys.append(interned.setdefault(k, k))
+            keys = (v if v is _MISSING else key(v)
+                    for v in map(get, self.edges))
             table = self._edge_keys.setdefault(
-                (field, test), (tuple(keys), _RAW in interned))
+                (field, test), tuple(interned.setdefault(k, k) for k in keys))
         return table
 
-    def _tail_keys(self) -> dict | None:
-        """Tail "in" key -> edge ids; None if a key is _RAW: always scan."""
-        keys, raw = self.edge_keys("tail", "in")
-        if self._tail_index is None and not raw:
+    def _tail_keys(self) -> dict:
+        """Tail "in" key -> edge ids."""
+        keys = self.edge_keys("tail", "in")
+        if self._tail_index is None:
             index: dict = {}
             for ids in self.relation_index.values():  # share its int objects
                 for i in ids:
@@ -300,16 +292,15 @@ class ConditionGraph:
             options.append(_ids(self.entity_index, {
                 normalize(v) for v in head if isinstance(v, str)}))
         elif head is not None and head_cmp == "=" and isinstance(
-                _coerce_numeric(head), str):
+                _eq_key(head), str):
             options.append(self.entity_index.get(normalize(head), ()))
         if tail is not None and tail_cmp == head_cmp == "=" and (
                 rel_ids is not None or relation_cmp == "="):
             index = self._tail_keys()
-            if index is not None and _is_set(tail):
-                options.append(_ids(index, {value_key(v)[1] for v in tail}))
-            elif index is not None and (self.edge_keys("tail", "=")
-                                        is self.edge_keys("tail", "in")):
-                options.append(index.get(_eq_key(tail)[1], ()))
+            if _is_set(tail):
+                options.append(_ids(index, {value_key(v) for v in tail}))
+            elif self.edge_keys("tail", "=") is self.edge_keys("tail", "in"):
+                options.append(index.get(_eq_key(tail), ()))
         ids = min(options, key=len) if options else range(len(self.edges))
         if not ids:
             return []
@@ -339,16 +330,11 @@ class ConditionGraph:
         when an edge is tested. An edge without a qualifier fails a
         qualifier test without raising. The bound's key is computed once."""
         edges, get = self.edges, _FIELDS[field]
+        if cmp == "=" and _is_set(bound):
+            return (self.edge_keys(field, "in"),
+                    {value_key(v) for v in bound}.__contains__)
         if cmp == "=":
-            test = "in" if _is_set(bound) else "="
-            keys, raw = self.edge_keys(field, test)
-            match = ({value_key(v)[1] for v in bound}.__contains__
-                     if _is_set(bound) else partial(eq, _eq_key(bound)[1]))
-            if not raw:
-                return keys, match
-            key = _KEY_OF[test]  # recomputed, it raises where a scan would
-            return range(len(edges)), lambda i: match(
-                keys[i] if keys[i] is not _RAW else key(get(edges[i])))
+            return self.edge_keys(field, "="), partial(eq, _eq_key(bound))
         if _is_set(bound):
             def reject(i: int) -> bool:
                 if get(edges[i]) is _MISSING:
@@ -356,7 +342,7 @@ class ConditionGraph:
                 raise ValueError(f"comparison symbol '{cmp}' cannot be "
                                  "applied to a step result")
             return range(len(edges)), reject
-        order, rk = self.edge_keys(field, "<")[0], _order_key(bound)
+        order, rk = self.edge_keys(field, "<"), _order_key(bound)
         fast = rk and _ORDERS.get(cmp)  # for keys of one kind
         return range(len(edges)), lambda i: (
             (lk := order[i]) is not _MISSING
@@ -364,7 +350,7 @@ class ConditionGraph:
                  _compare_keys(lk, rk, get(edges[i]), bound, cmp)))
 
 
-_MISSING, _RAW = object(), object()
+_MISSING = object()
 
 
 def _qualifier(part: int) -> Callable[[Edge], Any]:
@@ -373,10 +359,7 @@ def _qualifier(part: int) -> Callable[[Edge], Any]:
 
 _FIELDS = {**{f: attrgetter(f) for f in ("head", "relation", "tail")},
            "qkey": _qualifier(0), "qvalue": _qualifier(1)}
-# An "in" or "=" key is kept as its text or its number alone: str and float
-# never compare equal, so it matches as the (kind, value) pair would.
-_KEY_OF = {"in": lambda v: value_key(v)[1], "<": _order_key,
-           "=": lambda v: _eq_key(v)[1]}
+_KEY_OF = {"in": value_key, "=": _eq_key, "<": _order_key}
 
 
 def _is_set(value: Any) -> bool:

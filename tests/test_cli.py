@@ -449,6 +449,30 @@ class TestJobs:
         assert calls == []
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--jobs", "-3", 1), ("--jobs", "0", 1), ("--demos", "-1", 0),
+        ("--retrieves", "-2", 0)])
+    def test_out_of_range_loop_integer_fails_before_any_model_call(
+            self, suite, tmp_path, capsys, monkeypatch, flag, value, low):
+        calls = []
+
+        def sample(self, messages, n):
+            calls.append(n)
+            raise ChatError("no model call expected")
+        monkeypatch.setattr(ScriptedChatClient, "sample", sample)
+        code = main([
+            "eval", "--dataset", suite["dataset"],
+            "--graphs", suite["graphs_dir"],
+            "--out", str(tmp_path / "out.json"),
+            "--backend", "scripted", "--script", suite["script_with"],
+            "--self-consistency", "1", flag, value,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag[2:]} must be >= {low}\n"
+        assert calls == []
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("command", ["correct", "eval"])
     def test_keyed_script_output_is_the_same_for_any_jobs(
             self, suite, tmp_path, monkeypatch, command):
@@ -495,7 +519,7 @@ BAD_LINES = {
 
 # Per JSONL input: a field, a wrongly typed value, and the type it needs.
 WRONG_TYPES = {
-    "ask --graph": ("tail", [1], "a string, an integer, a number or null"),
+    "ask --graph": ("tail", [1], "a string, an integer or a number"),
     "--script": ("reply", 5, "a string"),
     "--demo-pool": ("question", 5, "a string"),
     "correct --dataset": ("question", 5, "a string"),
@@ -601,6 +625,25 @@ class TestBadInputLines:
         err = one_error_line(argv, path, capsys)
         assert err.startswith(f"error: {path}:3: ")
         assert "'answer'" in err
+
+    @pytest.mark.parametrize("command", ["ask", "correct", "eval"])
+    def test_null_tail_names_file_line_and_field(self, suite, tmp_path,
+                                                 capsys, command):
+        people = Path(suite["graphs_dir"]) / "people.jsonl"
+        meta, edge, *rest = people.read_text(encoding="utf-8").splitlines()
+        people.write_text("\n".join([meta, json.dumps(
+            {**json.loads(edge), "tail": None}), *rest]) + "\n",
+            encoding="utf-8")
+        argv = (["ask", "Where is Alice from?", "--graph", str(people)]
+                if command == "ask" else
+                [command, "--dataset", suite["dataset"], "--graphs",
+                 suite["graphs_dir"], "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert main([*argv, "--backend", "scripted", "--script",
+                     suite["script_with"], "--self-consistency", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {people}:2: field 'tail' must be a string, an integer "
+            "or a number, not null\n")
 
     @pytest.mark.parametrize("name", list(WRONG_TYPES))
     def test_wrong_type_names_file_line_and_field(self, inputs, tmp_path,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import types
 
 import pytest
@@ -16,6 +17,7 @@ from cgqa.evaluate import (
     error_stats,
     evaluate,
     load_questions,
+    run_questions,
 )
 from cgqa.graph import (
     load_table_file,
@@ -219,6 +221,33 @@ class TestEvaluate:
         )
         assert report.value == pytest.approx(100.0)
         assert [t.question_id for t in traces] == ["a", "b", "c", "d"]
+
+    def test_same_text_questions_take_keyed_replies_in_dataset_order(
+            self, toy_graph):
+        # Questions with one text send one request and share its keyed
+        # replies, so the earlier question must ask first under any jobs.
+        from cgqa.correction import build_query_prompt, render_schema
+        from cgqa.llm import request_digest
+
+        text = "How many people studied in Utah?"
+        key = request_digest(build_query_prompt(
+            text, render_schema(schema_summary(toy_graph))))
+        questions = [Question(id=qid, text=text, gold_answer=[1],
+                              graph_ref="toy") for qid in ("q1", "q2")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to mix questions
+        try:
+            for run in range(200):
+                client = ScriptedChatClient(
+                    [{"key": key, "reply": GOOD_PLAN},
+                     {"key": key, "reply": WRONG}], ordered_fallback=False)
+                traces = run_questions(questions, lambda ref: toy_graph,
+                                       client, PipelineConfig(mct=0, sc_n=1,
+                                                              jobs=2))
+                assert [t.initial_plan_text for t in traces] == [
+                    GOOD_PLAN, WRONG], run
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_parallel_evaluation_keeps_order(self, tmp_path):
         graphs, paths = build_mini_graphs(tmp_path)

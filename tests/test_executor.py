@@ -297,6 +297,20 @@ class TestOutcomeShape:
     def test_sort_values_stable(self):
         assert sort_values({"b", 2, "a", 10}) == [2, 10, "a", "b"]
 
+    @given(st.lists(st.integers(-3, 3) | st.floats(-3, 3) | st.booleans()
+                    | st.sampled_from(["a", "A", " a", "b", "B ", "ß", "SS",
+                                       "ss", "10", "2"]) | st.text(max_size=3),
+                    max_size=12))
+    def test_sort_values_is_numbers_by_value_then_text_by_label(self, values):
+        # sorted is stable, so ties keep their input order; repr tells
+        # 1, 1.0 and True (and 0.0 and -0.0) apart
+        numbers = sorted((v for v in values if not isinstance(v, str)),
+                         key=float)
+        texts = sorted((v for v in values if isinstance(v, str)),
+                       key=normalize)
+        assert list(map(repr, sort_values(values))) == list(
+            map(repr, numbers + texts))
+
     def test_success_iff_no_error_and_full_prefix(self, people_graph):
         clean = run(
             "query1 = get_information(relation='Age')\n"

@@ -476,47 +476,18 @@ def test_dropped_graph_leaves_no_step_result_alive():
     assert [r() for r in refs] == [None] * 4
 
 
-def test_null_tail_in_a_dump_keeps_scan_results_and_errors(tmp_path):
-    # A hand-written dump may hold "tail": null. A scan raises only on an
-    # edge whose tail it tests, so lookups that never reach that edge must
-    # still answer, and the rest must raise the scan's error.
+def test_null_tail_in_a_dump_fails_at_load(tmp_path):
+    # A tail is a string or a number: a hand-written "tail": null fails as
+    # its file and line, before any lookup could reach the edge.
     path = tmp_path / "graph.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in [
         {"head": "Ann", "relation": "age", "tail": 20, "tail_kind": "numeric"},
         {"head": "Ann", "relation": "home", "tail": None, "tail_kind": "text"},
-        {"head": "Ben", "relation": "home", "tail": "Austin",
-         "tail_kind": "text"},
-        {"head": "Ben", "relation": "age", "tail": 30, "tail_kind": "numeric"},
     ]), encoding="utf-8")
-    cg = load_graph(str(path))
-    patterns = [{"relation": "age", "tail": 20}, {"tail": "Austin"},
-                {"relation": "home", "tail": "Austin"},
-                {"tail": frozenset({"Austin"})}, {"head": "Ben"},
-                {"relation": "age", "tail": frozenset({20, 30})}]
-    for pattern in patterns:
-        want = _outcome(scan_lookup, cg=cg, **pattern)
-        assert _outcome(cg.lookup, **pattern) == want, pattern
-    assert cg.lookup(relation="age", tail=20) == [cg.edges[0]]
-
-    fault = ("runtime_exception", "Exception from executor in function "
-             "'get_information': 'NoneType' object has no attribute 'strip'")
-    for text, error, steps in [
-        ("query1 = get_information(relation='age', tail_entity=20)",
-         None, [["Ann"]]),
-        ("query1 = get_information(relation='home', tail_entity='Austin')",
-         fault, []),
-        ("query1 = get_information(relation='age', tail_entity=30)\n"
-         "query2 = get_information(relation='home', "
-         "tail_entity=output_of_query1)", fault, [["Ben"]]),
-        ("query1 = get_information(relation='age', tail_entity=30)\n"
-         "query2 = get_information(head_entity=output_of_query1, "
-         "relation='home')", None, [["Ben"], ["Austin"]]),
-    ]:
-        outcome = execute_plan(validate_plan(parse_plan(text)), cg)
-        got = outcome.error and (outcome.error.kind.value,
-                                 outcome.error.message)
-        assert got == error, text
-        assert [sorted(s.values) for s in outcome.per_step] == steps, text
+    with pytest.raises(ValueError) as err:
+        load_graph(str(path))
+    assert str(err.value) == (f"{path}:2: field 'tail' must be a string, "
+                              "an integer or a number, not null")
 
 
 TEMPORAL_RELATIONS = ["chair", "budget", "opened", "member"]

@@ -66,7 +66,7 @@ counts = st.dictionaries(text, ints | numbers, max_size=3)
 
 RECORDS = {
     Edge: st.builds(Edge, head=text, relation=text,
-                    tail=st.none() | scalars, tail_kind=text,
+                    tail=scalars, tail_kind=text,
                     qualifier=st.none() | st.tuples(text, text)),
     StepResult: steps,
     ExecutionOutcome: outcomes,
