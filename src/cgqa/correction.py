@@ -9,13 +9,10 @@ reports.
 
 from __future__ import annotations
 
-import heapq
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
 from typing import Any, Iterable, Sequence
 
 from .dsl import DEFAULT_REGISTRY, parse_plan, validate_plan
@@ -133,35 +130,49 @@ _NO_WORDS = frozenset({""})
 
 
 class DemoIndex:
-    """Word -> pool positions, and each question's word count, so retrieval
-    scores only the demonstrations that share a word with the question.
+    """Word -> bitmask of the pool positions whose question holds it, and
+    question word count -> bitmask of the positions with that count, so
+    retrieval scores the whole pool with a few int operations per word.
     Two texts without words have Jaccard 1 and match nothing else, so both
     sides stand for an empty word set by the word "", which no word equals.
     """
 
     def __init__(self, pool: Sequence[Demonstration]) -> None:
         self.pool = tuple(pool)
-        self.sizes: list[int] = []
-        self.postings: dict[str, list[int]] = {}
+        self.everyone = (1 << len(self.pool)) - 1
+        self.masks, self.by_size = {}, {}  # word, word count -> positions
         for i, demo in enumerate(self.pool):
             words = demo.question_words or _NO_WORDS
-            self.sizes.append(len(words))
+            self.by_size[len(words)] = self.by_size.get(len(words), 0) | 1 << i
             for word in words:
-                self.postings.setdefault(word, []).append(i)
+                self.masks[word] = self.masks.get(word, 0) | 1 << i
 
     def top(self, question_text: str, k: int) -> list[int]:
         """Positions of the k best demonstrations by (-jaccard, position);
         fewer than k scoring above zero are followed by the rest in pool
         order."""
+        if k <= 0:
+            return []
         words = _word_set(question_text) or _NO_WORDS
-        shared = Counter(chain.from_iterable(
-            self.postings.get(w, ()) for w in words))
-        n, sizes = len(words), self.sizes
-        best = [i for _, i in heapq.nsmallest(k, (
-            (-c / (n + sizes[i] - c), i) for i, c in shared.items()))]
-        if len(best) < k:
-            rest = (i for i in range(len(self.pool)) if i not in shared)
-            best.extend(islice(rest, k - len(best)))
+        planes = [0] * len(words).bit_length()  # plane j: bit j of counts
+        for carry in map(self.masks.get, words & self.masks.keys()):
+            for j, plane in enumerate(planes):  # ripple-carry add
+                planes[j], carry = plane ^ carry, plane & carry
+        by_count = {0: self.everyone}  # shared-word count -> positions
+        for j, plane in enumerate(planes):
+            by_count = {c | bit: m for c, at_c in by_count.items() for bit, m
+                        in ((0, at_c & ~plane), (1 << j, at_c & plane)) if m}
+        rest, n, groups = by_count.pop(0, 0), len(words), {}  # score -> pos
+        for c, at_c in by_count.items():
+            for s, sized in self.by_size.items():
+                if m := at_c & sized:  # equal floats tie, whatever c and s
+                    score = -c / (n + s - c)
+                    groups[score] = groups.get(score, 0) | m
+        best: list[int] = []
+        for m in [groups[score] for score in sorted(groups)] + [rest]:
+            while m and len(best) < k:
+                best.append((m & -m).bit_length() - 1)
+                m &= m - 1  # drop the lowest position
         return best
 
 
@@ -352,9 +363,10 @@ def generate_initial(
 
     A client with a sample(messages, n) method gets all sc_n requests at
     once; any other client is asked complete() sc_n times in a row. Each
-    distinct plan text is assessed once. All failing samples share one
-    bucket; ties go to the earliest sample. Returns the plan text of the
-    first sample in the winning bucket and its outcome.
+    distinct completion is split once, and each distinct plan text assessed
+    and keyed once. All failing samples share one bucket; ties go to the
+    earliest sample. Returns the plan text of the first sample in the
+    winning bucket and its outcome.
     """
     if sc_n < 1:
         raise ValueError("sc_n must be >= 1")
@@ -364,18 +376,21 @@ def generate_initial(
         completions = sample(prompt, sc_n)
     else:
         completions = [client.complete(prompt) for _ in range(sc_n)]
-    candidates: list[str] = []
-    outcomes: dict[str, ExecutionOutcome] = {}
-    buckets: dict[tuple, list[int]] = {}
+    plans: dict[str, str] = {}  # completion -> plan text
+    samples: dict[str, list[int]] = {}  # plan text -> its sample indices
     for i, completion in enumerate(completions):
-        _, plan_text = extract_plan(completion)
-        plan_text = plan_text if plan_text is not None else completion.strip()
-        candidates.append(plan_text)
-        if plan_text not in outcomes:
-            outcomes[plan_text] = assess(plan_text, cg, strict_empty)
-        buckets.setdefault(_vote_key(outcomes[plan_text]), []).append(i)
+        if completion not in plans:
+            _, plan_text = extract_plan(completion)
+            plans[completion] = (plan_text if plan_text is not None
+                                 else completion.strip())
+        samples.setdefault(plans[completion], []).append(i)
+    outcomes = {plan: assess(plan, cg, strict_empty) for plan in samples}
+    buckets: dict[tuple, list[int]] = {}  # sample indices, earliest first
+    for plan_text, idxs in samples.items():
+        buckets.setdefault(_vote_key(outcomes[plan_text]), []).extend(idxs)
     best = max(buckets.values(), key=lambda idxs: (len(idxs), -idxs[0]))
-    return candidates[best[0]], outcomes[candidates[best[0]]]
+    winner = plans[completions[best[0]]]
+    return winner, outcomes[winner]
 
 
 def run_correction(

@@ -177,11 +177,14 @@ def self_records(trace: CorrectionTrace) -> list[PreferencePair]:
         )
     final_plan = trace.final_plan_text
     assert final_plan is not None
+    if not trace.rounds:
+        return []
     prompt = query_prompt_text(trace.question_text, trace.schema_text)
+    final_canonical = canonical_plan_text(final_plan)
     pairs = []
     for rnd in trace.rounds:
         attempt = _attempt_before_round(trace, rnd.index)
-        if canonical_plan_text(attempt) == canonical_plan_text(final_plan):
+        if canonical_plan_text(attempt) == final_canonical:
             continue
         pairs.append(
             PreferencePair(

@@ -96,9 +96,11 @@ class PipelineConfig:
                             repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, low in (("jobs", 1), ("demos", 0), ("retrieves", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+        for name, low in (("jobs", 1), ("demos", 0), ("retrieves", 0),
+                          ("sc_n", 1), ("mct", 0)):
+            if getattr(self, name) < low:  # named as the CLI flag
+                flag = "self-consistency" if name == "sc_n" else name
+                raise ValueError(f"{flag} must be >= {low}")
 
     def demo_indexes(self) -> tuple[DemoIndex, DemoIndex]:
         """Word indexes of demo_pool and of its correction demonstrations,

@@ -24,7 +24,8 @@ step is an error (the final step too, under strict mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from functools import cache
+from typing import Any, Callable, Iterable, Mapping
 
 from .dsl import QueryPlan, QueryStep, StepRef
 from .errors import ErrorKind, QueryError, classify_fault
@@ -204,14 +205,20 @@ def _exec_keep(
     cond = bound["value"]
     value = _bound_value(cond.value, env)
     tails, tail_ok = cg.field_test("tail", value, cond.comparator)
-    values, value_ok = cg.field_test("qvalue", value, cond.comparator)
     key_norm = normalize(str(key))
-    relations, quals = cg.relation_keys, cg.edge_keys("qkey", "in")
+    relations = cg.relation_keys
+    quals = cg.edge_keys("qkey", "in") if cg.has_qualifier else ()
+
+    @cache  # the qualifier-value test, built once a qualifier key matches
+    def value_ok() -> Callable[[int], bool]:
+        values, ok = cg.field_test("qvalue", value, cond.comparator)
+        return lambda i: ok(values[i])
+
     kept = []
     for entity in source:
         for i in cg.entity_index.get(normalize(value_text(entity)), ()):
             if relations[i] == key_norm and tail_ok(tails[i]) or (
-                    quals[i] == key_norm and value_ok(values[i])):
+                    quals and quals[i] == key_norm and value_ok()(i)):
                 kept.append(entity)
                 break
     return StepResult(step.index, kind=ENTITY_SET, values=_dedupe(kept))

@@ -234,6 +234,10 @@ class ConditionGraph:
     def __len__(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def has_qualifier(self) -> bool:
+        return any(edge.qualifier for edge in self.edges)
+
     def head_entities(self) -> list[str]:
         """Distinct head labels, first-seen surface form, insertion order."""
         return [self.edges[ids[0]].head for ids in self.entity_index.values()]

@@ -166,6 +166,8 @@ class HttpChatClient:
         self.config = config
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
+        """One completion; a retried 429 or 503 waits its Retry-After seconds
+        when longer than the backoff, and fails at once beyond timeout."""
         _check_messages(messages)
         cfg = self.config
         endpoint = cfg.endpoint or os.environ.get("CGQA_ENDPOINT", "")
@@ -184,6 +186,7 @@ class HttpChatClient:
             headers["Authorization"] = f"Bearer {api_key}"
         last_exc: Exception | None = None
         for attempt in range(cfg.retries + 1):
+            delay = cfg.retry_backoff * (2 ** attempt)
             try:
                 req = urllib.request.Request(endpoint, data=payload,
                                              headers=headers)
@@ -194,6 +197,12 @@ class HttpChatClient:
                     "utf-8", "replace"))
                 if exc.code not in (429, 500, 502, 503, 504):
                     raise last_exc from exc
+                after = (exc.headers or {}).get("Retry-After", "").strip()
+                if (exc.code in (429, 503) and after.isascii()
+                        and after.isdigit()):
+                    if int(after) > cfg.timeout:
+                        raise last_exc from exc
+                    delay = max(delay, int(after))
             except TimeoutError as exc:
                 last_exc = ChatTimeout(str(exc))
             except urllib.error.URLError as exc:
@@ -201,8 +210,8 @@ class HttpChatClient:
                     last_exc = ChatTimeout(str(exc))
                 else:
                     last_exc = ChatError(str(exc))
-            if attempt < cfg.retries and cfg.retry_backoff > 0:
-                time.sleep(cfg.retry_backoff * (2 ** attempt))
+            if attempt < cfg.retries and delay > 0:
+                time.sleep(delay)
         assert last_exc is not None
         raise last_exc
 

@@ -451,7 +451,8 @@ class TestJobs:
 
     @pytest.mark.parametrize("flag, value, low", [
         ("--jobs", "-3", 1), ("--jobs", "0", 1), ("--demos", "-1", 0),
-        ("--retrieves", "-2", 0)])
+        ("--retrieves", "-2", 0), ("--self-consistency", "0", 1),
+        ("--mct", "-1", 0)])
     def test_out_of_range_loop_integer_fails_before_any_model_call(
             self, suite, tmp_path, capsys, monkeypatch, flag, value, low):
         calls = []

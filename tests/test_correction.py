@@ -173,6 +173,27 @@ class TestRetrievalIndex:
         assert retrieve_demos(question, DemoIndex(demos), k_retrieve,
                               k_use) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(100, 500),
+           k_retrieve=st.integers(0, 520), k_use=st.integers(0, 520))
+    def test_large_pools_equal_brute_force_ranking(self, seed, size,
+                                                   k_retrieve, k_use):
+        """Pools span many int digits, and a 12-word question shared in
+        full counts to 12, which takes four bit planes."""
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(38)] + ["Straße", "STRASSE"]
+
+        def text():
+            return " ".join(rng.choices(vocab, k=rng.randint(0, 12)))
+        long = " ".join(rng.sample(vocab, 12))
+        texts = [text() for _ in range(size - 1)]
+        texts.insert(rng.randrange(size), long)
+        demos = [Demonstration(q, "s", f"p{i}") for i, q in enumerate(texts)]
+        index = DemoIndex(demos)
+        for question in (long, text(), rng.choice(texts), "", "?!"):
+            want = brute_force_demos(question, demos, k_retrieve, k_use)
+            assert retrieve_demos(question, index, k_retrieve, k_use) == want
+
     def test_fewer_overlaps_than_k_fill_in_pool_order(self):
         pool = [Demonstration(text, "s", f"p{i}") for i, text in enumerate(
             ["who", "?!", "Utah age", "", "age of", "the"])]
@@ -382,6 +403,19 @@ class TestVoteAssessesDistinctPlans:
         assert plan == GOOD_PLAN
         assert parsed == [GOOD_PLAN, WRONG_SUBTRACT, VOTE_PLANS[1]]
         assert len(executed) == 2  # WRONG_SUBTRACT never validates
+
+    def test_each_distinct_completion_split_and_keyed_once(self,
+                                                           monkeypatch):
+        split = self.counting(monkeypatch, "extract_plan")
+        keyed = self.counting(monkeypatch, "_vote_key")
+        fenced = f"```\n{GOOD_PLAN}\n```"  # splits to GOOD_PLAN
+        replies = [GOOD_PLAN, fenced, WRONG_SUBTRACT, fenced, GOOD_PLAN,
+                   WRONG_NESTED, WRONG_SUBTRACT]
+        plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
+                                   ordered_client(*replies), sc_n=7)
+        assert plan == GOOD_PLAN
+        assert split == [GOOD_PLAN, fenced, WRONG_SUBTRACT, WRONG_NESTED]
+        assert len(keyed) == 3  # GOOD_PLAN, WRONG_SUBTRACT, WRONG_NESTED
 
     def test_identical_samples_assessed_once_per_question(self, monkeypatch):
         parsed = self.counting(monkeypatch, "parse_plan")

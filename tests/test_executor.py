@@ -241,6 +241,32 @@ class TestSetOps:
         )
         assert got == {"France", "USA"}
 
+    @pytest.mark.parametrize("key, condition", [("Hometown", "='Texas'"),
+                                                ("Age", "<30")])
+    def test_keep_without_qualifiers_builds_no_qualifier_table(
+            self, key, condition):
+        cg = ingest_table([["Alice", "Utah", "20", "Texas"],
+                           ["Bob", "Utah", "35", "Boston"]],
+                          ["Name", "Colleges", "Age", "Hometown"])
+        got = answer(
+            "query1 = get_information(relation='Colleges', tail_entity='Utah')\n"
+            f"query2 = keep(set=output_of_query1, key='{key}', value{condition})",
+            cg)
+        assert got == {"Alice"}
+        assert {field for field, _ in cg._edge_keys} <= {
+            "head", "relation", "tail"}
+
+    def test_keep_builds_qualifier_values_once_a_qualifier_key_matches(
+            self, terms_graph):
+        plan = ("query1 = get_information(relation='president', key='time', "
+                "value>=1996)\n"
+                "query2 = keep(set=output_of_query1, key='{}', value{})")
+        assert answer(plan.format("president", "='Chirac'"),
+                      terms_graph) == {"France"}
+        assert ("qvalue", "=") not in terms_graph._edge_keys
+        assert answer(plan.format("time", "='2004'"), terms_graph) == {"USA"}
+        assert ("qvalue", "=") in terms_graph._edge_keys
+
 
 class TestEmptyHandling:
     def test_empty_mid_step(self, toy_graph):

@@ -92,16 +92,19 @@ class TestScripted:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    behaviors: list[tuple[int, bytes]] = []
+    # (status, body) or (status, body, extra response headers)
+    behaviors: list[tuple] = []
     requests: list[dict] = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         _Handler.requests.append(json.loads(self.rfile.read(length)))
-        status, body = (
+        status, body, *extra = (
             _Handler.behaviors.pop(0) if _Handler.behaviors else (200, b"{}")
         )
         self.send_response(status)
+        for name, value in (extra[0].items() if extra else ()):
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -195,6 +198,57 @@ class TestHttp:
         config = ClientConfig(backend="http", retry_backoff=0.0)
         with pytest.raises(ChatError):
             HttpChatClient(config).complete(MESSAGES)
+
+
+class TestRetryAfter:
+    """Waits are recorded by a patched time.sleep, so no test really waits."""
+
+    @pytest.fixture
+    def waits(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr(llm.time, "sleep", waits.append)
+        return waits
+
+    @pytest.mark.parametrize("code, value, backoff, want", [
+        (429, "3", 0.5, [3]),
+        (503, " 2 ", 0.0, [2]),
+        (429, "0", 0.5, [0.5]),  # the backoff is longer
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, [0.5]),  # an HTTP-date
+        (429, "1.5", 0.5, [0.5]),
+        (429, "-1", 0.5, [0.5]),
+        (429, "soon", 0.0, []),
+        (500, "3", 0.5, [0.5]),  # only 429 and 503 are honoured
+    ])
+    def test_wait_is_the_longer_of_retry_after_and_backoff(
+            self, http_server, waits, code, value, backoff, want):
+        _Handler.behaviors = [(code, b"busy", {"Retry-After": value}),
+                              (200, _ok_body("ok"))]
+        config = ClientConfig(backend="http", endpoint=http_server,
+                              retries=2, retry_backoff=backoff)
+        assert HttpChatClient(config).complete(MESSAGES) == "ok"
+        assert waits == want
+        assert len(_Handler.requests) == 2
+
+    def test_backoff_grows_past_retry_after(self, http_server, waits):
+        _Handler.behaviors = [(429, b"", {"Retry-After": "1"})] * 2 + [
+            (200, _ok_body("ok"))]
+        config = ClientConfig(backend="http", endpoint=http_server,
+                              retries=2, retry_backoff=0.75)
+        assert HttpChatClient(config).complete(MESSAGES) == "ok"
+        assert waits == [1, 1.5]
+
+    @pytest.mark.parametrize("code", [429, 503])
+    def test_retry_after_beyond_timeout_fails_at_once(self, http_server,
+                                                      waits, code):
+        _Handler.behaviors = [(code, b"later", {"Retry-After": "60"}),
+                              (200, _ok_body("ok"))]
+        config = ClientConfig(backend="http", endpoint=http_server,
+                              timeout=5, retries=2, retry_backoff=0.5)
+        with pytest.raises(HttpStatusError) as exc_info:
+            HttpChatClient(config).complete(MESSAGES)
+        assert exc_info.value.code == code
+        assert waits == []
+        assert len(_Handler.requests) == 1
 
 
 class _FanOutServer(ThreadingHTTPServer):
