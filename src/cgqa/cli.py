@@ -24,12 +24,12 @@ from .dsl import parse_plan, validate_plan
 from .errors import QueryError
 from .distill import (
     IneligibleTraceError,
+    PreferencePair,
+    SftRecord,
     TableTokenScorer,
     correction_loss,
     preference_loss,
     query_generation_loss,
-    read_preference_jsonl,
-    read_sft_jsonl,
     self_records,
     stage1_loss,
     teacher_records,
@@ -149,25 +149,23 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.kind == "table":
         cg = load_table_file(args.input, key_column=args.key_column,
                              delimiter=args.delimiter)
-    elif args.kind == "kg":
-        cg = load_triples_file(args.input, delimiter=args.delimiter or "\t")
     else:
-        cg = load_temporal_file(args.input, delimiter=args.delimiter or "\t")
+        load = load_triples_file if args.kind == "kg" else load_temporal_file
+        cg = load(args.input, "\t" if args.delimiter is None
+                  else args.delimiter)
     dump_graph(cg, args.out)
     print(f"wrote {len(cg)} edges to {args.out}")
     return 0
 
 
 def _cmd_ask(args: argparse.Namespace) -> int:
+    # read as a dataset line is, so --gold is type-checked like its gold
+    question = Question.from_dict({
+        "id": "ask", "question": args.question, "graph_ref": args.graph,
+        "gold": json.loads(args.gold) if args.gold else None})
     cg = load_graph(args.graph)
     client = make_client(args.client_config)
     config = _pipeline_config(args)
-    question = Question(
-        id="ask",
-        text=args.question,
-        gold_answer=json.loads(args.gold) if args.gold else None,
-        graph_ref=args.graph,
-    )
     trace = run_question(question, cg, client, config)
     _emit(trace.to_dict(), args.out)
     return 0
@@ -203,8 +201,8 @@ def _cmd_gen_sft(args: argparse.Namespace) -> int:
 
 def _cmd_score_loss(args: argparse.Namespace) -> int:
     scorer = TableTokenScorer.from_file(args.scorer)
-    records = read_sft_jsonl(args.sft) if args.sft else []
-    pairs = read_preference_jsonl(args.pref) if args.pref else []
+    records = read_jsonl(args.sft, SftRecord.from_dict) if args.sft else []
+    pairs = read_jsonl(args.pref, PreferencePair.from_dict) if args.pref else []
     lq = query_generation_loss(
         [r for r in records if r.kind == "query_gen"], scorer
     )
@@ -327,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.client_config = _client_config(args)
         warning = _sampling_warning(args)
         code = args.func(args)
-    except (OSError, ValueError, GraphNotFoundError, ChatError) as exc:
+    except (OSError, ValueError, ChatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if warning:

@@ -25,7 +25,7 @@ from .correction import (
     query_prompt_text,
 )
 from .dsl import canonical_plan_text
-from .jsonl import Record, read_json, read_jsonl
+from .jsonl import Record, check_types, read_json
 from .jsonl import write_jsonl  # noqa: F401, re-export
 
 KIND_QUERY_GEN = "query_gen"
@@ -96,8 +96,11 @@ class TableTokenScorer:
 
     @classmethod
     def from_file(cls, path: str) -> "TableTokenScorer":
-        return read_json(path, lambda data: cls(
-            data.get("entries", ()), data.get("default_logprob")))
+        def build(data: dict[str, Any]) -> "TableTokenScorer":
+            check_types(data, {"entries": list,
+                               "default_logprob": float | None})
+            return cls(data.get("entries", ()), data.get("default_logprob"))
+        return read_json(path, build)
 
     def token_logprobs(self, context: str, target: str) -> list[float]:
         if (context, target) in self._by_pair:
@@ -253,11 +256,3 @@ def preference_loss(pairs: Sequence[PreferencePair], scorer: TokenScorer) -> flo
         s_disp = score_sequence(pair.input_text, pair.dispreferred, scorer)
         total -= s_pref - s_disp
     return total
-
-
-def read_sft_jsonl(path: str) -> list[SftRecord]:
-    return read_jsonl(path, SftRecord.from_dict)
-
-
-def read_preference_jsonl(path: str) -> list[PreferencePair]:
-    return read_jsonl(path, PreferencePair.from_dict)

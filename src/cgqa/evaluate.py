@@ -33,11 +33,11 @@ METRIC_DENOTATION = "denotation_accuracy"
 METRIC_HITS1 = "hits_at_1"
 
 
-class MissingGoldError(Exception):
+class MissingGoldError(ValueError):
     pass
 
 
-class GraphNotFoundError(Exception):
+class GraphNotFoundError(ValueError):
     pass
 
 
@@ -166,7 +166,7 @@ def run_questions(
             cg = resolve_graph(q.graph_ref or "")
         except GraphNotFoundError:
             raise
-        except Exception as exc:
+        except (LookupError, OSError, ValueError) as exc:  # a bad ref or dump
             raise GraphNotFoundError(str(exc)) from exc
         return run_question(q, cg, client, config)
 

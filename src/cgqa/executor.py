@@ -66,10 +66,6 @@ class ExecutionOutcome(Record):
         "encode": lambda a: None if a is None else sort_values(a)})
     error: QueryError | None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
 
 def _dedupe(values: Iterable[Scalar]) -> frozenset[Scalar]:
     seen: dict[float | str, Scalar] = {}
@@ -215,7 +211,7 @@ def _exec_keep(
         return lambda i: ok(values[i])
 
     kept = []
-    for entity in source:
+    for entity in sort_values(source):  # the first fault is the same each run
         for i in cg.entity_index.get(normalize(value_text(entity)), ()):
             if relations[i] == key_norm and tail_ok(tails[i]) or (
                     quals and quals[i] == key_norm and value_ok()(i)):

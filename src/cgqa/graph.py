@@ -30,8 +30,8 @@ _DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 _YEAR_RE = re.compile(r"^\d{4}$")
 
 
-class GraphError(Exception):
-    """Base for ingestion and lookup failures."""
+class GraphError(ValueError):
+    """Base for ingestion and lookup failures: bad input, so a ValueError."""
 
 
 class EmptyHeaderError(GraphError):
@@ -413,10 +413,10 @@ def ingest_table(
 def ingest_triples(triples: Iterable[Sequence[str]]) -> ConditionGraph:
     """Build a graph from (head, relation, tail) triples; duplicates collapse."""
     edges = []
-    for head, relation, tail in triples:
-        if not str(head).strip() or not str(relation).strip():
-            raise EmptyFieldError(f"triple with empty head or relation: "
-                                  f"{(head, relation, tail)!r}")
+    for r, row in enumerate(triples):
+        if len(row) != 3:
+            raise RaggedRowError(f"row {r} has {len(row)} cells, not 3")
+        head, relation, tail = row
         value, kind = infer_scalar(str(tail))
         edges.append(Edge(str(head).strip(), str(relation).strip(), value, kind))
     return ConditionGraph(edges, source_kind="kg")
@@ -429,10 +429,10 @@ def ingest_temporal(quads: Iterable[Sequence[str]]) -> ConditionGraph:
     qualifier under key "time" and stays comparable across both forms.
     """
     edges = []
-    for head, relation, tail, when in quads:
-        if not str(head).strip() or not str(relation).strip():
-            raise EmptyFieldError(f"quad with empty head or relation: "
-                                  f"{(head, relation, tail, when)!r}")
+    for r, row in enumerate(quads):
+        if len(row) != 4:
+            raise RaggedRowError(f"row {r} has {len(row)} cells, not 4")
+        head, relation, tail, when = row
         stamp = str(when).strip()
         if time_key(stamp) is None:
             raise BadTimestampError(f"cannot parse time {when!r}")
@@ -473,6 +473,8 @@ def read_delimited(path: str, delimiter: str | None = None) -> list[list[str]]:
     """Read a CSV/TSV file; the delimiter defaults from the extension."""
     if delimiter is None:
         delimiter = "\t" if path.endswith((".tsv", ".tab")) else ","
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, not {delimiter!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         return [row for row in csv.reader(fh, delimiter=delimiter) if row]
 

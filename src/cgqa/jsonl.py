@@ -23,6 +23,10 @@ _JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
                type(None): "null"}
 
 
+class FieldTypeError(TypeError, ValueError):
+    """A JSON value of the wrong type: bad input, so a ValueError too."""
+
+
 class _Mismatch(TypeError):
     """A value that does not fit its type; the caller says whose it is."""
 
@@ -83,14 +87,14 @@ def _read_fields(data: Mapping[str, Any], readers: Iterable[tuple],
             elif required:
                 raise KeyError(key)
     except _Mismatch as exc:
-        raise TypeError(f"{what} {key!r} {exc}") from None
+        raise FieldTypeError(f"{what} {key!r} {exc}") from None
     return kwargs
 
 
 def check_types(data: Mapping[str, Any], hints: Mapping[str, Any],
                 what: str = "field") -> None:
-    """Raise TypeError("<what> 'x' must be ...") for the first field x of
-    data, a JSON object that is not a Record, whose value does not fit its
+    """Raise FieldTypeError("<what> 'x' must be ...") for the first field
+    x of data (a JSON object, not a Record) whose value does not fit its
     type hint. Absent fields pass, so that the caller's lookup reports them."""
     _read_fields(data, [(k, k, False, _spec(h)) for k, h in hints.items()],
                  what)
@@ -129,7 +133,7 @@ class Record:
 
     from_dict ignores unknown keys unless strict. A missing key whose field
     has no default fails as KeyError(key), and a wrongly typed value as
-    TypeError("field 'x' must be ..., not ...").
+    FieldTypeError("field 'x' must be ..., not ...").
     """
 
     def to_dict(self) -> dict[str, Any]:

@@ -12,6 +12,8 @@ import filecmp
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -377,3 +379,38 @@ def test_criterion_8_determinism(tmp_path, toy_graph):
                 write_jsonl([trace], str(path))
                 runs.append(path.read_bytes())
             assert runs[0] == runs[1]
+
+
+HASH_SEED_RUN = """
+from pathlib import Path
+from test_acceptance import _run_pipeline, main
+_run_pipeline(Path("."))
+assert main(["correct", "--dataset", "dataset.jsonl", "--graphs", "graphs",
+             "--out", "teacher_traces.jsonl", "--backend", "scripted",
+             "--script", "script_with.jsonl", "--self-consistency", "1",
+             "--mct", "3", "--author", "teacher"]) == 0
+"""
+
+
+def test_criterion_8_across_hash_seeds(tmp_path):
+    """Criterion 8 between processes: with string hashing seeded 1 and 2,
+    the pipeline writes the same bytes to every file and to stdout."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)])}
+    runs = {}
+    for seed in ("1", "2"):
+        (tmp_path / seed).mkdir()
+        runs[seed] = subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_RUN], cwd=tmp_path / seed,
+            env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+    outputs = {seed: run.communicate(timeout=120) for seed, run in
+               runs.items()}
+    assert [run.returncode for run in runs.values()] == [0, 0], outputs
+    assert outputs["1"] == outputs["2"]
+    files = {seed: {p.relative_to(tmp_path / seed): p.read_bytes()
+                    for p in (tmp_path / seed).rglob("*") if p.is_file()}
+             for seed in runs}
+    assert len(files["1"]) == 19
+    assert files["1"] == files["2"]

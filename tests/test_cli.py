@@ -777,6 +777,98 @@ class TestBadJsonFiles:
                                                           str(scorer)))
 
 
+INGEST = {kind: ["ingest", "{%s}" % src, "--kind", kind, "--out", "{out}"]
+          for kind, src in (("table", "people_csv"), ("kg", "movies_tsv"),
+                            ("temporal", "terms_tsv"))}
+ASK_PEOPLE = [*ASK, "--graph", "{people}", "--script", "{script_with}",
+              "--out", "{out}"]
+# Each malformed input: the suite file to edit and its (old, new) text, or
+# None, the command ("{name}" marks a path), and what the error line says.
+MALFORMED = {
+    "table_ragged_row": (
+        ("people_csv", "Bob,Princeton,25,Boston,Bo", "Bob,Princeton,25"),
+        INGEST["table"], "row 1 has 3 cells, header has 5"),
+    "table_empty_header_cell": (
+        ("people_csv", "Name,Colleges,", "Name,,"), INGEST["table"],
+        "header must be non-empty names"),
+    "key_column_name": (None, [*INGEST["table"], "--key-column", "Nope"],
+                        "key column 'Nope' not in header"),
+    "key_column_past_end": (None, [*INGEST["table"], "--key-column", "9"],
+                            "key column index 9 out of range"),
+    "key_column_negative": (None, [*INGEST["table"], "--key-column", "-1"],
+                            "key column index -1 out of range"),
+    "table_empty_row_key": (
+        ("people_csv", "Bob,Princeton", ",Princeton"), INGEST["table"],
+        "edge with empty head or relation"),
+    "temporal_bad_time": (
+        ("terms_tsv", "Bush\t2004", "Bush\tnot-a-date"), INGEST["temporal"],
+        "cannot parse time 'not-a-date'"),
+    "table_empty_delimiter": (None, [*INGEST["table"], "--delimiter", ""],
+                              "delimiter must be one character, not ''"),
+    "table_two_char_delimiter": (
+        None, [*INGEST["table"], "--delimiter", ";;"],
+        "delimiter must be one character, not ';;'"),
+    "kg_empty_delimiter": (None, [*INGEST["kg"], "--delimiter", ""],
+                           "delimiter must be one character, not ''"),
+    "eval_missing_gold": (
+        ("dataset", ', "gold": [2]', ""),
+        ["eval", "--dataset", "{dataset}", "--graphs", "{graphs_dir}",
+         "--out", "{out}", "--backend", "scripted", "--script",
+         "{script_with}", "--self-consistency", "1"],
+        "question m01 has no gold answer"),
+    "ask_blank_head": (
+        ("people", '"head": "Alice"', '"head": " "'), ASK_PEOPLE,
+        "edge with empty head or relation"),
+    "ask_gold_number": (None, [*ASK_PEOPLE, "--gold", "5"],
+                        "field 'gold' must be an array or null, not an "
+                        "integer"),
+    "ask_gold_string": (None, [*ASK_PEOPLE, "--gold", '"11"'],
+                        "field 'gold' must be an array or null, not a "
+                        "string"),
+    "kg_short_row": (
+        ("movies_tsv", "Heat\tgenre\tCrime", "Heat\tgenre"), INGEST["kg"],
+        "row 7 has 2 cells, not 3"),
+    "kg_long_row": (
+        ("movies_tsv", "Heat\tgenre\tCrime", "Heat\tgenre\tCrime\tx\ty"),
+        INGEST["kg"], "row 7 has 5 cells, not 3"),
+    "temporal_short_row": (
+        ("terms_tsv", "USA\tpresident\tBush\t2004", "USA\tpresident"),
+        INGEST["temporal"], "row 3 has 2 cells, not 4"),
+    "temporal_long_row": (
+        ("terms_tsv", "Bush\t2004", "Bush\t2004\tx"), INGEST["temporal"],
+        "row 3 has 5 cells, not 4"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_input_is_one_error_line(suite, tmp_path, capsys,
+                                           monkeypatch, name):
+    edit, argv, want = MALFORMED[name]
+    paths = {**suite, "out": str(tmp_path / "out.json"),
+             "people": os.path.join(suite["graphs_dir"], "people.jsonl")}
+    if edit:
+        key, old, new = edit
+        text = Path(paths[key]).read_text(encoding="utf-8")
+        assert old in text
+        Path(paths[key]).write_text(text.replace(old, new), encoding="utf-8")
+    calls = []
+
+    def sample(self, messages, n):
+        calls.append(n)
+        raise ChatError("no model call expected")
+    monkeypatch.setattr(ScriptedChatClient, "sample", sample)
+    capsys.readouterr()
+    code = main([paths.get(a[1:-1], a) if a.startswith("{") else a
+                 for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert want in err
+    assert calls == []
+    assert not os.path.exists(paths["out"])
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

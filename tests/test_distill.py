@@ -14,8 +14,6 @@ from cgqa.distill import (
     correction_loss,
     preference_loss,
     query_generation_loss,
-    read_preference_jsonl,
-    read_sft_jsonl,
     score_sequence,
     self_records,
     stage1_loss,
@@ -23,6 +21,7 @@ from cgqa.distill import (
     write_jsonl,
 )
 from cgqa.graph import schema_summary
+from cgqa.jsonl import read_jsonl
 from cgqa.llm import ScriptedChatClient
 
 GOOD_PLAN = (
@@ -341,9 +340,11 @@ def test_jsonl_round_trip(tmp_path, two_round_trace, toy_graph):
     pref_path = tmp_path / "pref.jsonl"
     assert write_jsonl(records, str(sft_path)) == len(records)
     assert write_jsonl(pairs, str(pref_path)) == len(pairs)
-    assert [r.to_dict() for r in read_sft_jsonl(str(sft_path))] == [
+    assert [r.to_dict() for r in read_jsonl(str(sft_path),
+                                            SftRecord.from_dict)] == [
         r.to_dict() for r in records
     ]
-    assert [p.to_dict() for p in read_preference_jsonl(str(pref_path))] == [
+    assert [p.to_dict() for p in read_jsonl(str(pref_path),
+                                            PreferencePair.from_dict)] == [
         p.to_dict() for p in pairs
     ]

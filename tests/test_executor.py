@@ -3,7 +3,11 @@ and agreement with the brute-force reference evaluator."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -490,7 +494,7 @@ def _first_match_keep(cg, entities, key, bound, cmp):
     for edge in cg.edges:
         by_head.setdefault(normalize(edge.head), []).append(edge)
     kept = []
-    for entity in entities:
+    for entity in sort_values(entities):
         for edge in by_head.get(normalize(entity), []):
             q = edge.qualifier
             if (normalize(edge.relation) == normalize(key) and match(edge.tail)
@@ -535,3 +539,31 @@ def test_keep_equals_a_first_match_scan_on_a_temporal_graph():
         assert got == want, (sorted(entities), key, bound, cmp)
         outcomes.add(got[0] if got[0] == "raised" else bool(got[1]))
     assert outcomes == {"raised", True, False}
+
+
+KEEP_FAULT = """
+from cgqa.dsl import parse_plan, validate_plan
+from cgqa.executor import execute_plan
+from cgqa.graph import ingest_triples
+cg = ingest_triples(row for i in range(8) for row in (
+    (f"org{i}", "kind", "company"), (f"org{i}", "chair", f"p{i}")))
+plan = validate_plan(parse_plan(
+    "query1 = get_information(relation='kind', tail_entity='company')\\n"
+    "query2 = keep(set=output_of_query1, key='chair', value<2000)"))
+print(execute_plan(plan, cg).error.message)
+"""
+
+
+def test_keep_reports_the_same_fault_under_any_hash_seed():
+    """Every kept entity's chair is text, so each one faults; the message
+    must name the same entity in every process, whatever order the step
+    result's set has."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", KEEP_FAULT], stdout=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": str(src),
+                        "PYTHONHASHSEED": seed}) for seed in ("1", "2")]
+    messages = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert messages[0] == messages[1]
+    assert "'p0'" in messages[0]
