@@ -159,10 +159,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_ask(args: argparse.Namespace) -> int:
+    try:
+        gold = json.loads(args.gold) if args.gold else None
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"--gold {args.gold!r} is not JSON: {exc.msg}") from None
     # read as a dataset line is, so --gold is type-checked like its gold
     question = Question.from_dict({
         "id": "ask", "question": args.question, "graph_ref": args.graph,
-        "gold": json.loads(args.gold) if args.gold else None})
+        "gold": gold})
     cg = load_graph(args.graph)
     client = make_client(args.client_config)
     config = _pipeline_config(args)

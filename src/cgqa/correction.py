@@ -364,9 +364,11 @@ def generate_initial(
     A client with a sample(messages, n) method gets all sc_n requests at
     once; any other client is asked complete() sc_n times in a row. Each
     distinct completion is split once, and each distinct plan text assessed
-    and keyed once. All failing samples share one bucket; ties go to the
-    earliest sample. Returns the plan text of the first sample in the
-    winning bucket and its outcome.
+    and keyed once, in order of its first sample. Assessing stops once the
+    leading bucket outgrows the runner-up by more than the samples left,
+    since no later plan can then change the winner. All failing samples
+    share one bucket; ties go to the earliest sample. Returns the plan text
+    of the first sample in the winning bucket and its outcome.
     """
     if sc_n < 1:
         raise ValueError("sc_n must be >= 1")
@@ -384,10 +386,17 @@ def generate_initial(
             plans[completion] = (plan_text if plan_text is not None
                                  else completion.strip())
         samples.setdefault(plans[completion], []).append(i)
-    outcomes = {plan: assess(plan, cg, strict_empty) for plan in samples}
+    outcomes: dict[str, ExecutionOutcome] = {}
     buckets: dict[tuple, list[int]] = {}  # sample indices, earliest first
+    lead = runner = 0  # the two largest bucket sizes
+    left = len(completions)  # samples whose plan is not assessed yet
     for plan_text, idxs in samples.items():
-        buckets.setdefault(_vote_key(outcomes[plan_text]), []).extend(idxs)
+        if lead > runner + left:
+            break  # the rest can neither tie the lead nor move a first index
+        outcome = outcomes[plan_text] = assess(plan_text, cg, strict_empty)
+        buckets.setdefault(_vote_key(outcome), []).extend(idxs)
+        left -= len(idxs)
+        runner, lead = sorted([0, 0, *map(len, buckets.values())])[-2:]
     best = max(buckets.values(), key=lambda idxs: (len(idxs), -idxs[0]))
     winner = plans[completions[best[0]]]
     return winner, outcomes[winner]

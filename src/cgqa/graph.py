@@ -38,7 +38,16 @@ class EmptyHeaderError(GraphError):
     pass
 
 
-class RaggedRowError(GraphError):
+class RowError(GraphError):
+    """A bad input row, named by its index among the rows ingested, or by
+    file and line once a file loader has placed it."""
+
+    def __init__(self, row: int, reason: str, where: str | None = None):
+        super().__init__(f"{where or f'row {row}'}: {reason}")
+        self.row, self.reason = row, reason
+
+
+class RaggedRowError(RowError):
     pass
 
 
@@ -46,7 +55,7 @@ class EmptyFieldError(GraphError):
     pass
 
 
-class BadTimestampError(GraphError):
+class BadTimestampError(RowError):
     pass
 
 
@@ -399,8 +408,7 @@ def ingest_table(
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise RaggedRowError(
-                f"row {r} has {len(row)} cells, header has {len(header)}"
-            )
+                r, f"{len(row)} cells, header has {len(header)}")
         head = str(row[key_idx]).strip()
         for c, cell in enumerate(row):
             if c == key_idx:
@@ -415,7 +423,7 @@ def ingest_triples(triples: Iterable[Sequence[str]]) -> ConditionGraph:
     edges = []
     for r, row in enumerate(triples):
         if len(row) != 3:
-            raise RaggedRowError(f"row {r} has {len(row)} cells, not 3")
+            raise RaggedRowError(r, f"{len(row)} cells, not 3")
         head, relation, tail = row
         value, kind = infer_scalar(str(tail))
         edges.append(Edge(str(head).strip(), str(relation).strip(), value, kind))
@@ -431,11 +439,11 @@ def ingest_temporal(quads: Iterable[Sequence[str]]) -> ConditionGraph:
     edges = []
     for r, row in enumerate(quads):
         if len(row) != 4:
-            raise RaggedRowError(f"row {r} has {len(row)} cells, not 4")
+            raise RaggedRowError(r, f"{len(row)} cells, not 4")
         head, relation, tail, when = row
         stamp = str(when).strip()
         if time_key(stamp) is None:
-            raise BadTimestampError(f"cannot parse time {when!r}")
+            raise BadTimestampError(r, f"cannot parse time {when!r}")
         value, kind = infer_scalar(str(tail))
         edges.append(
             Edge(str(head).strip(), str(relation).strip(), value, kind,
@@ -469,14 +477,36 @@ def schema_summary(cg: ConditionGraph, max_samples: int = 3) -> SchemaDescriptor
     ))
 
 
-def read_delimited(path: str, delimiter: str | None = None) -> list[list[str]]:
-    """Read a CSV/TSV file; the delimiter defaults from the extension."""
+def _delimiter(path: str, delimiter: str | None) -> str:
+    """The delimiter, defaulting from the extension."""
     if delimiter is None:
         delimiter = "\t" if path.endswith((".tsv", ".tab")) else ","
     if len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, not {delimiter!r}")
+    return delimiter
+
+
+def read_delimited(path: str, delimiter: str | None = None) -> list[list[str]]:
+    """Read a CSV/TSV file, dropping blank lines; the delimiter defaults
+    from the extension."""
+    delimiter = _delimiter(path, delimiter)
     with open(path, newline="", encoding="utf-8") as fh:
         return [row for row in csv.reader(fh, delimiter=delimiter) if row]
+
+
+def _placed(err: RowError, path: str, delimiter: str | None,
+            skip: int = 0) -> RowError:
+    """err named by path and the 1-based line its row starts on, counting
+    blank lines; skip non-blank rows precede the rows ingested. Only errors
+    read the file again, so a good load pays nothing for the line count."""
+    starts, line = [], 1  # the line each non-blank row starts on
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=_delimiter(path, delimiter))
+        for row in reader:
+            if row:
+                starts.append(line)
+            line = reader.line_num + 1
+    return type(err)(err.row, err.reason, f"{path}:{starts[err.row + skip]}")
 
 
 def load_table_file(path: str, key_column: int | str = 0,
@@ -484,15 +514,26 @@ def load_table_file(path: str, key_column: int | str = 0,
     rows = read_delimited(path, delimiter)
     if not rows:
         raise EmptyHeaderError(f"{path} is empty")
-    return ingest_table(rows[1:], rows[0], key_column=key_column)
+    try:
+        return ingest_table(rows[1:], rows[0], key_column=key_column)
+    except RowError as err:  # the header comes first
+        raise _placed(err, path, delimiter, skip=1) from None
 
 
 def load_triples_file(path: str, delimiter: str = "\t") -> ConditionGraph:
-    return ingest_triples(read_delimited(path, delimiter))
+    rows = read_delimited(path, delimiter)
+    try:
+        return ingest_triples(rows)
+    except RowError as err:
+        raise _placed(err, path, delimiter) from None
 
 
 def load_temporal_file(path: str, delimiter: str = "\t") -> ConditionGraph:
-    return ingest_temporal(read_delimited(path, delimiter))
+    rows = read_delimited(path, delimiter)
+    try:
+        return ingest_temporal(rows)
+    except RowError as err:
+        raise _placed(err, path, delimiter) from None
 
 
 def dump_graph(cg: ConditionGraph, path: str) -> None:

@@ -764,7 +764,10 @@ class TestBadJsonFiles:
          "{path}: expected a JSON object"),
         ({"entries": [{"target": "other", "logprobs": [-1.0]}]},
          "no score table entry for target"),
-    ], ids=["missing_logprobs", "top_level_list", "no_entry_for_target"])
+        ({"default_logprob": 0.5},
+         "{path}: default_logprob must be <= 0: 0.5"),
+    ], ids=["missing_logprobs", "top_level_list", "no_entry_for_target",
+            "positive_default_logprob"])
     def test_scorer(self, inputs, tmp_path, capsys, table, message):
         good, _, _ = inputs["score-loss --sft"]
         sft = tmp_path / "sft.jsonl"
@@ -787,7 +790,7 @@ ASK_PEOPLE = [*ASK, "--graph", "{people}", "--script", "{script_with}",
 MALFORMED = {
     "table_ragged_row": (
         ("people_csv", "Bob,Princeton,25,Boston,Bo", "Bob,Princeton,25"),
-        INGEST["table"], "row 1 has 3 cells, header has 5"),
+        INGEST["table"], "people.csv:3: 3 cells, header has 5"),
     "table_empty_header_cell": (
         ("people_csv", "Name,Colleges,", "Name,,"), INGEST["table"],
         "header must be non-empty names"),
@@ -825,18 +828,20 @@ MALFORMED = {
     "ask_gold_string": (None, [*ASK_PEOPLE, "--gold", '"11"'],
                         "field 'gold' must be an array or null, not a "
                         "string"),
+    "ask_gold_not_json": (None, [*ASK_PEOPLE, "--gold", "abc"],
+                          "--gold 'abc' is not JSON: Expecting value"),
     "kg_short_row": (
         ("movies_tsv", "Heat\tgenre\tCrime", "Heat\tgenre"), INGEST["kg"],
-        "row 7 has 2 cells, not 3"),
+        "movies.tsv:8: 2 cells, not 3"),
     "kg_long_row": (
         ("movies_tsv", "Heat\tgenre\tCrime", "Heat\tgenre\tCrime\tx\ty"),
-        INGEST["kg"], "row 7 has 5 cells, not 3"),
+        INGEST["kg"], "movies.tsv:8: 5 cells, not 3"),
     "temporal_short_row": (
         ("terms_tsv", "USA\tpresident\tBush\t2004", "USA\tpresident"),
-        INGEST["temporal"], "row 3 has 2 cells, not 4"),
+        INGEST["temporal"], "terms.tsv:4: 2 cells, not 4"),
     "temporal_long_row": (
         ("terms_tsv", "Bush\t2004", "Bush\t2004\tx"), INGEST["temporal"],
-        "row 3 has 5 cells, not 4"),
+        "terms.tsv:4: 5 cells, not 4"),
 }
 
 

@@ -415,7 +415,36 @@ class TestVoteAssessesDistinctPlans:
                                    ordered_client(*replies), sc_n=7)
         assert plan == GOOD_PLAN
         assert split == [GOOD_PLAN, fenced, WRONG_SUBTRACT, WRONG_NESTED]
-        assert len(keyed) == 3  # GOOD_PLAN, WRONG_SUBTRACT, WRONG_NESTED
+        assert len(keyed) == 1  # GOOD_PLAN's 4 of 7 samples decide the vote
+
+    def test_undecided_vote_keys_every_distinct_plan_once(self,
+                                                          monkeypatch):
+        parsed = self.counting(monkeypatch, "parse_plan")
+        keyed = self.counting(monkeypatch, "_vote_key")
+        replies = [GOOD_PLAN, WRONG_SUBTRACT, GOOD_PLAN, VOTE_PLANS[1],
+                   WRONG_NESTED, VOTE_PLANS[1], GOOD_PLAN]
+        plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
+                                   ordered_client(*replies), sc_n=7)
+        assert plan == GOOD_PLAN
+        # before each plan, the lead is at most the runner-up plus the
+        # samples left, so no plan is skipped
+        assert parsed == [GOOD_PLAN, WRONG_SUBTRACT, VOTE_PLANS[1],
+                          WRONG_NESTED]
+        assert len(keyed) == 4
+
+    @pytest.mark.parametrize("order, want", [
+        ("AAABC", "A"),  # A's 3 of 5 decide before B
+        ("BAAAC", "BA"),  # B's 1 + 2 left cannot tie A's 3
+    ])
+    def test_assessing_stops_once_the_vote_is_decided(self, monkeypatch,
+                                                      order, want):
+        plans = dict(zip("ABC", VOTE_PLANS[1:4]))
+        parsed = self.counting(monkeypatch, "parse_plan")
+        plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
+                                   ordered_client(*map(plans.get, order)),
+                                   sc_n=5)
+        assert plan == plans["A"]
+        assert parsed == [plans[p] for p in want]
 
     def test_identical_samples_assessed_once_per_question(self, monkeypatch):
         parsed = self.counting(monkeypatch, "parse_plan")
@@ -426,7 +455,7 @@ class TestVoteAssessesDistinctPlans:
         assert parsed == [GOOD_PLAN]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from(VOTE_PLANS), min_size=1, max_size=7))
+    @given(st.lists(st.sampled_from(VOTE_PLANS), min_size=1, max_size=11))
     def test_vote_and_outcome_match_assessing_every_sample(self, samples):
         plan, outcome = generate_initial(QUESTION, "s", VOTE_GRAPH,
                                          ordered_client(*samples),

@@ -28,6 +28,9 @@ from cgqa.graph import (
     ingest_temporal,
     ingest_triples,
     load_graph,
+    load_table_file,
+    load_temporal_file,
+    load_triples_file,
     normalize,
     schema_summary,
     time_key,
@@ -150,6 +153,36 @@ class TestIngestTemporal:
             "2000", "2000-01-02", "2000-11-30", "2001", "2001-01-01",
         ]
         assert ordered == manual
+
+
+class TestRowErrorsNameTheFileLine:
+    """In memory a bad row is named by its index; loaded from a file, by
+    the 1-based line it starts on, counting blank lines and the header."""
+
+    def test_in_memory_rows_keep_the_index(self):
+        with pytest.raises(RaggedRowError, match=r"^row 1: 2 cells, not 3$"):
+            ingest_triples([("a", "r", "b"), ("a", "r")])
+        with pytest.raises(BadTimestampError,
+                           match=r"^row 0: cannot parse time 'abc'$"):
+            ingest_temporal([("X", "r", "Y", "abc")])
+
+    @pytest.mark.parametrize("load, text, error, want", [
+        (load_triples_file, "a\tr\tb\n\n\na\tr\n", RaggedRowError,
+         ":4: 2 cells, not 3"),
+        (load_triples_file, 'a\t"r\n\nr"\tb\n\nc\n', RaggedRowError,
+         ":5: 1 cells, not 3"),
+        (load_temporal_file, "\nX\tr\tY\t1999\nX\tr\tY\tabc\n",
+         BadTimestampError, ":3: cannot parse time 'abc'"),
+        (load_table_file, "\nK\tV\n\na\t1\nb\n", RaggedRowError,
+         ":5: 1 cells, header has 2"),
+    ], ids=["blank_lines", "multi_line_cell", "bad_time", "table_header"])
+    def test_file_rows_name_the_line(self, tmp_path, load, text, error,
+                                     want):
+        path = tmp_path / "rows.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error) as info:
+            load(str(path))
+        assert str(info.value) == f"{path}{want}"
 
 
 class TestLookup:
