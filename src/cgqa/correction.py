@@ -530,7 +530,7 @@ def answers_match(
     got = _norm_values(answer)
     want = _norm_values(gold)
     if mode == "hits1":
-        ranked = sort_values(list(answer))
+        ranked = sort_values(answer)
         if not ranked:
             return False
         top = normalize_answer_value(ranked[0])

@@ -7,10 +7,11 @@ Semantics per function:
                      head and tail bound -> qualifier values (key bound) or
                      relations; relation/key only -> tails (column access).
     min/max/mean/sum aggregate a referenced set; inputs must be all-numeric
-                     (min/max also accept all-date); anything else is a
-                     trapped runtime fault. Every result is a set, so an
-                     aggregate sees each distinct value once: sum over the
-                     ages 20, 20 and 30 of three people is 50, not 70.
+                     (min/max also accept all-date); anything else, or a
+                     result that is not finite, is a trapped runtime
+                     fault. Every result is a set, so an aggregate sees
+                     each distinct value once: sum over the ages 20, 20
+                     and 30 of three people is 50, not 70.
     count            cardinality of a referenced set.
     keep             filter entities by a condition on a related value,
                      matching either a relation or a qualifier key.
@@ -23,6 +24,7 @@ step is an error (the final step too, under strict mode).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterable, Mapping
@@ -32,9 +34,12 @@ from .errors import ErrorKind, QueryError, classify_fault
 from .graph import (
     ConditionGraph,
     Scalar,
+    ValueSet,
+    key_map,
     normalize,
+    sort_values,
+    sorted_keys,
     time_key,
-    value_key,
     value_text,
 )
 from .jsonl import Record
@@ -42,11 +47,6 @@ from .jsonl import Record
 ENTITY_SET = "entity-set"
 VALUE_SET = "value-set"
 SCALAR = "scalar"
-
-
-def sort_values(values: Iterable[Scalar]) -> list[Scalar]:
-    """Stable rendering order: numbers first by value, then text."""
-    return sorted(values, key=lambda v: (isinstance(v, str), value_key(v)))
 
 
 @dataclass
@@ -65,13 +65,6 @@ class ExecutionOutcome(Record):
     answer: frozenset[Scalar] | None = field(metadata={
         "encode": lambda a: None if a is None else sort_values(a)})
     error: QueryError | None
-
-
-def _dedupe(values: Iterable[Scalar]) -> frozenset[Scalar]:
-    seen: dict[float | str, Scalar] = {}
-    for v in values:
-        seen.setdefault(value_key(v), v)
-    return frozenset(seen.values())
 
 
 def _value_set(value: Any, env: Mapping[int, StepResult]) -> frozenset[Scalar]:
@@ -103,33 +96,29 @@ def execute_step(
         raise classify_fault(step.function, exc) from exc
 
 
+# each get_information parameter's lookup_ids bound and comparator
+_LOOKUP_ARGS = {"head_entity": ("head", "head_cmp"),
+                "relation": ("relation", "relation_cmp"),
+                "tail_entity": ("tail", "tail_cmp"),
+                "key": ("qual_key", "key_cmp"),
+                "value": ("qual_value", "qual_cmp")}
+
+
 def _exec_get_information(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
-    bound: dict[str, tuple[str, Any]] = {
-        a.name: (a.comparator, _bound_value(a.value, env)) for a in step.args
-    }
-    head, relation, tail, key, value = (
-        bound.get(name, ("=", None))
-        for name in ("head_entity", "relation", "tail_entity", "key", "value")
-    )
-    hits = cg.lookup(
-        head=head[1], relation=relation[1], tail=tail[1], tail_cmp=tail[0],
-        qual_key=key[1], qual_value=value[1], qual_cmp=value[0],
-        head_cmp=head[0], relation_cmp=relation[0], key_cmp=key[0],
-    )
-    if "head_entity" in bound and "tail_entity" in bound:
-        if "key" in bound:
-            values = (e.qualifier[1] for e in hits if e.qualifier)
-        else:
-            values = (e.relation for e in hits)
-    elif "head_entity" not in bound and ("tail_entity" in bound
-                                         or "value" in bound):
-        return StepResult(step.index, kind=ENTITY_SET,
-                          values=_dedupe(e.head for e in hits))
+    bounds: dict[str, Any] = {}
+    for a in step.args:
+        name, cmp = _LOOKUP_ARGS[a.name]
+        bounds[name], bounds[cmp] = _bound_value(a.value, env), a.comparator
+    if "head" in bounds and "tail" in bounds:
+        side = "qvalue" if "qual_key" in bounds else "relation"
+    elif "head" not in bounds and ("tail" in bounds or "qual_value" in bounds):
+        side = "head"
     else:  # head bound alone, or column access: project tails
-        values = (e.tail for e in hits)
-    return StepResult(step.index, kind=VALUE_SET, values=_dedupe(values))
+        side = "tail"
+    kind = ENTITY_SET if side == "head" else VALUE_SET
+    return StepResult(step.index, kind=kind, values=cg.project(side, **bounds))
 
 
 def _numeric(values: Iterable[Scalar]) -> list[float] | None:
@@ -187,6 +176,8 @@ def _exec_aggregate(
 
 
 def _tighten(value: float) -> Scalar:
+    if not math.isfinite(value):  # JSON holds no Infinity or NaN
+        raise ArithmeticError("the result is not a finite number")
     return int(value) if float(value).is_integer() else value
 
 
@@ -194,7 +185,7 @@ def _exec_keep(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     bound = {a.name: a for a in step.args}
-    source = _value_set(bound["set"].value, env)
+    source = key_map(_value_set(bound["set"].value, env))
     key = bound["key"].value
     if isinstance(key, StepRef):
         raise ValueError("parameter 'key' of keep must be a literal")
@@ -210,39 +201,38 @@ def _exec_keep(
         values, ok = cg.field_test("qvalue", value, cond.comparator)
         return lambda i: ok(values[i])
 
-    kept = []
-    for entity in sort_values(source):  # the first fault is the same each run
-        for i in cg.entity_index.get(normalize(value_text(entity)), ()):
+    kept = {}
+    for k in sorted_keys(source):  # the first fault is the same each run
+        for i in cg.entity_index.get(normalize(value_text(source[k])), ()):
             if relations[i] == key_norm and tail_ok(tails[i]) or (
                     quals and quals[i] == key_norm and value_ok()(i)):
-                kept.append(entity)
+                kept[k] = source[k]
                 break
-    return StepResult(step.index, kind=ENTITY_SET, values=_dedupe(kept))
+    return StepResult(step.index, kind=ENTITY_SET, values=ValueSet(kept))
 
 
 def _exec_set_op(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     fn = step.function
-    bound = {a.name: _value_set(a.value, env) for a in step.args}
+    bound = {a.name: key_map(_value_set(a.value, env)) for a in step.args}
     if fn == "set_negation":
-        exclude = {value_key(v) for v in bound["set"]}
+        exclude = bound["set"]
         # a head's value_key is its entity_index key
-        out = [cg.edges[ids[0]].head for head, ids in cg.entity_index.items()
-               if head not in exclude]
-        return StepResult(step.index, kind=ENTITY_SET, values=frozenset(out))
-    lmap = {value_key(v): v for v in bound["set1"]}
-    rmap = {value_key(v): v for v in bound["set2"]}
+        out = {head: cg.edges[ids[0]].head
+               for head, ids in cg.entity_index.items() if head not in exclude}
+        return StepResult(step.index, kind=ENTITY_SET, values=ValueSet(out))
+    lmap, rmap = bound["set1"], bound["set2"]
     if fn == "set_intersection":
-        values = [v for k, v in lmap.items() if k in rmap]
+        values = {k: v for k, v in lmap.items() if k in rmap}
     elif fn == "set_union":  # set1's value wins on a shared key
-        values = {**rmap, **lmap}.values()
+        values = {**rmap, **lmap}
     else:  # set_difference
-        values = [v for k, v in lmap.items() if k not in rmap]
+        values = {k: v for k, v in lmap.items() if k not in rmap}
     kinds = {env[a.value.index].kind for a in step.args
              if isinstance(a.value, StepRef)}
     kind = ENTITY_SET if kinds == {ENTITY_SET} else VALUE_SET
-    return StepResult(step.index, kind=kind, values=frozenset(values))
+    return StepResult(step.index, kind=kind, values=ValueSet(values))
 
 
 _HANDLERS = {

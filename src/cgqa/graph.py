@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -75,6 +76,8 @@ def infer_scalar(text: str) -> tuple[Scalar, str]:
         value = float(cell)
         if value.is_integer() and "e" not in cell.lower() and "." not in cell:
             return int(cell), KIND_NUMERIC
+        if abs(value) > sys.float_info.max:  # 1e999: JSON holds no Infinity
+            return cell, KIND_TEXT
         return value, KIND_NUMERIC
     if _DATE_RE.match(cell):
         return cell, KIND_DATE
@@ -110,6 +113,40 @@ def value_key(value: Scalar) -> float | str:
     if isinstance(value, (int, float)):
         return float(value)
     return normalize(value)
+
+
+class ValueSet(frozenset):
+    """A step result: a frozenset of one value per value_key that holds
+    by_key (key -> value), so later steps, bounds and sort_values read the
+    keys instead of computing them again."""
+
+    __slots__ = ("by_key",)
+
+    def __new__(cls, by_key: dict[float | str, Scalar]) -> ValueSet:
+        values = super().__new__(cls, by_key.values())
+        values.by_key = by_key
+        return values
+
+
+def key_map(values: Iterable[Scalar]) -> dict[float | str, Scalar]:
+    """value_key -> value: a ValueSet's own map, else one built from values
+    (a plain set has no first value, so the last of a key wins)."""
+    if isinstance(values, ValueSet):
+        return values.by_key
+    return {value_key(v): v for v in values}
+
+
+def sorted_keys(keys: Iterable[float | str]) -> list[float | str]:
+    """Value keys in rendering order: numbers by value, then text."""
+    return sorted(keys, key=lambda k: (isinstance(k, str), k))
+
+
+def sort_values(values: Iterable[Scalar]) -> list[Scalar]:
+    """Stable rendering order: numbers first by value, then text. A ValueSet
+    sorts by its held keys; other values keep ties in iteration order."""
+    if isinstance(values, ValueSet):
+        return [values.by_key[k] for k in sorted_keys(values.by_key)]
+    return sorted(values, key=lambda v: (isinstance(v, str), value_key(v)))
 
 
 def compare_values(left: Scalar, right: Scalar, op: str) -> bool:
@@ -280,12 +317,28 @@ class ConditionGraph:
             self._tail_index = {k: tuple(sorted(v)) for k, v in index.items()}
         return self._tail_index
 
-    def lookup(self, head: Bound = None, relation: Bound = None,
-               tail: Bound = None, tail_cmp: str = "=", qual_key: Bound = None,
-               qual_value: Bound = None, qual_cmp: str = "=", *,
-               head_cmp: str = "=", relation_cmp: str = "=",
-               key_cmp: str = "=") -> list[Edge]:
-        """Edges matching every bound field, in stable edge order.
+    def lookup(self, *args: Any, **kwargs: Any) -> list[Edge]:
+        """The edges lookup_ids(*args, **kwargs) names, in edge order."""
+        return [self.edges[i] for i in self.lookup_ids(*args, **kwargs)]
+
+    def project(self, field: str, **bounds: Any) -> ValueSet:
+        """The field (one of _FIELDS) of the edges lookup_ids(**bounds)
+        names, keyed by their stored "in" keys: per key, the first value in
+        edge order. An edge without a qualifier adds nothing to a qualifier
+        projection."""
+        keys, get, by_key = self.edge_keys(field, "in"), _FIELDS[field], {}
+        for i in self.lookup_ids(**bounds):
+            if keys[i] not in by_key:
+                by_key[keys[i]] = get(self.edges[i])
+        by_key.pop(_MISSING, None)
+        return ValueSet(by_key)
+
+    def lookup_ids(self, head: Bound = None, relation: Bound = None,
+                   tail: Bound = None, tail_cmp: str = "=",
+                   qual_key: Bound = None, qual_value: Bound = None,
+                   qual_cmp: str = "=", *, head_cmp: str = "=",
+                   relation_cmp: str = "=", key_cmp: str = "=") -> list[int]:
+        """Ids of the edges matching every bound field, in edge order.
 
         A bound field is a literal or a set of values, tested as field_test
         says, on stored keys; a literal relation matches by normalized label
@@ -302,8 +355,8 @@ class ConditionGraph:
             rel_ids = self.relation_index.get(rel_norm, ())
             options.append(rel_ids)
         if head is not None and head_cmp == "=" and _is_set(head):
-            options.append(_ids(self.entity_index, {
-                normalize(v) for v in head if isinstance(v, str)}))
+            # a number's key is a float, which no entity_index key equals
+            options.append(_ids(self.entity_index, key_map(head)))
         elif head is not None and head_cmp == "=" and isinstance(
                 _eq_key(head), str):
             options.append(self.entity_index.get(normalize(head), ()))
@@ -311,7 +364,7 @@ class ConditionGraph:
                 rel_ids is not None or relation_cmp == "="):
             index = self._tail_keys()
             if _is_set(tail):
-                options.append(_ids(index, {value_key(v) for v in tail}))
+                options.append(_ids(index, key_map(tail)))
             elif self.edge_keys("tail", "=") is self.edge_keys("tail", "in"):
                 options.append(index.get(_eq_key(tail), ()))
         ids = min(options, key=len) if options else range(len(self.edges))
@@ -330,22 +383,21 @@ class ConditionGraph:
                 if not test(keys[i]):
                     break
             else:
-                out.append(self.edges[i])
+                out.append(i)
         return out
 
     def field_test(self, field: str, bound: Bound, cmp: str
                    ) -> tuple[Sequence, Callable[[Any], bool]]:
         """(a sequence indexed by edge id, a test of its item): whether an
         edge's field (one of _FIELDS) matches bound under cmp, as a scan
-        tests it. A literal compares under compare_values. A set (an
-        earlier step's result) matches by value_key membership, without
-        numeric coercion, and admits only '='; a bad comparator raises only
-        when an edge is tested. An edge without a qualifier fails a
-        qualifier test without raising. The bound's key is computed once."""
+        tests it. A literal compares under compare_values, keyed once. A
+        set (an earlier step's result) matches by membership in its key_map,
+        without numeric coercion, and admits only '='; a bad comparator
+        raises only when an edge is tested. An edge without a qualifier
+        fails a qualifier test without raising."""
         edges, get = self.edges, _FIELDS[field]
         if cmp == "=" and _is_set(bound):
-            return (self.edge_keys(field, "in"),
-                    {value_key(v) for v in bound}.__contains__)
+            return self.edge_keys(field, "in"), key_map(bound).__contains__
         if cmp == "=":
             return self.edge_keys(field, "="), partial(eq, _eq_key(bound))
         if _is_set(bound):
@@ -552,6 +604,11 @@ def load_graph(path: str) -> ConditionGraph:
             check_types(data["meta"], {"source_kind": str})
             meta.update(data["meta"])
             return None
-        return Edge.from_dict(data)
+        edge = Edge.from_dict(data)
+        if not (isinstance(edge.tail, str)  # NaN fails every comparison
+                or abs(edge.tail) <= sys.float_info.max):
+            raise ValueError("field 'tail' must be a string or a number "
+                             "within float range")
+        return edge
     edges = read_jsonl(path, build)
     return ConditionGraph(filter(None, edges), source_kind=meta["source_kind"])

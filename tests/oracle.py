@@ -7,6 +7,7 @@ two paths can be compared outcome-for-outcome on random cases.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -205,6 +206,8 @@ def _run_step(step, bound, edges, env, env_keys):
                 out = min(nums)
             else:
                 out = max(nums)
+            if not math.isfinite(out):
+                raise _Fault(f"{fn} is not a finite number")
             return [int(out) if float(out).is_integer() else out]
         if fn in ("min", "max"):
             dated = [( _time_tuple(v), v) for v in values]
@@ -285,20 +288,31 @@ def _error_step(outcome):
     return len(outcome.per_step) + 1
 
 
-def random_graph(rng: random.Random, max_edges: int = 30):
+# Labels that share a match key with one of the plan generator's ("h1",
+# "austin"): on a graph that holds them, each step must choose which
+# surface form of a key it keeps.
+VARIANT_ENTITIES = ["H1", "h1 "]
+VARIANT_TEXTS = ["Austin", " AUSTIN ", "austin "]
+
+
+def random_graph(rng: random.Random, max_edges: int = 30,
+                 variants: bool = False):
     """A graph aligned with the plan generator's vocabulary, plus the raw
-    edge tuples the reference evaluator consumes."""
+    edge tuples the reference evaluator consumes. With variants, heads and
+    text tails are also drawn from VARIANT_ENTITIES and VARIANT_TEXTS."""
+    entities = ENTITIES + VARIANT_ENTITIES if variants else ENTITIES
+    texts = TEXTS + VARIANT_TEXTS if variants else TEXTS
     n = rng.randint(0, max_edges)
     raw = []
     for _ in range(n):
-        head = rng.choice(ENTITIES)
+        head = rng.choice(entities)
         rel = rng.choice(RELATIONS)
         if rel in NUMERIC_RELATIONS:
             tail = rng.randint(0, 50)
         elif rel == "team":
-            tail = rng.choice(ENTITIES)
+            tail = rng.choice(entities)
         else:
-            tail = rng.choice(TEXTS)
+            tail = rng.choice(texts)
         if rng.random() < 0.3:
             year = rng.randint(1990, 2020)
             if rng.random() < 0.5:
@@ -323,6 +337,26 @@ def random_graph(rng: random.Random, max_edges: int = 30):
         for h, r, t, q in raw
     ]
     return cg, tuples
+
+
+def gen_set_op_plan(rng: random.Random):
+    """Two get_information steps whose results can hold one key in
+    different surface forms, then a set operation over them in either
+    order."""
+    from cgqa.dsl import Arg, QueryPlan, QueryStep
+
+    def projection(i: int) -> QueryStep:
+        return QueryStep(i, "get_information", tuple(rng.choice([
+            [Arg("relation", "=", rng.choice(["city", "team"]))],
+            [Arg("head_entity", "=", rng.choice(ENTITIES))],
+            [Arg("relation", "=", "team"),
+             Arg("tail_entity", "=", rng.choice(ENTITIES))],
+        ])))
+
+    set1, set2 = rng.sample([StepRef(1), StepRef(2)], 2)
+    op = rng.choice(["set_intersection", "set_union", "set_difference"])
+    return QueryPlan(steps=[projection(1), projection(2), QueryStep(
+        3, op, (Arg("set1", "=", set1), Arg("set2", "=", set2)))])
 
 
 def random_case(rng: random.Random):

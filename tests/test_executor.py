@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgqa.executor as executor_module
+import cgqa.graph as graph_module
 from cgqa.dsl import Arg, QueryStep, StepRef, parse_plan, validate_plan
 from cgqa.errors import ErrorKind, QueryError
 from cgqa.executor import (ENTITY_SET, VALUE_SET, StepResult, execute_plan,
@@ -20,18 +22,24 @@ from cgqa.executor import (ENTITY_SET, VALUE_SET, StepResult, execute_plan,
 from cgqa.errors import classify_fault
 from cgqa.graph import (
     ConditionGraph,
+    Edge,
     KindMismatchError,
+    ValueSet,
     compare_values,
     dump_graph,
     ingest_table,
+    key_map,
     load_graph,
     normalize,
     value_key,
 )
 
+from genplans import gen_plan
 from oracle import (
     gen_lookup_plan,
+    gen_set_op_plan,
     random_case,
+    random_graph,
     random_large_graph,
     run_reference,
     summarize_outcome,
@@ -175,6 +183,21 @@ class TestAggregates:
         assert outcome.error.kind is ErrorKind.RUNTIME_EXCEPTION
         assert outcome.error.detail["function"] == "sum"
         assert "unsupported operand type(s)" in outcome.error.message
+
+    @pytest.mark.parametrize("fn", ["sum", "mean"])
+    @pytest.mark.parametrize("tails", [["1e308", "1.5e308"], ["inf", "-inf"]])
+    def test_a_result_that_is_not_finite_is_runtime_fault(self, fn, tails):
+        # JSON has no Infinity or NaN: a sum that overflows, or a sum or mean
+        # over infinite tails (a graph built in memory), is no answer
+        cg = ConditionGraph(Edge(f"p{i}", "mass", float(t), "numeric")
+                            for i, t in enumerate(tails))
+        outcome = run("query1 = get_information(relation='mass')\n"
+                      f"query2 = {fn}(set=output_of_query1)", cg)
+        assert outcome.error.kind is ErrorKind.RUNTIME_EXCEPTION
+        assert outcome.error.message == (
+            f"Exception from executor in function '{fn}': the result is "
+            "not a finite number")
+        assert len(outcome.per_step) == 1 and outcome.answer is None
 
     def test_min_over_dates_chronological(self):
         cg = ingest_table(
@@ -341,6 +364,16 @@ class TestOutcomeShape:
         assert list(map(repr, sort_values(values))) == list(
             map(repr, numbers + texts))
 
+    @given(st.lists(st.integers(-3, 3) | st.floats(-3, 3) | st.booleans()
+                    | st.sampled_from(["a", "A", " a", "b", "B ", "ß", "SS",
+                                       "ss", "10", "2"]) | st.text(max_size=3),
+                    max_size=12))
+    def test_a_value_set_sorts_by_its_held_keys(self, values):
+        held = ValueSet(key_map(values))
+        assert held == frozenset(key_map(values).values())
+        assert list(map(repr, sort_values(held))) == list(
+            map(repr, sort_values(list(held))))
+
     def test_success_iff_no_error_and_full_prefix(self, people_graph):
         clean = run(
             "query1 = get_information(relation='Age')\n"
@@ -416,6 +449,55 @@ def test_reference_agreement_quick():
         assert got == want, f"\nplan:\n{plan}\ngot:  {got}\nwant: {want}"
         agree += 1
     assert agree == 120
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_reference_agreement_on_labels_that_share_a_key(seed):
+    # "h1", "H1" and "h1 " share one key, as do "austin", "Austin",
+    # " AUSTIN " and "austin ": a projection keeps the first surface form in
+    # edge order, a set operation set1's, as the oracle does
+    rng = random.Random(seed)
+    cg, tuples = random_graph(rng, variants=True)
+    plan = validate_plan(rng.choice([gen_plan, gen_set_op_plan])(rng))
+    got = summarize_outcome(execute_plan(plan, cg))
+    want = run_reference(plan, tuples)
+    assert got == want, f"\nplan:\n{plan}\ngot:  {got}\nwant: {want}"
+
+
+def test_steps_read_the_keys_the_graph_and_earlier_steps_hold(monkeypatch):
+    # Once a graph's key tables are built, projecting, combining, negating,
+    # filtering and encoding step results computes no value_key. A literal
+    # under "=" keys itself once (_eq_key), so only relations bind one here.
+    cg, _ = random_large_graph(random.Random(31), 3000)
+    plan = validate_plan(parse_plan(
+        "query1 = get_information(relation='age', tail_entity>40)\n"
+        "query2 = get_information(relation='team')\n"
+        "query3 = set_union(set1=output_of_query1, set2=output_of_query2)\n"
+        "query4 = set_intersection(set1=output_of_query3, "
+        "set2=output_of_query1)\n"
+        "query5 = set_difference(set1=output_of_query3, "
+        "set2=output_of_query4)\n"
+        "query6 = set_negation(set=output_of_query5)\n"
+        "query7 = keep(set=output_of_query6, key='score', value>25)\n"
+        "query8 = get_information(head_entity=output_of_query7, "
+        "relation='team')\n"
+        "query9 = get_information(tail_entity=output_of_query8)\n"
+        "query10 = get_information(head_entity=output_of_query7, "
+        "tail_entity=output_of_query9)"))
+    want = execute_plan(plan, cg).to_dict()  # builds the key tables
+    assert want["status"] == "success" and all(
+        step["values"] for step in want["per_step"])
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return value_key(value)
+    for module in (graph_module, executor_module):
+        if hasattr(module, "value_key"):
+            monkeypatch.setattr(module, "value_key", counted)
+    assert execute_plan(plan, cg).to_dict() == want
+    assert calls == []
 
 
 @pytest.fixture(scope="module", params=[False, True],

@@ -346,6 +346,20 @@ def test_infer_scalar_kinds():
     assert infer_scalar("hello") == ("hello", "text")
 
 
+def test_a_numeral_no_float_holds_is_ingested_as_text(tmp_path):
+    # JSON has no Infinity: "1e999" would read as float inf, so it stays
+    # the text it is, and its dump round-trips
+    assert infer_scalar("1e999") == ("1e999", "text")
+    assert infer_scalar("-1e999") == ("-1e999", "text")
+    assert infer_scalar("1e-999") == (0.0, "numeric")
+    cg = ingest_triples([("Ann", "mass", "1e999"), ("Ann", "age", "20")])
+    path = tmp_path / "graph.jsonl"
+    dump_graph(cg, str(path))
+    for line in path.read_text(encoding="utf-8").splitlines():
+        json.loads(line, parse_constant=pytest.fail)
+    assert load_graph(str(path)).edges == cg.edges
+
+
 def test_dump_load_round_trip(tmp_path, people_graph, terms_graph):
     for cg in (people_graph, terms_graph):
         path = str(tmp_path / f"{cg.source_kind}.jsonl")
@@ -521,6 +535,23 @@ def test_null_tail_in_a_dump_fails_at_load(tmp_path):
         load_graph(str(path))
     assert str(err.value) == (f"{path}:2: field 'tail' must be a string, "
                               "an integer or a number, not null")
+
+
+@pytest.mark.parametrize("tail", ["1e999", "-Infinity", "NaN",
+                                  "1" + "0" * 400])
+def test_non_finite_tail_in_a_dump_fails_at_load(tmp_path, tail):
+    # Python's json reads the first three as floats no JSON holds, and the
+    # last as an integer that no float holds, which value_key cannot key
+    path = tmp_path / "graph.jsonl"
+    path.write_text(
+        '{"head": "Ann", "relation": "age", "tail": 20, '
+        '"tail_kind": "numeric"}\n'
+        f'{{"head": "Ann", "relation": "mass", "tail": {tail}, '
+        '"tail_kind": "numeric"}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_graph(str(path))
+    assert str(err.value) == (f"{path}:2: field 'tail' must be a string or "
+                              "a number within float range")
 
 
 TEMPORAL_RELATIONS = ["chair", "budget", "opened", "member"]
