@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import ErrorKind, QueryError
 
@@ -300,8 +301,9 @@ def render_value(value: Literal) -> str:
         if not text.isprintable():  # it may hold a line break
             text = text.translate(_BREAK_ESCAPES)
         return f"'{text}'"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # positional: the grammar reads no exponent
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else f"{text}.0"
     return str(value)
 
 

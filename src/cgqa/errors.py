@@ -2,9 +2,9 @@
 
 Every failure a query can hit — in parsing, validation, or execution — is
 one of eight kinds, split into two categories. Parsing errors are caught
-before execution; execution errors surface while a plan runs. Each kind
-renders to a deterministic message that is fed back to the model during
-correction, so the wording here is frozen by golden tests.
+before execution; execution errors surface while a plan runs. One table of
+templates renders each kind's message, which is fed back to the model
+during correction, so the wording here is frozen by golden tests.
 """
 
 from __future__ import annotations
@@ -30,19 +30,10 @@ class ErrorKind(enum.Enum):
         return "execution" if self in EXECUTION_KINDS else "parsing"
 
 
-PARSING_KINDS = frozenset(
-    {
-        ErrorKind.UNDEFINED_FUNCTION,
-        ErrorKind.ILLEGAL_PARAMETER,
-        ErrorKind.INCONSISTENT_PARAMETERS,
-        ErrorKind.ILLEGAL_COMPARATOR,
-        ErrorKind.NON_ATOMIC_OPERATION,
-        ErrorKind.NON_STANDARD_EXPRESSION,
-    }
-)
 EXECUTION_KINDS = frozenset(
     {ErrorKind.RUNTIME_EXCEPTION, ErrorKind.EMPTY_MID_STEP_RESULT}
 )
+PARSING_KINDS = frozenset(ErrorKind) - EXECUTION_KINDS
 
 
 class QueryError(Exception):
@@ -50,13 +41,14 @@ class QueryError(Exception):
 
     The detail mapping is total for its kind: rendering never needs a field
     that is absent. Raised by the parser, validator, and executor; stored as
-    a value inside outcomes and traces.
+    a value inside outcomes and traces. The message is rendered once, into
+    ``args[0]``, since nothing writes ``detail`` after construction.
     """
 
     def __init__(self, kind: ErrorKind, **detail: Any) -> None:
         self.kind = kind
         self.detail: dict[str, Any] = dict(detail)
-        super().__init__(self.message)
+        super().__init__(render_message(self))
 
     @property
     def category(self) -> str:
@@ -64,7 +56,7 @@ class QueryError(Exception):
 
     @property
     def message(self) -> str:
-        return render_message(self)
+        return self.args[0]
 
     def detached(self) -> "QueryError":
         """A copy with no traceback, cause or context, for storing as a value.
@@ -98,105 +90,68 @@ class QueryError(Exception):
         return f"QueryError({self.kind.value}, {self.detail!r})"
 
 
-# The JSON type of every detail key that a message template reads.
+# The JSON type of every detail key that rendering a message reads.
 _DETAIL_TYPES = {"registry": list[str], "allowed": list[str],
                  "parameters": list[str], "step": int, **dict.fromkeys((
                      "function", "parameter", "reason", "comparator", "outer",
                      "inner", "text", "what", "fault"), str)}
 
 
-def _render_undefined_function(d: Mapping[str, Any]) -> str:
-    names = ", ".join(d["registry"])
-    return (
-        f"The function '{d['function']}' is not defined! "
-        f"Please call one of: [{names}]."
-    )
+# The list a kind's detail must carry, and how one of its names is shown.
+_LISTS = {ErrorKind.UNDEFINED_FUNCTION: ("registry", "{}"),
+          ErrorKind.ILLEGAL_PARAMETER: ("allowed", "'{}'"),
+          ErrorKind.INCONSISTENT_PARAMETERS: ("parameters", "'{}'")}
 
-
-def _render_illegal_parameter(d: Mapping[str, Any]) -> str:
-    allowed = ", ".join(f"'{p}'" for p in d["allowed"])
-    return (
-        f"For function '{d['function']}', parameter name '{d['parameter']}' "
-        f"is illegal, the parameter name must be in [{allowed}]."
-    )
-
-
-def _render_inconsistent_parameters(d: Mapping[str, Any]) -> str:
-    fn = d["function"]
-    reason = d.get("reason", "simultaneous")
-    params = ", ".join(f"'{p}'" for p in d["parameters"])
-    if reason == "missing":
-        return (
-            f"For function '{fn}', the parameter combination is incomplete: "
-            f"required parameters [{params}] are missing."
-        )
-    if reason == "duplicate":
-        return (
-            f"For function '{fn}', it is not allowed to pass the parameters "
-            f"[{params}] more than once."
-        )
-    if reason == "unbound":
-        return (
-            f"For function '{fn}', at least one parameter must be given."
-        )
-    return (
-        f"For function '{fn}', it is not allowed to assign values to "
-        f"parameters [{params}] at the same time."
-    )
-
-
-def _render_illegal_comparator(d: Mapping[str, Any]) -> str:
-    return (
-        f"In function '{d['function']}', comparison symbol '{d['comparator']}' "
-        f"for '{d['parameter']}' is illegal, and non-equal comparators are "
-        f"only allowed for parameters 'tail_entity' and 'value'."
-    )
-
-
-def _render_non_atomic_operation(d: Mapping[str, Any]) -> str:
-    return (
-        f"The query is not an atomic operation: functions '{d['outer']}' and "
-        f"'{d['inner']}' are nested. Please make sure that each step is atomic."
-    )
-
-
-def _render_non_standard_expression(d: Mapping[str, Any]) -> str:
-    what = d.get("what", "passed parameter value")
-    return (
-        f"Parsing the {what} '{d['text']}' failed. "
-        f"Please ensure that the format of the query is correct"
-    )
-
-
-def _render_runtime_exception(d: Mapping[str, Any]) -> str:
-    return f"Exception from executor in function '{d['function']}': {d['fault']}"
-
-
-def _render_empty_mid_step_result(d: Mapping[str, Any]) -> str:
-    i = d["step"]
-    return (
-        f"For query{i}, the execution result=set(), that is output_of_query{i} "
-        f"is empty, which may affect subsequent query execution and final "
-        f"result. Please verify the correctness of entity or relation."
-    )
-
-
-# One table, one template per kind; keeps the taxonomy auditable.
-_TEMPLATES = {
-    ErrorKind.UNDEFINED_FUNCTION: _render_undefined_function,
-    ErrorKind.ILLEGAL_PARAMETER: _render_illegal_parameter,
-    ErrorKind.INCONSISTENT_PARAMETERS: _render_inconsistent_parameters,
-    ErrorKind.ILLEGAL_COMPARATOR: _render_illegal_comparator,
-    ErrorKind.NON_ATOMIC_OPERATION: _render_non_atomic_operation,
-    ErrorKind.NON_STANDARD_EXPRESSION: _render_non_standard_expression,
-    ErrorKind.RUNTIME_EXCEPTION: _render_runtime_exception,
-    ErrorKind.EMPTY_MID_STEP_RESULT: _render_empty_mid_step_result,
+# One table, one template per kind and one per reason of an inconsistent-
+# parameters error (an unknown reason reads as "simultaneous").
+_TEMPLATES: dict[ErrorKind | str, str] = {
+    ErrorKind.UNDEFINED_FUNCTION:
+        "The function '{function}' is not defined! "
+        "Please call one of: [{registry}].",
+    ErrorKind.ILLEGAL_PARAMETER:
+        "For function '{function}', parameter name '{parameter}' is illegal, "
+        "the parameter name must be in [{allowed}].",
+    "missing":
+        "For function '{function}', the parameter combination is incomplete: "
+        "required parameters [{parameters}] are missing.",
+    "duplicate":
+        "For function '{function}', it is not allowed to pass the parameters "
+        "[{parameters}] more than once.",
+    "unbound": "For function '{function}', at least one parameter must be given.",
+    "simultaneous":
+        "For function '{function}', it is not allowed to assign values to "
+        "parameters [{parameters}] at the same time.",
+    ErrorKind.ILLEGAL_COMPARATOR:
+        "In function '{function}', comparison symbol '{comparator}' for "
+        "'{parameter}' is illegal, and non-equal comparators are only allowed "
+        "for parameters 'tail_entity' and 'value'.",
+    ErrorKind.NON_ATOMIC_OPERATION:
+        "The query is not an atomic operation: functions '{outer}' and "
+        "'{inner}' are nested. Please make sure that each step is atomic.",
+    ErrorKind.NON_STANDARD_EXPRESSION:
+        "Parsing the {what} '{text}' failed. "
+        "Please ensure that the format of the query is correct",
+    ErrorKind.RUNTIME_EXCEPTION:
+        "Exception from executor in function '{function}': {fault}",
+    ErrorKind.EMPTY_MID_STEP_RESULT:
+        "For query{step}, the execution result=set(), that is "
+        "output_of_query{step} is empty, which may affect subsequent query "
+        "execution and final result. Please verify the correctness of entity "
+        "or relation.",
 }
 
 
 def render_message(err: QueryError) -> str:
     """Render the feedback message for an error. Pure in (kind, detail)."""
-    return _TEMPLATES[err.kind](err.detail)
+    detail, key = err.detail, err.kind
+    fields = {"what": "passed parameter value", **detail}
+    if key in _LISTS:
+        name, form = _LISTS[key]
+        fields[name] = ", ".join(map(form.format, detail[name]))
+    if key is ErrorKind.INCONSISTENT_PARAMETERS:
+        reason = detail.get("reason")
+        key = reason if reason in _TEMPLATES else "simultaneous"
+    return _TEMPLATES[key].format_map(fields)
 
 
 def classify_fault(function: str, exc: BaseException) -> QueryError:

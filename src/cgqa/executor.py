@@ -158,7 +158,9 @@ def _exec_aggregate(
     if fn == "count":
         result: Scalar = len(source)
     elif nums := _numeric(source):
-        result = _tighten(_AGGREGATES[fn](nums))
+        # Added in sorted order, so a float total is the same however the
+        # set's values were inserted.
+        result = _tighten(_AGGREGATES[fn](sorted(nums)))
     elif fn in ("min", "max") and (dated := _dates(source)):
         result = _AGGREGATES[fn](dated)[1]
     else:

@@ -181,6 +181,19 @@ class TestRendering:
         assert parse_plan(text).steps == list(plan.steps)
         assert render_plan(parse_plan(text)) == text
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.00001, 1e20, 12345678901234567890.5, -0.0]))
+    def test_number_literals_round_trip(self, number):
+        # The grammar reads no exponent, so a float renders positionally.
+        step = QueryStep(index=1, function="keep", args=(
+            Arg("set", "=", StepRef(1)), Arg("key", "=", "k"),
+            Arg("value", "<", number)))
+        text = render_plan(QueryPlan(steps=[step]))
+        value = parse_plan(text).steps[0].args[2].value
+        assert (type(value), value) == (type(number), number)
+        assert render_plan(parse_plan(text)) == text
+
     def test_determinism(self):
         text = gen_plan_text(random.Random(42))
         assert parse_plan(text).steps == parse_plan(text).steps

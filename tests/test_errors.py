@@ -3,6 +3,8 @@ byte-exact feedback messages they render."""
 
 from __future__ import annotations
 
+import re
+import string
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,9 @@ import pytest
 from cgqa.correction import assess
 from cgqa.dsl import parse_plan, validate_plan
 from cgqa.errors import (
+    _DETAIL_TYPES,
+    _LISTS,
+    _TEMPLATES,
     EXECUTION_KINDS,
     PARSING_KINDS,
     ErrorKind,
@@ -20,6 +25,7 @@ from cgqa.errors import (
 from cgqa.graph import ingest_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "messages"
+SRC_DIR = Path(__file__).parent.parent / "src" / "cgqa"
 
 
 def golden(name: str) -> str:
@@ -185,3 +191,113 @@ def test_from_dict_names_the_bad_detail_key(data, want):
     with pytest.raises(TypeError) as exc_info:
         QueryError.from_dict(data)
     assert str(exc_info.value) == want
+
+
+# Every message text, byte for byte: one case per (kind, reason), with
+# multi-name lists so each join and quoting shows.
+_ALL_MESSAGES = [
+    (ErrorKind.UNDEFINED_FUNCTION,
+     {"function": "f", "registry": ["count", "sum"]},
+     "The function 'f' is not defined! Please call one of: [count, sum]."),
+    (ErrorKind.ILLEGAL_PARAMETER,
+     {"function": "max", "parameter": "key", "allowed": ["set", "top"]},
+     "For function 'max', parameter name 'key' is illegal, the parameter "
+     "name must be in ['set', 'top']."),
+    (ErrorKind.INCONSISTENT_PARAMETERS,
+     {"function": "keep", "parameters": ["a", "b"], "reason": "missing"},
+     "For function 'keep', the parameter combination is incomplete: "
+     "required parameters ['a', 'b'] are missing."),
+    (ErrorKind.INCONSISTENT_PARAMETERS,
+     {"function": "count", "parameters": ["set"], "reason": "duplicate"},
+     "For function 'count', it is not allowed to pass the parameters "
+     "['set'] more than once."),
+    (ErrorKind.INCONSISTENT_PARAMETERS,
+     {"function": "get_information", "parameters": [], "reason": "unbound"},
+     "For function 'get_information', at least one parameter must be given."),
+    (ErrorKind.INCONSISTENT_PARAMETERS,
+     {"function": "get_information", "parameters": ["tail_entity", "value"],
+      "reason": "simultaneous"},
+     "For function 'get_information', it is not allowed to assign values "
+     "to parameters ['tail_entity', 'value'] at the same time."),
+    (ErrorKind.ILLEGAL_COMPARATOR,
+     {"function": "keep", "comparator": ">=", "parameter": "relation"},
+     "In function 'keep', comparison symbol '>=' for 'relation' is illegal, "
+     "and non-equal comparators are only allowed for parameters "
+     "'tail_entity' and 'value'."),
+    (ErrorKind.NON_ATOMIC_OPERATION,
+     {"outer": "count", "inner": "keep"},
+     "The query is not an atomic operation: functions 'count' and 'keep' "
+     "are nested. Please make sure that each step is atomic."),
+    (ErrorKind.NON_STANDARD_EXPRESSION,
+     {"text": "{x}"},
+     "Parsing the passed parameter value '{x}' failed. Please ensure that "
+     "the format of the query is correct"),
+    (ErrorKind.RUNTIME_EXCEPTION,
+     {"function": "sum", "fault": "bad {0} operand"},
+     "Exception from executor in function 'sum': bad {0} operand"),
+    (ErrorKind.EMPTY_MID_STEP_RESULT,
+     {"step": 12},
+     "For query12, the execution result=set(), that is output_of_query12 is "
+     "empty, which may affect subsequent query execution and final result. "
+     "Please verify the correctness of entity or relation."),
+]
+
+
+@pytest.mark.parametrize("kind, detail, want", _ALL_MESSAGES,
+                         ids=[f"{k.value}-{d.get('reason', '')}"
+                              for k, d, _ in _ALL_MESSAGES])
+def test_every_message_is_pinned(kind, detail, want):
+    err = QueryError(kind, **detail)
+    assert err.message == render_message(err) == str(err) == want
+    assert QueryError.from_dict(err.to_dict()).message == want
+
+
+@pytest.mark.parametrize("what", [
+    "query", "query step", "step reference", "correction reply",
+])
+def test_every_what_is_pinned(what):
+    err = QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text="x y", what=what)
+    assert err.message == (f"Parsing the {what} 'x y' failed. Please ensure "
+                           "that the format of the query is correct")
+
+
+def test_unknown_reason_renders_the_simultaneous_text():
+    err = QueryError(ErrorKind.INCONSISTENT_PARAMETERS, function="keep",
+                     parameters=["a"], reason="sideways")
+    assert err.message == ("For function 'keep', it is not allowed to assign "
+                           "values to parameters ['a'] at the same time.")
+
+
+def _one_key_short():
+    for kind, detail, _ in _ALL_MESSAGES:
+        for key in detail:
+            if key != "reason":
+                short = {k: v for k, v in detail.items() if k != key}
+                yield pytest.param(kind, short, key,
+                                   id=f"{kind.value}-{detail.get('reason', '')}"
+                                      f"-{key}")
+
+
+@pytest.mark.parametrize("kind, detail, key", _one_key_short())
+def test_from_dict_names_the_one_missing_key(kind, detail, key):
+    # "unbound" shows no parameters, yet its detail must still carry them.
+    with pytest.raises(TypeError) as exc_info:
+        QueryError.from_dict({"kind": kind.value, "detail": detail})
+    assert str(exc_info.value) == f"field 'detail' has no key '{key}'"
+
+
+def test_the_template_table_covers_every_kind_and_reason():
+    reasons = {reason for path in SRC_DIR.glob("*.py")
+               for reason in re.findall(r'reason="(\w+)"', path.read_text())}
+    assert reasons == {"missing", "duplicate", "unbound", "simultaneous"}
+    assert set(_TEMPLATES) == reasons | (
+        set(ErrorKind) - {ErrorKind.INCONSISTENT_PARAMETERS})
+
+
+def test_from_dict_checks_exactly_the_keys_the_messages_read():
+    read = {field for template in _TEMPLATES.values()
+            for _, field, _, _ in string.Formatter().parse(template) if field}
+    assert {name for name, _ in _LISTS.values()} <= read
+    # "reason" picks an inconsistent-parameters template; templates read
+    # every other key.
+    assert read | {"reason"} == set(_DETAIL_TYPES)

@@ -28,6 +28,7 @@ from cgqa.graph import (
     compare_values,
     dump_graph,
     ingest_table,
+    ingest_triples,
     key_map,
     load_graph,
     normalize,
@@ -649,3 +650,26 @@ def test_keep_reports_the_same_fault_under_any_hash_seed():
     assert [run.returncode for run in runs] == [0, 0]
     assert messages[0] == messages[1]
     assert "'p0'" in messages[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-999, 999), min_size=3, max_size=9),
+       st.integers(1, 8), st.sampled_from(["sum", "mean"]))
+def test_sum_and_mean_do_not_depend_on_operand_order(tenths, split, fn):
+    """Float addition is not associative, so a set's total must not follow
+    the order its values were inserted in: a union reached from either side
+    holds the same values and must give the same answer."""
+    triples = [(f"e{i}", "q1" if i < split else "q2", str(t / 10))
+               for i, t in enumerate(tenths)]
+    cg = ingest_triples(triples)
+
+    def answer(first: str, second: str):
+        plan = validate_plan(parse_plan(
+            "query1 = get_information(relation='q1')\n"
+            "query2 = get_information(relation='q2')\n"
+            f"query3 = set_union(set1=output_of_query{first}, "
+            f"set2=output_of_query{second})\n"
+            f"query4 = {fn}(set=output_of_query3)"))
+        return execute_plan(plan, cg).to_dict()
+
+    assert answer("1", "2") == answer("2", "1")
