@@ -37,7 +37,6 @@ from .dsl import (
     FunctionRegistry,
     QueryPlan,
     QueryStep,
-    default_registry,
     parse_plan,
     render_plan,
     validate_plan,

@@ -17,8 +17,8 @@ from typing import Any, Iterable, Sequence
 
 from .dsl import DEFAULT_REGISTRY, parse_plan, validate_plan
 from .errors import ErrorKind, QueryError
-from .executor import ExecutionOutcome, execute_plan, sort_values
-from .graph import ConditionGraph, SchemaDescriptor, Scalar
+from .executor import ExecutionOutcome, execute_plan
+from .graph import ConditionGraph, SchemaDescriptor, Scalar, sort_values
 from .jsonl import Record
 from .llm import ChatMessage, flatten_messages
 
@@ -291,8 +291,7 @@ def build_correction_prompt(
 
 
 def query_prompt_text(question_text: str, schema_text: str) -> str:
-    return flatten_messages(build_query_prompt(question_text, schema_text),
-                            add_assistant_cue=True)
+    return flatten_messages(build_query_prompt(question_text, schema_text))
 
 
 def correction_prompt_text(
@@ -304,8 +303,7 @@ def correction_prompt_text(
     return flatten_messages(
         build_correction_prompt(
             question_text, schema_text, wrong_plan_text, error_message
-        ),
-        add_assistant_cue=True,
+        )
     )
 
 

@@ -214,37 +214,29 @@ def score_sequence(context: str, target: str, scorer: TokenScorer) -> float:
 
 
 def query_generation_loss(
-    records: Sequence[SftRecord], scorer: TokenScorer, per_token: bool = False
+    records: Sequence[SftRecord], scorer: TokenScorer
 ) -> float:
     """Negated log-likelihood of query-generation targets (token sum)."""
-    return _nll(records, scorer, KIND_QUERY_GEN, per_token)
+    return _nll(records, scorer, KIND_QUERY_GEN)
 
 
 def correction_loss(
-    records: Sequence[SftRecord], scorer: TokenScorer, per_token: bool = False
+    records: Sequence[SftRecord], scorer: TokenScorer
 ) -> float:
     """Negated log-likelihood of correction targets (token sum)."""
-    return _nll(records, scorer, KIND_CORRECTION, per_token)
+    return _nll(records, scorer, KIND_CORRECTION)
 
 
-def _nll(
-    records: Sequence[SftRecord],
-    scorer: TokenScorer,
-    expected_kind: str,
-    per_token: bool,
-) -> float:
+def _nll(records: Sequence[SftRecord], scorer: TokenScorer,
+         expected_kind: str) -> float:
     total = 0.0
-    tokens = 0
     for record in records:
         if record.kind != expected_kind:
             raise ScorerFailure(
                 f"expected only {expected_kind} records, got {record.kind}"
             )
-        logprobs = scorer.token_logprobs(record.input_text, record.target_text)
-        total -= sum(logprobs)
-        tokens += len(logprobs)
-    if per_token:
-        return total / tokens if tokens else 0.0
+        total -= sum(scorer.token_logprobs(record.input_text,
+                                           record.target_text))
     return total
 
 

@@ -66,7 +66,6 @@ class QueryStep:
 @dataclass
 class QueryPlan:
     steps: list[QueryStep]
-    raw_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -93,41 +92,32 @@ class FunctionRegistry:
         return list(self.entries)
 
 
-def default_registry() -> FunctionRegistry:
-    """The closed set of eleven query functions."""
-    agg = FunctionSignature(params=("set",), required=frozenset({"set"}))
-    two = FunctionSignature(
-        params=("set1", "set2"), required=frozenset({"set1", "set2"})
-    )
-    return FunctionRegistry(
-        entries={
-            "get_information": FunctionSignature(
-                params=("head_entity", "relation", "tail_entity", "key", "value"),
-                comparable=frozenset({"tail_entity", "value"}),
-                min_bound=1,
-                exclusive_assign=("head_entity", "relation", "tail_entity"),
-            ),
-            "min": agg,
-            "mean": agg,
-            "max": agg,
-            "count": agg,
-            "sum": agg,
-            "keep": FunctionSignature(
-                params=("set", "key", "value"),
-                required=frozenset({"set", "key", "value"}),
-                comparable=frozenset({"value"}),
-            ),
-            "set_intersection": two,
-            "set_union": two,
-            "set_negation": FunctionSignature(
-                params=("set",), required=frozenset({"set"})
-            ),
-            "set_difference": two,
-        }
-    )
-
-
-DEFAULT_REGISTRY = default_registry()
+_AGG = FunctionSignature(params=("set",), required=frozenset({"set"}))
+_TWO = FunctionSignature(params=("set1", "set2"),
+                         required=frozenset({"set1", "set2"}))
+# The closed set of eleven query functions.
+DEFAULT_REGISTRY = FunctionRegistry(entries={
+    "get_information": FunctionSignature(
+        params=("head_entity", "relation", "tail_entity", "key", "value"),
+        comparable=frozenset({"tail_entity", "value"}),
+        min_bound=1,
+        exclusive_assign=("head_entity", "relation", "tail_entity"),
+    ),
+    "min": _AGG,
+    "mean": _AGG,
+    "max": _AGG,
+    "count": _AGG,
+    "sum": _AGG,
+    "keep": FunctionSignature(
+        params=("set", "key", "value"),
+        required=frozenset({"set", "key", "value"}),
+        comparable=frozenset({"value"}),
+    ),
+    "set_intersection": _TWO,
+    "set_union": _TWO,
+    "set_negation": _AGG,
+    "set_difference": _TWO,
+})
 
 
 def split_args(text: str) -> list[str]:
@@ -200,7 +190,7 @@ def parse_plan(text: str) -> QueryPlan:
             _parse_arg(token, function) for token in split_args(m.group(3))
         )
         steps.append(QueryStep(index=pos, function=function, args=args))
-    return QueryPlan(steps=steps, raw_text=text)
+    return QueryPlan(steps=steps)
 
 
 def _parse_arg(token: str, function: str) -> Arg:
@@ -212,21 +202,19 @@ def _parse_arg(token: str, function: str) -> Arg:
                value=_parse_value(raw, function))
 
 
-def validate_plan(
-    plan: QueryPlan, registry: FunctionRegistry = DEFAULT_REGISTRY
-) -> QueryPlan:
-    """Check every step against the registry; raise the first violation.
+def validate_plan(plan: QueryPlan) -> QueryPlan:
+    """Check every step against DEFAULT_REGISTRY; raise the first violation.
 
     Per step, in order: function defined, parameter names legal, parameter
     combination legal, comparators legal, step references resolve backwards.
     """
     for step in plan.steps:
-        sig = registry.entries.get(step.function)
+        sig = DEFAULT_REGISTRY.entries.get(step.function)
         if sig is None:
             raise QueryError(
                 ErrorKind.UNDEFINED_FUNCTION,
                 function=step.function,
-                registry=registry.names(),
+                registry=DEFAULT_REGISTRY.names(),
             )
         for arg in step.args:
             if arg.name not in sig.params:

@@ -33,7 +33,6 @@ class ErrorKind(enum.Enum):
 EXECUTION_KINDS = frozenset(
     {ErrorKind.RUNTIME_EXCEPTION, ErrorKind.EMPTY_MID_STEP_RESULT}
 )
-PARSING_KINDS = frozenset(ErrorKind) - EXECUTION_KINDS
 
 
 class QueryError(Exception):

@@ -17,6 +17,7 @@ from itertools import chain
 from operator import attrgetter, eq, ge, gt, le, lt
 from typing import Any, Callable, Iterable, Sequence
 
+from .dsl import render_value
 from .jsonl import Record, check_types, read_jsonl, write_jsonl
 
 Scalar = str | int | float
@@ -99,11 +100,12 @@ def time_key(value: Scalar) -> tuple[int, int, int] | None:
 
 
 def value_text(value: Scalar) -> str:
-    """Canonical text form of a scalar (integral floats print as ints)."""
+    """Canonical text form of a scalar: integral floats print as ints, other
+    floats in positional digits, as the query language writes them."""
     if isinstance(value, bool):  # guard: bools are ints but never stored
         return str(value)
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
+    if isinstance(value, float):
+        return str(int(value)) if value.is_integer() else render_value(value)
     return str(value)
 
 
@@ -275,7 +277,7 @@ class ConditionGraph:
             ("head", "in"): tuple(heads),
             ("relation", "in"): self.relation_keys}
         self._tail_index: dict | None = None
-        self._schemas: dict[int, SchemaDescriptor] = {}
+        self._schema: SchemaDescriptor | None = None
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -283,10 +285,6 @@ class ConditionGraph:
     @cached_property
     def has_qualifier(self) -> bool:
         return any(edge.qualifier for edge in self.edges)
-
-    def head_entities(self) -> list[str]:
-        """Distinct head labels, first-seen surface form, insertion order."""
-        return [self.edges[ids[0]].head for ids in self.entity_index.values()]
 
     def edge_keys(self, field: str, test: str) -> tuple:
         """Each edge's key of a _FIELDS field under test "in" (value_key),
@@ -472,14 +470,7 @@ def ingest_table(
 
 def ingest_triples(triples: Iterable[Sequence[str]]) -> ConditionGraph:
     """Build a graph from (head, relation, tail) triples; duplicates collapse."""
-    edges = []
-    for r, row in enumerate(triples):
-        if len(row) != 3:
-            raise RaggedRowError(r, f"{len(row)} cells, not 3")
-        head, relation, tail = row
-        value, kind = infer_scalar(str(tail))
-        edges.append(Edge(str(head).strip(), str(relation).strip(), value, kind))
-    return ConditionGraph(edges, source_kind="kg")
+    return _ingest_facts(triples, 3, "kg")
 
 
 def ingest_temporal(quads: Iterable[Sequence[str]]) -> ConditionGraph:
@@ -488,45 +479,47 @@ def ingest_temporal(quads: Iterable[Sequence[str]]) -> ConditionGraph:
     The time must be an ISO date or an integer year; it lands in the edge
     qualifier under key "time" and stays comparable across both forms.
     """
+    return _ingest_facts(quads, 4, "temporal_kg")
+
+
+def _ingest_facts(rows: Iterable[Sequence[str]], width: int,
+                  source_kind: str) -> ConditionGraph:
+    """One edge per (head, relation, tail[, time]) row of width cells."""
     edges = []
-    for r, row in enumerate(quads):
-        if len(row) != 4:
-            raise RaggedRowError(r, f"{len(row)} cells, not 4")
-        head, relation, tail, when = row
-        stamp = str(when).strip()
-        if time_key(stamp) is None:
-            raise BadTimestampError(r, f"cannot parse time {when!r}")
-        value, kind = infer_scalar(str(tail))
-        edges.append(
-            Edge(str(head).strip(), str(relation).strip(), value, kind,
-                 qualifier=("time", stamp))
-        )
-    return ConditionGraph(edges, source_kind="temporal_kg")
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRowError(r, f"{len(row)} cells, not {width}")
+        qualifier = None
+        if width == 4:
+            qualifier = ("time", str(row[3]).strip())
+            if time_key(qualifier[1]) is None:
+                raise BadTimestampError(r, f"cannot parse time {row[3]!r}")
+        value, kind = infer_scalar(str(row[2]))
+        edges.append(Edge(str(row[0]).strip(), str(row[1]).strip(), value,
+                          kind, qualifier))
+    return ConditionGraph(edges, source_kind)
 
 
-def schema_summary(cg: ConditionGraph, max_samples: int = 3) -> SchemaDescriptor:
-    """Relations (sorted) with up to max_samples first-seen tail values each.
+def schema_summary(cg: ConditionGraph) -> SchemaDescriptor:
+    """Relations (sorted) with up to 3 first-seen tail values each.
 
-    Computed once per graph and max_samples; later calls return the same
-    descriptor.
+    Computed once per graph; later calls return the same descriptor.
     """
-    cached = cg._schemas.get(max_samples)
-    if cached is not None:
-        return cached
-    surfaces: dict[str, str] = {}
-    samples: dict[str, list[str]] = {}
-    for edge in cg.edges:
-        key = normalize(edge.relation)
-        surfaces.setdefault(key, edge.relation)
-        bucket = samples.setdefault(key, [])
-        text = value_text(edge.tail)
-        if text not in bucket and len(bucket) < max_samples:
-            bucket.append(text)
-    return cg._schemas.setdefault(max_samples, SchemaDescriptor(
-        relations=sorted(surfaces.values()),
-        sample_values={surfaces[k]: v for k, v in samples.items()},
-        source_kind=cg.source_kind,
-    ))
+    if cg._schema is None:
+        surfaces: dict[str, str] = {}
+        samples: dict[str, list[str]] = {}
+        for edge in cg.edges:
+            key = normalize(edge.relation)
+            surfaces.setdefault(key, edge.relation)
+            bucket = samples.setdefault(key, [])
+            text = value_text(edge.tail)
+            if text not in bucket and len(bucket) < 3:
+                bucket.append(text)
+        cg._schema = SchemaDescriptor(
+            relations=sorted(surfaces.values()),
+            sample_values={surfaces[k]: v for k, v in samples.items()},
+            source_kind=cg.source_kind)
+    return cg._schema
 
 
 def _delimiter(path: str, delimiter: str | None) -> str:
@@ -546,46 +539,42 @@ def read_delimited(path: str, delimiter: str | None = None) -> list[list[str]]:
         return [row for row in csv.reader(fh, delimiter=delimiter) if row]
 
 
-def _placed(err: RowError, path: str, delimiter: str | None,
-            skip: int = 0) -> RowError:
-    """err named by path and the 1-based line its row starts on, counting
-    blank lines; skip non-blank rows precede the rows ingested. Only errors
-    read the file again, so a good load pays nothing for the line count."""
-    starts, line = [], 1  # the line each non-blank row starts on
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=_delimiter(path, delimiter))
-        for row in reader:
-            if row:
-                starts.append(line)
-            line = reader.line_num + 1
-    return type(err)(err.row, err.reason, f"{path}:{starts[err.row + skip]}")
+def _load_file(path: str, delimiter: str | None,
+               ingest: Callable[..., ConditionGraph],
+               header: bool = False) -> ConditionGraph:
+    """ingest(rows) of a delimited file, or ingest(rows[1:], rows[0]) if its
+    first row is a header. A row error is named by path and the 1-based line
+    its row starts on, counting blank lines. Only errors read the file
+    again, so a good load pays nothing for the line count."""
+    rows = read_delimited(path, delimiter)
+    if header and not rows:
+        raise EmptyHeaderError(f"{path} is empty")
+    try:
+        return ingest(rows[1:], rows[0]) if header else ingest(rows)
+    except RowError as err:
+        starts, line = [], 1  # the line each non-blank row starts on
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=_delimiter(path, delimiter))
+            for row in reader:
+                if row:
+                    starts.append(line)
+                line = reader.line_num + 1
+        raise type(err)(err.row, err.reason,
+                        f"{path}:{starts[err.row + header]}") from None
 
 
 def load_table_file(path: str, key_column: int | str = 0,
                     delimiter: str | None = None) -> ConditionGraph:
-    rows = read_delimited(path, delimiter)
-    if not rows:
-        raise EmptyHeaderError(f"{path} is empty")
-    try:
-        return ingest_table(rows[1:], rows[0], key_column=key_column)
-    except RowError as err:  # the header comes first
-        raise _placed(err, path, delimiter, skip=1) from None
+    ingest = partial(ingest_table, key_column=key_column)
+    return _load_file(path, delimiter, ingest, header=True)
 
 
 def load_triples_file(path: str, delimiter: str = "\t") -> ConditionGraph:
-    rows = read_delimited(path, delimiter)
-    try:
-        return ingest_triples(rows)
-    except RowError as err:
-        raise _placed(err, path, delimiter) from None
+    return _load_file(path, delimiter, ingest_triples)
 
 
 def load_temporal_file(path: str, delimiter: str = "\t") -> ConditionGraph:
-    rows = read_delimited(path, delimiter)
-    try:
-        return ingest_temporal(rows)
-    except RowError as err:
-        raise _placed(err, path, delimiter) from None
+    return _load_file(path, delimiter, ingest_temporal)
 
 
 def dump_graph(cg: ConditionGraph, path: str) -> None:

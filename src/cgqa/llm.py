@@ -4,7 +4,7 @@ The correction loop only sees an object with a complete() method, so the two
 backends are interchangeable; sample() asks for the self-consistency replies
 of one prompt at once, sent concurrently or digested once. The scripted
 client replays canned replies —
-keyed by a digest of the exact request, with an optional in-order fallback —
+keyed by a digest of the exact request, with an in-order fallback —
 and fails loudly when asked something it has no reply for.
 """
 
@@ -71,7 +71,6 @@ class ClientConfig(Record):
     retries: int = 2
     retry_backoff: float = 0.5
     script_path: str = ""
-    ordered_fallback: bool = True
     api_key_env: str = "CGQA_API_KEY"
 
     def __post_init__(self) -> None:
@@ -85,14 +84,11 @@ def messages_to_wire(messages: Sequence[ChatMessage]) -> list[dict[str, str]]:
     return [{"role": m.role, "content": m.content} for m in messages]
 
 
-def flatten_messages(
-    messages: Sequence[ChatMessage], add_assistant_cue: bool = False
-) -> str:
-    """Flatten to a single string, each role prefixed with '###'."""
+def flatten_messages(messages: Sequence[ChatMessage]) -> str:
+    """Flatten to a single string, each role prefixed with '###', ending in
+    an empty assistant block that cues the reply."""
     blocks = [f"### {m.role}\n{m.content}" for m in messages]
-    if add_assistant_cue:
-        blocks.append("### assistant\n")
-    return "\n\n".join(blocks)
+    return "\n\n".join([*blocks, "### assistant\n"])
 
 
 def request_digest(messages: Sequence[ChatMessage]) -> str:
@@ -107,12 +103,10 @@ class ScriptedChatClient:
 
     Entries with a "key" serve requests whose digest matches, in file order;
     entries without a key form an ordered fallback queue consumed one per
-    unmatched request (when ordered_fallback is on).
+    unmatched request.
     """
 
-    def __init__(
-        self, entries: Iterable[dict], ordered_fallback: bool = True
-    ) -> None:
+    def __init__(self, entries: Iterable[dict]) -> None:
         self._keyed: dict[str, list[str]] = {}
         self._ordered: list[str] = []
         for entry in entries:
@@ -120,22 +114,20 @@ class ScriptedChatClient:
                 self._keyed.setdefault(entry["key"], []).append(entry["reply"])
             else:
                 self._ordered.append(entry["reply"])
-        self._ordered_enabled = ordered_fallback
         self._lock = threading.Lock()  # one client may serve many threads
 
     @classmethod
-    def from_file(cls, path: str, ordered_fallback: bool = True
-                  ) -> "ScriptedChatClient":
+    def from_file(cls, path: str) -> "ScriptedChatClient":
         def build(entry: dict) -> dict:
             check_types(entry, {"key": str | None, "reply": str})
             return {"key": entry.get("key"), "reply": entry["reply"]}
-        return cls(read_jsonl(path, build), ordered_fallback=ordered_fallback)
+        return cls(read_jsonl(path, build))
 
     @property
     def replays_in_order(self) -> bool:
         """Whether some reply goes to whichever request comes first rather
         than to one request: then concurrent callers race for it."""
-        return self._ordered_enabled and bool(self._ordered)
+        return bool(self._ordered)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         return self.sample(messages, 1)[0]
@@ -149,10 +141,9 @@ class ScriptedChatClient:
         digest = request_digest(messages)
         with self._lock:
             queue = self._keyed.get(digest, [])
-            ordered = self._ordered if self._ordered_enabled else []
             keyed = queue[:n]
-            replies = keyed + ordered[:n - len(keyed)]
-            del queue[:len(keyed)], ordered[:len(replies) - len(keyed)]
+            replies = keyed + self._ordered[:n - len(keyed)]
+            del queue[:len(keyed)], self._ordered[:len(replies) - len(keyed)]
         if len(replies) < n:
             raise ScriptExhaustedError(f"no scripted reply for request "
                                        f"digest {digest}")
@@ -259,9 +250,7 @@ def make_client(config: ClientConfig):
     if config.backend == "scripted":
         if not config.script_path:
             raise ChatError("scripted backend needs script_path")
-        return ScriptedChatClient.from_file(
-            config.script_path, ordered_fallback=config.ordered_fallback
-        )
+        return ScriptedChatClient.from_file(config.script_path)
     if config.backend == "http":
         return HttpChatClient(config)
     raise ChatError(f"unknown backend {config.backend!r}")

@@ -738,11 +738,9 @@ class TestBadJsonFiles:
         ({"retries": True}, "field 'retries' must be an integer, not a "
                             "boolean"),
         ({"retries": 1.5}, "field 'retries' must be an integer, not a number"),
-        ({"ordered_fallback": "no"}, "field 'ordered_fallback' must be a "
-                                     "boolean, not a string"),
         ({"temperature": "hot"}, "field 'temperature' must be a number, not "
                                  "a string"),
-    ], ids=["timeout_text", "retries_bool", "retries_float", "fallback_text",
+    ], ids=["timeout_text", "retries_bool", "retries_float",
             "temperature_text"])
     def test_config_wrong_type(self, inputs, tmp_path, capsys, config, want):
         path = tmp_path / "client.json"
@@ -750,6 +748,21 @@ class TestBadJsonFiles:
         err = one_error_line([*inputs["--script"][2], "--config", "{path}"],
                              path, capsys)
         assert err == f"error: {path}: {want}\n"
+
+    def test_config_with_ordered_fallback_stops_eval(self, suite, tmp_path,
+                                                     capsys):
+        # The key is gone: keyless replies are always served in order.
+        config = tmp_path / "client.json"
+        config.write_text('{"ordered_fallback": true}', encoding="utf-8")
+        script = tmp_path / "empty_script.jsonl"  # a model call would fail
+        script.write_text("", encoding="utf-8")
+        out = tmp_path / "report.json"
+        err = one_error_line(
+            ["eval", "--dataset", suite["dataset"], "--graphs",
+             suite["graphs_dir"], "--out", str(out), "--backend", "scripted",
+             "--script", str(script), "--config", "{path}"], config, capsys)
+        assert err == f"error: {config}: unknown key 'ordered_fallback'\n"
+        assert not out.exists()
 
     def test_config_integer_for_a_number_field(self, inputs, tmp_path):
         path = tmp_path / "client.json"

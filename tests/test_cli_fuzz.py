@@ -61,7 +61,8 @@ SWAPS = [0, 2.5, "", " ", "x", True, None, [], ["x"], {}, {"x": 1}]
 
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory) -> Path:
-    """A directory holding a valid input file for every FILES name."""
+    """A directory holding a valid input file for every FILES name, on
+    which every run of RUNS exits 0."""
     base = tmp_path_factory.mktemp("valid")
     mini_suite.write_all(str(base))
     for name, argv in zip(DUMPS, RUNS):
@@ -83,7 +84,7 @@ def valid_inputs(tmp_path_factory) -> Path:
          "error_message": "undefined function", "analysis": "use a lookup"},
     )), encoding="utf-8")
     (base / "config.json").write_text(json.dumps(
-        {"timeout": 5, "ordered_fallback": True}), encoding="utf-8")
+        {"timeout": 5}), encoding="utf-8")
     (base / "scorer.json").write_text(json.dumps(
         {"default_logprob": -0.5,
          "entries": [{"target": ALICE_PLAN, "logprobs": [-0.25, -0.5]}]}),
@@ -91,6 +92,10 @@ def valid_inputs(tmp_path_factory) -> Path:
     assert run(base, RUNS[4], {**FILES, "out": "traces.jsonl"})[0] == 0
     assert run(base, RUNS[5], {**FILES, "out": "sft.jsonl",
                                "out2": "pref.jsonl"})[0] == 0
+    for argv in (RUNS[3], *RUNS[6:]):  # the runs whose output no run reads
+        code, err = run(base, argv, {**FILES, "out": "run.out",
+                                     "out2": "run.out2"})
+        assert code == 0, (argv[0], err)
     return base
 
 

@@ -646,8 +646,7 @@ class TestRunCorrection:
                 {"key": request_digest(pq), "reply": WRONG_SUBTRACT},
                 {"key": request_digest(pc),
                  "reply": "use count.\n\n" + GOOD_PLAN},
-            ],
-            ordered_fallback=False,
+            ]
         )
         trace = run_correction(
             make_question(gold=[1]), schema, toy_graph, client, mct=3, sc_n=1

@@ -278,15 +278,6 @@ class TestLosses:
         ])
         assert preference_loss([pair], high) < preference_loss([pair], low)
 
-    def test_per_token_mean_option(self):
-        record = SftRecord("query_gen", "in", "target", None, "t")
-        scorer = TableTokenScorer(
-            [{"target": "target", "logprobs": [-0.3, -0.6]}]
-        )
-        assert query_generation_loss([record], scorer) == pytest.approx(0.9)
-        assert query_generation_loss([record], scorer,
-                                     per_token=True) == pytest.approx(0.45)
-
     def test_losses_are_nonnegative_for_sft(self, two_round_trace):
         records = teacher_records(two_round_trace)
         scorer = TableTokenScorer([], default_logprob=-0.25)

@@ -14,7 +14,6 @@ from cgqa.dsl import (
     QueryPlan,
     QueryStep,
     StepRef,
-    default_registry,
     parse_plan,
     render_plan,
     render_value,
@@ -152,17 +151,6 @@ class TestRegistry:
     def test_aggregates_accept_only_set(self):
         for fn in ("min", "mean", "max", "count", "sum"):
             assert DEFAULT_REGISTRY.entries[fn].params == ("set",)
-
-    def test_registry_is_configurable(self):
-        registry = default_registry()
-        registry.entries["top_k"] = DEFAULT_REGISTRY.entries["min"]
-        plan = parse_plan(
-            "query1 = get_information(relation='r')\n"
-            "query2 = top_k(set=output_of_query1)"
-        )
-        assert validate_plan(plan, registry) is plan
-        with pytest.raises(QueryError):
-            validate_plan(plan, DEFAULT_REGISTRY)
 
 
 class TestRendering:

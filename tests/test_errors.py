@@ -16,7 +16,6 @@ from cgqa.errors import (
     _LISTS,
     _TEMPLATES,
     EXECUTION_KINDS,
-    PARSING_KINDS,
     ErrorKind,
     QueryError,
     classify_fault,
@@ -103,12 +102,10 @@ def test_all_eight_classified_and_rendered(toy_graph, mixed_graph):
 
 
 def test_kind_partition_matches_categories():
-    assert PARSING_KINDS | EXECUTION_KINDS == frozenset(ErrorKind)
-    assert not PARSING_KINDS & EXECUTION_KINDS
-    assert len(PARSING_KINDS) == 6
     assert len(EXECUTION_KINDS) == 2
+    assert [k.category for k in ErrorKind].count("parsing") == 6
     for kind in ErrorKind:
-        expected = "parsing" if kind in PARSING_KINDS else "execution"
+        expected = "execution" if kind in EXECUTION_KINDS else "parsing"
         assert kind.category == expected
 
 
@@ -175,7 +172,7 @@ def test_parse_and_validate_raise_query_error_only():
     for text in bad_texts:
         with pytest.raises(QueryError) as exc_info:
             validate_plan(parse_plan(text))
-        assert exc_info.value.kind in PARSING_KINDS
+        assert exc_info.value.category == "parsing"
 
 
 @pytest.mark.parametrize("data, want", [

@@ -210,7 +210,7 @@ class TestEvaluate:
              "reply": plan}
             for _, text, plan, _ in cases
         ]
-        client = ScriptedChatClient(entries, ordered_fallback=False)
+        client = ScriptedChatClient(entries)
         questions = [
             Question(id=qid, text=text, gold_answer=gold, graph_ref="toy")
             for qid, text, _, gold in cases
@@ -240,7 +240,7 @@ class TestEvaluate:
             for run in range(200):
                 client = ScriptedChatClient(
                     [{"key": key, "reply": GOOD_PLAN},
-                     {"key": key, "reply": WRONG}], ordered_fallback=False)
+                     {"key": key, "reply": WRONG}])
                 traces = run_questions(questions, lambda ref: toy_graph,
                                        client, PipelineConfig(mct=0, sc_n=1,
                                                               jobs=2))

@@ -269,6 +269,16 @@ class TestSetOps:
         )
         assert got == {"France", "USA"}
 
+    @pytest.mark.parametrize("tail", ["0.00001", "0.5"])
+    def test_keep_reaches_an_entity_labelled_by_a_float(self, tail):
+        # The entity's label is the float's text, as value_text prints it.
+        cg = ingest_triples([("a", "r", tail), (tail, "color", "red")])
+        got = answer(
+            "query1 = get_information(head_entity='a', relation='r')\n"
+            "query2 = keep(set=output_of_query1, key='color', value='red')",
+            cg)
+        assert got == {float(tail)}
+
     @pytest.mark.parametrize("key, condition", [("Hometown", "='Texas'"),
                                                 ("Age", "<30")])
     def test_keep_without_qualifiers_builds_no_qualifier_table(

@@ -63,9 +63,8 @@ class TestScripted:
             client.complete(MESSAGES)
 
     def test_unscripted_request_without_fallback(self):
-        client = ScriptedChatClient(
-            [{"key": "deadbeef00000000", "reply": "x"}], ordered_fallback=False
-        )
+        client = ScriptedChatClient([{"key": "deadbeef00000000",
+                                      "reply": "x"}])
         with pytest.raises(ScriptExhaustedError):
             client.complete(MESSAGES)
 
@@ -423,9 +422,8 @@ class TestContract:
 
 def test_flatten_messages_role_prefixes():
     flat = flatten_messages(MESSAGES)
-    assert flat == "### system\nYou are terse.\n\n### user\nhello"
-    cued = flatten_messages(MESSAGES, add_assistant_cue=True)
-    assert cued.endswith("### assistant\n")
+    assert flat == ("### system\nYou are terse.\n\n### user\nhello\n\n"
+                    "### assistant\n")
 
 
 def test_scripted_client_is_thread_safe():
@@ -477,15 +475,14 @@ def _outcome(call):
         st.sampled_from([request_digest(MESSAGES), request_digest(OTHER),
                          None]),
         st.sampled_from(["a", "b", "c", "d"])), max_size=12),
-    ordered_fallback=st.booleans(),
     n=st.integers(1, 8),
     after=st.lists(st.booleans(), max_size=8),
 )
-def test_sample_equals_repeated_complete(entries, ordered_fallback, n, after):
+def test_sample_equals_repeated_complete(entries, n, after):
     script = [{"key": key, "reply": f"{reply}{i}"}
               for i, (key, reply) in enumerate(entries)]
-    batched = ScriptedChatClient(script, ordered_fallback=ordered_fallback)
-    one_by_one = ScriptedChatClient(script, ordered_fallback=ordered_fallback)
+    batched = ScriptedChatClient(script)
+    one_by_one = ScriptedChatClient(script)
 
     def n_completes():
         return [one_by_one.complete(MESSAGES) for _ in range(n)]

@@ -38,8 +38,7 @@ WIRE_KEYS = {
     Demonstration: ["question", "schema_text", "plan_text",
                     "wrong_plan_text", "error_message", "analysis"],
     ClientConfig: ["backend", "endpoint", "model", "temperature", "timeout",
-                   "retries", "retry_backoff", "script_path",
-                   "ordered_fallback", "api_key_env"],
+                   "retries", "retry_backoff", "script_path", "api_key_env"],
 }
 
 text = st.text(max_size=12)
@@ -99,7 +98,7 @@ RECORDS = {
         ClientConfig, backend=text, endpoint=text, model=text,
         temperature=numbers, timeout=numbers.filter(lambda v: v > 0),
         retries=st.integers(0, 10), retry_backoff=numbers,
-        script_path=text, ordered_fallback=st.booleans(), api_key_env=text),
+        script_path=text, api_key_env=text),
 }
 
 
