@@ -40,7 +40,6 @@ from .graph import (
     sort_values,
     sorted_keys,
     time_key,
-    value_text,
 )
 from .jsonl import Record
 
@@ -205,7 +204,7 @@ def _exec_keep(
 
     kept = {}
     for k in sorted_keys(source):  # the first fault is the same each run
-        for i in cg.entity_index.get(normalize(value_text(source[k])), ()):
+        for i in cg.head_ids((k,)):
             if relations[i] == key_norm and tail_ok(tails[i]) or (
                     quals and quals[i] == key_norm and value_ok()(i)):
                 kept[k] = source[k]
@@ -221,7 +220,7 @@ def _exec_set_op(
     if fn == "set_negation":
         exclude = bound["set"]
         # a head's value_key is its entity_index key
-        out = {head: cg.edges[ids[0]].head
+        out = {head: cg.columns["head"][ids[0]]
                for head, ids in cg.entity_index.items() if head not in exclude}
         return StepResult(step.index, kind=ENTITY_SET, values=ValueSet(out))
     lmap, rmap = bound["set1"], bound["set2"]

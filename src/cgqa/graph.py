@@ -9,16 +9,21 @@ and safe for concurrent readers.
 from __future__ import annotations
 
 import csv
+import json
+import math
 import re
 import sys
-from dataclasses import dataclass, field
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from itertools import chain
-from operator import attrgetter, eq, ge, gt, le, lt
+from itertools import chain, count
+from json.encoder import encode_basestring
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt
 from typing import Any, Callable, Iterable, Sequence
 
 from .dsl import render_value
-from .jsonl import Record, check_types, read_jsonl, write_jsonl
+from .jsonl import Record, _codec, _read_fields, check_types, read_jsonl
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -66,8 +71,10 @@ class KindMismatchError(GraphError):
 
 
 def normalize(label: str) -> str:
-    """Trim and case-fold a label. Idempotent."""
-    return label.strip().casefold()
+    """Trim and case-fold a label. Idempotent; a label that is already
+    normal comes back as the same object, so no copy is kept of it."""
+    folded = label.strip().casefold()
+    return label if folded == label else folded
 
 
 def infer_scalar(text: str) -> tuple[Scalar, str]:
@@ -187,9 +194,12 @@ _ORDERS = {"<": lt, ">": gt, "<=": le, ">=": ge}
 
 def _eq_key(value: Scalar) -> float | str:
     """value_key under '=', where '20' and 20 match."""
-    if isinstance(value, str) and _NUM_RE.match(value.strip()):
-        return float(value)
-    return value_key(value)
+    return _eq_of(value_key(value))
+
+
+def _eq_of(key: float | str) -> float | str:
+    """The "=" key (_eq_key) of a value whose value_key is key."""
+    return float(key) if isinstance(key, str) and _NUM_RE.match(key) else key
 
 
 def _order_key(value: Scalar) -> tuple[str, Any] | None:
@@ -205,6 +215,11 @@ def _order_key(value: Scalar) -> tuple[str, Any] | None:
     return None
 
 
+def _wire(qualifier: tuple[str, str] | None) -> dict[str, str] | None:
+    """A qualifier's JSON form."""
+    return {"key": qualifier[0], "value": qualifier[1]} if qualifier else None
+
+
 @dataclass(frozen=True)
 class Edge(Record):
     """One fact: head --relation--> tail, optionally qualified (e.g. by time)."""
@@ -214,7 +229,7 @@ class Edge(Record):
     tail: Scalar
     tail_kind: str
     qualifier: tuple[str, str] | None = field(default=None, metadata={
-        "encode": lambda q: {"key": q[0], "value": q[1]} if q else None,
+        "encode": _wire,
         "decode": (dict[str, str] | None,
                    lambda q: (q["key"], q["value"]) if q else None)})
 
@@ -240,94 +255,137 @@ class SchemaDescriptor:
 
 
 class ConditionGraph:
-    """Immutable, indexed edge set.
+    """Immutable, indexed edge set, held as columns.
 
-    entity_index and relation_index map normalized head and relation labels
-    to edge ids; relation_keys holds each edge's. Other keys (edge_keys) and
-    a tail-key index are built by the first lookup that tests them. Indexes
-    and keys only accelerate: lookup results equal a brute-force scan.
-    The lazy caches live on the graph and die with it; two threads filling
-    one at once store equal values.
+    columns maps each Edge field (_ROW) to its values in edge order; Edges
+    are built on demand (edges, lookup). entity_index and relation_index
+    map normalized head and relation labels to arrays of edge ids;
+    relation_keys holds each edge's. Other keys (edge_keys), a tail-key
+    index and a numeric-head index are built by the first lookup that
+    needs them. Indexes and keys only accelerate: lookup results equal a
+    brute-force scan. The lazy caches live on the graph and die with it;
+    two threads filling one at once store equal values.
     """
 
-    def __init__(self, edges: Iterable[Edge], source_kind: str = "kg") -> None:
-        seen: dict[Edge, None] = {}
-        heads, relations, labels = [], [], {}  # one str object per label
-        for edge in edges:
-            head, relation = normalize(edge.head), normalize(edge.relation)
-            if head == "" or relation == "":
-                raise EmptyFieldError("edge with empty head or relation: "
-                                      f"{edge.to_dict()!r}")
-            seen.setdefault(edge, None)
-            if len(seen) > len(heads):  # a new edge
-                heads.append(labels.setdefault(head, head))
-                relations.append(labels.setdefault(relation, relation))
-        self.edges: tuple[Edge, ...] = tuple(seen)
+    def __init__(self, edges: Iterable[Edge] = (), source_kind: str = "kg",
+                 rows: Iterable[tuple] = ()) -> None:
+        """The graph of edges, then of rows (Edge field tuples, in _ROW
+        order, which build no Edge); equal edges collapse to the first."""
+        distinct = dict.fromkeys(chain(map(_AS_ROW, edges), rows))
+        # by field, not zip(*distinct), which would hold an iterator per row
+        heads, relations, tails, kinds, quals = (
+            tuple(map(itemgetter(f), distinct)) for f in range(5))
+        del distinct  # the rows die before the indexes are built
+        labels: dict[str, str] = {}  # one normalized str object per label
+        raw = {*heads, *relations}
+        norm = {label: labels.setdefault(key, key)
+                for label, key in zip(raw, map(normalize, raw))}
+        if "" in labels:
+            bad = next(r for r in zip(heads, relations, tails, kinds, quals)
+                       if "" in (norm[r[0]], norm[r[1]]))
+            raise EmptyFieldError("edge with empty head or relation: "
+                                  f"{Edge(*bad).to_dict()!r}")
+        self.columns = dict(zip(_ROW, (heads, relations, tails, kinds, quals)))
         self.source_kind = source_kind
-        self.relation_keys = tuple(relations)
-        ent: dict[str, list[int]] = {}
-        rel: dict[str, list[int]] = {}
-        for i, (head, relation) in enumerate(zip(heads, relations)):
-            ent.setdefault(head, []).append(i)
-            rel.setdefault(relation, []).append(i)
-        self.entity_index = {k: tuple(v) for k, v in ent.items()}
-        self.relation_index = {k: tuple(v) for k, v in rel.items()}
+        head_keys = tuple(map(norm.__getitem__, heads))
+        self.relation_keys = tuple(map(norm.__getitem__, relations))
+        ent, rel = defaultdict(_id_array), defaultdict(_id_array)
+        for i, head, relation in zip(count(), head_keys, self.relation_keys):
+            ent[head].append(i)
+            rel[relation].append(i)
+        self.entity_index, self.relation_index = dict(ent), dict(rel)
         self._edge_keys: dict[tuple[str, str], tuple] = {
             # a label's "in" key (value_key) is its normalized label
-            ("head", "in"): tuple(heads),
-            ("relation", "in"): self.relation_keys}
-        self._tail_index: dict | None = None
-        self._schema: SchemaDescriptor | None = None
+            ("head", "in"): head_keys, ("relation", "in"): self.relation_keys}
+        self._parts: dict[str, tuple] = {}  # "qkey", "qvalue" (column)
+        self._tail_index = self._head_index = self._schema = None
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.relation_keys)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge as an Edge, in edge order, built on first use."""
+        return tuple(map(Edge, *(self.columns[f] for f in _ROW)))
 
     @cached_property
     def has_qualifier(self) -> bool:
-        return any(edge.qualifier for edge in self.edges)
+        return any(self.columns["qualifier"])
+
+    def column(self, field: str) -> tuple:
+        """The values of field (one of _ROW, "qkey" or "qvalue") in edge
+        order; an edge without a qualifier has no part: _MISSING."""
+        if field in self.columns:
+            return self.columns[field]
+        if field not in self._parts:
+            part = ("qkey", "qvalue").index(field)
+            self._parts.setdefault(field, tuple(
+                q[part] if q else _MISSING for q in self.columns["qualifier"]))
+        return self._parts[field]
 
     def edge_keys(self, field: str, test: str) -> tuple:
-        """Each edge's key of a _FIELDS field under test "in" (value_key),
-        "=" (_eq_key) or "<" (order key), built once; "=" reuses "in" if no
-        text looks numeric. Equal keys share one object; a missing
-        qualifier is _MISSING."""
+        """Each edge's key of a field (see column) under test "in"
+        (value_key), "=" (_eq_key) or "<" (order key), built once; "="
+        reuses "in" if no text looks numeric. A missing qualifier part is
+        _MISSING."""
         table = self._edge_keys.get((field, test))
         if table is None:
-            get, key, interned = _FIELDS[field], _KEY_OF[test], {}
-            if test == "=" and not any(isinstance(v, str) and _NUM_RE.match(
-                    v.strip()) for v in map(get, self.edges)):
-                return self._edge_keys.setdefault(
-                    (field, test), self.edge_keys(field, "in"))
-            keys = (v if v is _MISSING else key(v)
-                    for v in map(get, self.edges))
-            table = self._edge_keys.setdefault(
-                (field, test), tuple(interned.setdefault(k, k) for k in keys))
+            if test == "=":
+                table = self.edge_keys(field, "in")
+                if any(isinstance(k, str) and _NUM_RE.match(k) for k in table):
+                    table = tuple(map(_eq_of, table))
+            else:
+                key = value_key if test == "in" else _order_key
+                table = tuple(v if v is _MISSING else key(v)
+                              for v in self.column(field))
+            table = self._edge_keys.setdefault((field, test), table)
         return table
 
     def _tail_keys(self) -> dict:
         """Tail "in" key -> edge ids."""
         keys = self.edge_keys("tail", "in")
         if self._tail_index is None:
-            index: dict = {}
-            for ids in self.relation_index.values():  # share its int objects
-                for i in ids:
-                    index.setdefault(keys[i], []).append(i)
-            self._tail_index = {k: tuple(sorted(v)) for k, v in index.items()}
+            index: dict = defaultdict(_id_array)
+            for i, key in enumerate(keys):
+                index[key].append(i)
+            self._tail_index = dict(index)
         return self._tail_index
+
+    def head_ids(self, keys: Iterable[float | str]) -> list[int]:
+        """Ids, in edge order, of the edges whose head equals under "="
+        (_eq_key, as a literal matches) a value whose value_key is in keys:
+        the number 7 and the texts '7' and '7.0' reach the head '07'."""
+        index = self._head_keys()
+        if index is not self.entity_index:
+            keys = set(map(_eq_of, keys))  # '7' and 7 reach the same heads
+        return _ids(index, keys)
+
+    def _head_keys(self) -> dict:
+        """Head "=" key -> edge ids: entity_index, unless some head looks
+        numeric, as its ids then sit under its number."""
+        if self._head_index is None:
+            numeric = [h for h in self.entity_index if _NUM_RE.match(h)]
+            index = dict(self.entity_index) if numeric else self.entity_index
+            for head in numeric:
+                index[float(head)] = _id_array(sorted(chain(
+                    index.pop(head), index.get(float(head), ()))))
+            self._head_index = index
+        return self._head_index
 
     def lookup(self, *args: Any, **kwargs: Any) -> list[Edge]:
         """The edges lookup_ids(*args, **kwargs) names, in edge order."""
         return [self.edges[i] for i in self.lookup_ids(*args, **kwargs)]
 
     def project(self, field: str, **bounds: Any) -> ValueSet:
-        """The field (one of _FIELDS) of the edges lookup_ids(**bounds)
-        names, keyed by their stored "in" keys: per key, the first value in
-        edge order. An edge without a qualifier adds nothing to a qualifier
+        """The field (see column) of the edges lookup_ids(**bounds) names,
+        keyed by their stored "in" keys: per key, the first value in edge
+        order. An edge without a qualifier adds nothing to a qualifier
         projection."""
-        keys, get, by_key = self.edge_keys(field, "in"), _FIELDS[field], {}
+        keys, values, by_key = (self.edge_keys(field, "in"),
+                                self.column(field), {})
         for i in self.lookup_ids(**bounds):
             if keys[i] not in by_key:
-                by_key[keys[i]] = get(self.edges[i])
+                by_key[keys[i]] = values[i]
         by_key.pop(_MISSING, None)
         return ValueSet(by_key)
 
@@ -352,12 +410,9 @@ class ConditionGraph:
             rel_norm = normalize(str(relation))
             rel_ids = self.relation_index.get(rel_norm, ())
             options.append(rel_ids)
-        if head is not None and head_cmp == "=" and _is_set(head):
-            # a number's key is a float, which no entity_index key equals
-            options.append(_ids(self.entity_index, key_map(head)))
-        elif head is not None and head_cmp == "=" and isinstance(
-                _eq_key(head), str):
-            options.append(self.entity_index.get(normalize(head), ()))
+        if head is not None and head_cmp == "=":
+            options.append(self.head_ids(key_map(head)) if _is_set(head)
+                           else self._head_keys().get(_eq_key(head), ()))
         if tail is not None and tail_cmp == head_cmp == "=" and (
                 rel_ids is not None or relation_cmp == "="):
             index = self._tail_keys()
@@ -365,7 +420,7 @@ class ConditionGraph:
                 options.append(_ids(index, key_map(tail)))
             elif self.edge_keys("tail", "=") is self.edge_keys("tail", "in"):
                 options.append(index.get(_eq_key(tail), ()))
-        ids = min(options, key=len) if options else range(len(self.edges))
+        ids = min(options, key=len) if options else range(len(self))
         if not ids:
             return []
         set_relation = relation if rel_ids is None else None
@@ -387,42 +442,44 @@ class ConditionGraph:
     def field_test(self, field: str, bound: Bound, cmp: str
                    ) -> tuple[Sequence, Callable[[Any], bool]]:
         """(a sequence indexed by edge id, a test of its item): whether an
-        edge's field (one of _FIELDS) matches bound under cmp, as a scan
-        tests it. A literal compares under compare_values, keyed once. A
-        set (an earlier step's result) matches by membership in its key_map,
-        without numeric coercion, and admits only '='; a bad comparator
-        raises only when an edge is tested. An edge without a qualifier
-        fails a qualifier test without raising."""
-        edges, get = self.edges, _FIELDS[field]
+        edge's field (see column) matches bound under cmp, as a scan tests
+        it. A literal compares under compare_values, keyed once. A set (an
+        earlier step's result) matches by membership in its key_map,
+        without numeric coercion except on the head, which it matches as
+        head_ids does; a set admits only '=', and a bad comparator raises
+        only when an edge is tested. An edge without a qualifier fails a
+        qualifier test without raising."""
+        values = self.column(field)
         if cmp == "=" and _is_set(bound):
+            if field == "head" and self._head_keys() is not self.entity_index:
+                return (self.edge_keys(field, "="),
+                        set(map(_eq_of, key_map(bound))).__contains__)
             return self.edge_keys(field, "in"), key_map(bound).__contains__
         if cmp == "=":
             return self.edge_keys(field, "="), partial(eq, _eq_key(bound))
         if _is_set(bound):
             def reject(i: int) -> bool:
-                if get(edges[i]) is _MISSING:
+                if values[i] is _MISSING:
                     return False
                 raise ValueError(f"comparison symbol '{cmp}' cannot be "
                                  "applied to a step result")
-            return range(len(edges)), reject
+            return range(len(values)), reject
         order, rk = self.edge_keys(field, "<"), _order_key(bound)
         fast = rk and _ORDERS.get(cmp)  # for keys of one kind
-        return range(len(edges)), lambda i: (
+        return range(len(values)), lambda i: (
             (lk := order[i]) is not _MISSING
             and (fast(lk, rk) if fast and lk and lk[0] == rk[0] else
-                 _compare_keys(lk, rk, get(edges[i]), bound, cmp)))
+                 _compare_keys(lk, rk, values[i], bound, cmp)))
 
 
+_ROW = tuple(f.name for f in fields(Edge))
+_AS_ROW = attrgetter(*_ROW)
 _MISSING = object()
 
 
-def _qualifier(part: int) -> Callable[[Edge], Any]:
-    return lambda edge: edge.qualifier[part] if edge.qualifier else _MISSING
-
-
-_FIELDS = {**{f: attrgetter(f) for f in ("head", "relation", "tail")},
-           "qkey": _qualifier(0), "qvalue": _qualifier(1)}
-_KEY_OF = {"in": value_key, "=": _eq_key, "<": _order_key}
+def _id_array(ids: Iterable[int] = ()) -> array:
+    """Edge ids, 4 bytes each: no int object is kept per edge."""
+    return array("I", ids)
 
 
 def _is_set(value: Any) -> bool:
@@ -455,17 +512,16 @@ def ingest_table(
         if not 0 <= key_idx < len(header):
             raise EmptyHeaderError(f"key column index {key_idx} out of range")
     edges = []
+    names = [h.strip() for h in header]
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise RaggedRowError(
                 r, f"{len(row)} cells, header has {len(header)}")
         head = str(row[key_idx]).strip()
         for c, cell in enumerate(row):
-            if c == key_idx:
-                continue
-            value, kind = infer_scalar(str(cell))
-            edges.append(Edge(head, header[c].strip(), value, kind))
-    return ConditionGraph(edges, source_kind="table")
+            if c != key_idx:
+                edges.append((head, names[c], *infer_scalar(str(cell)), None))
+    return ConditionGraph(rows=edges, source_kind="table")
 
 
 def ingest_triples(triples: Iterable[Sequence[str]]) -> ConditionGraph:
@@ -494,10 +550,9 @@ def _ingest_facts(rows: Iterable[Sequence[str]], width: int,
             qualifier = ("time", str(row[3]).strip())
             if time_key(qualifier[1]) is None:
                 raise BadTimestampError(r, f"cannot parse time {row[3]!r}")
-        value, kind = infer_scalar(str(row[2]))
-        edges.append(Edge(str(row[0]).strip(), str(row[1]).strip(), value,
-                          kind, qualifier))
-    return ConditionGraph(edges, source_kind)
+        edges.append((str(row[0]).strip(), str(row[1]).strip(),
+                      *infer_scalar(str(row[2])), qualifier))
+    return ConditionGraph(rows=edges, source_kind=source_kind)
 
 
 def schema_summary(cg: ConditionGraph) -> SchemaDescriptor:
@@ -506,19 +561,18 @@ def schema_summary(cg: ConditionGraph) -> SchemaDescriptor:
     Computed once per graph; later calls return the same descriptor.
     """
     if cg._schema is None:
-        surfaces: dict[str, str] = {}
+        relations, tails = cg.columns["relation"], cg.columns["tail"]
         samples: dict[str, list[str]] = {}
-        for edge in cg.edges:
-            key = normalize(edge.relation)
-            surfaces.setdefault(key, edge.relation)
-            bucket = samples.setdefault(key, [])
-            text = value_text(edge.tail)
-            if text not in bucket and len(bucket) < 3:
-                bucket.append(text)
-        cg._schema = SchemaDescriptor(
-            relations=sorted(surfaces.values()),
-            sample_values={surfaces[k]: v for k, v in samples.items()},
-            source_kind=cg.source_kind)
+        for ids in cg.relation_index.values():  # first-seen surface form
+            bucket = samples.setdefault(relations[ids[0]], [])
+            for i in ids:
+                if (text := value_text(tails[i])) not in bucket:
+                    bucket.append(text)
+                    if len(bucket) == 3:
+                        break
+        cg._schema = SchemaDescriptor(relations=sorted(samples),
+                                      sample_values=samples,
+                                      source_kind=cg.source_kind)
     return cg._schema
 
 
@@ -578,26 +632,53 @@ def load_temporal_file(path: str, delimiter: str = "\t") -> ConditionGraph:
 
 
 def dump_graph(cg: ConditionGraph, path: str) -> None:
-    """Write one JSON object per line: a meta line, then one line per edge."""
-    write_jsonl(chain([{"meta": {"source_kind": cg.source_kind}}], cg.edges),
-                path)
+    """Write one JSON object per line: a meta line, then per edge, from the
+    columns, the text of json.dumps(edge.to_dict(), ensure_ascii=False)."""
+    def text(field: str) -> Iterable[str]:
+        column = cg.columns[field]
+        if field == "tail":  # mostly distinct: none is worth keeping
+            return map(_json, column)
+        memo = {item: _json(_wire(item) if field == "qualifier" else item)
+                for item in set(column)}  # each label is encoded once
+        return map(memo.__getitem__, column)
+    keys = _codec(Edge)[0]  # Edge's JSON keys, in field order
+    line = ("{{" + ", ".join(f"{_json(key)}: {{}}" for key in keys)
+            + "}}\n").format
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_json({"meta": {"source_kind": cg.source_kind}}) + "\n")
+        fh.writelines(map(line, *map(text, _ROW)))
+
+
+def _json(value: Any) -> str:
+    """json.dumps(value, ensure_ascii=False), without its per-call cost
+    for a str, an int or a finite float."""
+    if type(value) is str:
+        return encode_basestring(value)
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False)
 
 
 def load_graph(path: str) -> ConditionGraph:
-    """Read a dump_graph file; a meta line sets the source kind."""
-    meta = {"source_kind": "kg"}
+    """Read a dump_graph file into columns; a meta line sets the source
+    kind. Each line is read and checked as Edge.from_dict reads it."""
+    meta, one = {"source_kind": "kg"}, {}.setdefault  # one object per label
+    readers = _codec(Edge)[2]
 
-    def build(data: dict[str, Any]) -> Edge | None:
+    def build(data: dict[str, Any]) -> tuple | None:
         if "meta" in data:
             check_types(data, {"meta": dict})
             check_types(data["meta"], {"source_kind": str})
             meta.update(data["meta"])
             return None
-        edge = Edge.from_dict(data)
-        if not (isinstance(edge.tail, str)  # NaN fails every comparison
-                or abs(edge.tail) <= sys.float_info.max):
+        # a missing required key raises; qualifier defaults to None
+        head, relation, tail, kind, qual = map(
+            _read_fields(data, readers).get, _ROW)
+        if not (isinstance(tail, str)  # NaN fails every comparison
+                or abs(tail) <= sys.float_info.max):
             raise ValueError("field 'tail' must be a string or a number "
                              "within float range")
-        return edge
-    edges = read_jsonl(path, build)
-    return ConditionGraph(filter(None, edges), source_kind=meta["source_kind"])
+        return (one(head, head), one(relation, relation), tail,
+                one(kind, kind), one(qual, qual))
+    rows = filter(None, read_jsonl(path, build))  # frees the list once read
+    return ConditionGraph(rows=rows, source_kind=meta["source_kind"])

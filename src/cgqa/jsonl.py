@@ -172,10 +172,25 @@ def write_jsonl(items: Iterable[Any], path: str) -> int:
     return count
 
 
+_scan = json.JSONDecoder().scan_once
+
+
+def _loads(text: str) -> Any:
+    """json.loads(text); a value that fills the text, up to a last newline,
+    is read without the decoder's whitespace scans."""
+    try:
+        data, end = _scan(text, 0)
+        if text[end:] in ("", "\n"):
+            return data
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(text)  # any other text, and any error
+
+
 def _build(text: str, build: Callable[[dict[str, Any]], T], path: str,
            line: int | None = None) -> T:
     try:
-        data = json.loads(text)
+        data = _loads(text)
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {text.strip()[:40]}")
         return build(data)

@@ -33,6 +33,7 @@ from cgqa.graph import (
     load_graph,
     normalize,
     value_key,
+    value_text,
 )
 
 from genplans import gen_plan
@@ -683,3 +684,42 @@ def test_sum_and_mean_do_not_depend_on_operand_order(tenths, split, fn):
         return execute_plan(plan, cg).to_dict()
 
     assert answer("1", "2") == answer("2", "1")
+
+
+@pytest.mark.parametrize("label", ["7", "007", "7.0", "0.5", "2.50", "1e-05",
+                                   "0.00001"])
+def test_a_number_in_a_step_result_reaches_the_entity_its_numeral_labels(
+        label):
+    # 'a' has the number the label reads as; the entity labelled by that
+    # numeral is reached by a hop and by keep as by the literal number
+    cg = ingest_triples([("a", "r", label), (label, "color", "red")])
+    (number,) = answer("query1 = get_information(head_entity='a', "
+                       "relation='r')", cg)
+    hop = answer("query1 = get_information(head_entity='a', relation='r')\n"
+                 "query2 = get_information(head_entity=output_of_query1, "
+                 "relation='color')", cg)
+    literal = answer(f"query1 = get_information(head_entity="
+                     f"{value_text(number)}, relation='color')", cg)
+    kept = answer("query1 = get_information(head_entity='a', relation='r')\n"
+                  "query2 = keep(set=output_of_query1, key='color', "
+                  "value='red')", cg)
+    assert hop == literal == {"red"}
+    assert kept == {number}
+
+
+def test_a_set_bound_head_matches_as_a_literal_head_does():
+    # every value of the set under '=' (compare_values), as a scan tests it
+    rng = random.Random(17)
+    labels = ["7", "07", "7.0", "1e1", "10", "0.5", ".5", "x", "X ", "seven"]
+    cg = ingest_triples((rng.choice(labels), rng.choice(["r", "s"]), str(i))
+                        for i in range(300))
+    values = [7, 10, 0.5, 3, "7", "07", "10.0", "x", "seven", "nope"]
+    for _ in range(200):
+        bound = frozenset(rng.sample(values, rng.randint(1, 4)))
+        relation = rng.choice([None, "r", frozenset({"s"})])
+        relations = {relation} if isinstance(relation, str) else relation
+        want = [e for e in cg.edges
+                if any(compare_values(e.head, v, "=") for v in bound)
+                and (relations is None or e.relation in relations)]
+        assert cg.lookup(head=bound, relation=relation) == want, bound
+    assert cg.head_ids({7.0}) == cg.head_ids({"07", "7"}) != []

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -683,3 +684,142 @@ def test_concurrent_first_temporal_lookups_match_one_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [want] * 4
+
+
+# Labels and tails that JSON escapes, or that Python's json writes in a form
+# of its own: quotes, backslashes, control and separator characters,
+# non-ASCII text, integers past 2**53 and floats in exponent form.
+_LABELS = st.one_of(
+    st.sampled_from(['Ann', 'Zoë', '"quoted"', 'back\\slash', 'tab\there',
+                     'nul\x00', 'line sep', '\xa0nbsp', '数据', 'del\x7f',
+                     'emoji \U0001f600']),
+    st.text(min_size=1, max_size=6)).filter(lambda s: normalize(s) != "")
+_TAILS = st.one_of(
+    _LABELS, st.text(max_size=4),
+    st.integers(-2**70, 2**70), st.sampled_from([1e-05, -0.0, 1e16, 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_EDGES = st.builds(
+    lambda h, r, t, q: Edge(h, r, t, "text" if isinstance(t, str)
+                            else "numeric", q),
+    _LABELS, _LABELS, _TAILS, st.none() | st.tuples(_LABELS, _LABELS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EDGES, max_size=12), st.data(),
+       st.sampled_from(["kg", "table", "temporal_kg", "é\"x"]))
+def test_dump_writes_each_edge_as_its_record_does(tmp_path_factory, edges,
+                                                  data, source_kind):
+    # duplicate rows collapse to the first, in the dump as in the graph
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=4)
+                       if edges else st.just([]))
+    cg = ConditionGraph(edges, source_kind)
+    path = tmp_path_factory.getbasetemp() / "dump-property.jsonl"
+    dump_graph(cg, str(path))
+    want = [json.dumps({"meta": {"source_kind": source_kind}},
+                       ensure_ascii=False)]
+    want += [json.dumps(edge.to_dict(), ensure_ascii=False)
+             for edge in dict.fromkeys(edges)]
+    assert path.read_bytes().decode("utf-8").split("\n") == want + [""]
+    back = load_graph(str(path))
+    assert back.edges == cg.edges and len(back) == len(cg)
+    assert [type(e.tail) for e in back.edges] == [
+        type(e.tail) for e in cg.edges]
+
+
+def _ingest_every_kind() -> list[ConditionGraph]:
+    return [
+        ingest_triples([("Ann", "age", "20"), ("Ann", "city", "Austin"),
+                        ("Bo", "age", "31"), ("Bo", "city", "Boston"),
+                        ("Cy", "age", "25"), ("Cy", "city", "Austin")]),
+        ingest_temporal([("France", "president", "Chirac", "1996"),
+                         ("France", "president", "Sarkozy", "2008-05-16")]),
+        ingest_table([["Ann", "Utah", "20"], ["Bo", "Yale", "31"]],
+                     ["Name", "College", "Age"]),
+    ]
+
+
+_EVERY_FUNCTION = [
+    "query1 = get_information(relation='age', tail_entity>21)",
+    "query1 = get_information(head_entity='France', tail_entity='Chirac', "
+    "key='time')",
+    *(f"query1 = get_information(relation='age')\n"
+      f"query2 = {fn}(set=output_of_query1)"
+      for fn in ("min", "max", "mean", "sum", "count")),
+    "query1 = get_information(relation='city', tail_entity='Austin')\n"
+    "query2 = keep(set=output_of_query1, key='age', value>21)",
+    "query1 = get_information(relation='president', tail_entity='Chirac')\n"
+    "query2 = keep(set=output_of_query1, key='time', value<2000)",
+    *("query1 = get_information(relation='city', tail_entity='Austin')\n"
+      "query2 = get_information(relation='age', tail_entity>21)\n"
+      f"query3 = {fn}(set1=output_of_query1, set2=output_of_query2)"
+      for fn in ("set_intersection", "set_union", "set_difference")),
+    "query1 = get_information(relation='city', tail_entity='Austin')\n"
+    "query2 = set_negation(set=output_of_query1)",
+]
+
+
+def test_no_edge_is_built_to_ingest_dump_load_summarize_or_execute(
+        tmp_path, monkeypatch):
+    built = []
+    init = Edge.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Edge, "__init__", counted)
+    answered = set()
+    for cg in _ingest_every_kind():
+        path = str(tmp_path / f"{cg.source_kind}.jsonl")
+        dump_graph(cg, path)
+        for graph in (cg, load_graph(path)):
+            schema_summary(graph)
+            for text in _EVERY_FUNCTION:
+                outcome = execute_plan(validate_plan(parse_plan(text)), graph)
+                if outcome.answer:
+                    answered.add(text)
+    assert built == []
+    assert answered == set(_EVERY_FUNCTION)
+    # lookup and edges still give Edges, built on demand
+    monkeypatch.undo()
+    kg, temporal, table = _ingest_every_kind()
+    assert kg.lookup(head="ann") == [Edge("Ann", "age", 20, "numeric"),
+                                     Edge("Ann", "city", "Austin", "text")]
+    assert temporal.edges == (
+        Edge("France", "president", "Chirac", "text", ("time", "1996")),
+        Edge("France", "president", "Sarkozy", "text",
+             ("time", "2008-05-16")))
+    assert table.lookup(relation="age", tail=25, tail_cmp=">") == [
+        Edge("Bo", "Age", 31, "numeric")]
+    path = str(tmp_path / "again.jsonl")
+    dump_graph(temporal, path)
+    assert load_graph(path).edges == temporal.edges
+    # a qualifier lookup leaves columns holding exactly the Edge fields
+    assert temporal.lookup(qual_key="time", qual_value=2000, qual_cmp=">")
+    assert list(temporal.columns) == [
+        "head", "relation", "tail", "tail_kind", "qualifier"]
+
+
+def test_a_loaded_graph_takes_at_most_half_the_bytes_edge_objects_took(
+        tmp_path):
+    # tracemalloc counts bytes, not time, so the figure is the same each
+    # run. A graph of Edge objects held 411 bytes per loaded edge of this kg
+    # (CPython 3.11); its columns, indexes and keys must hold at most half.
+    rng = random.Random(0)
+    triples = []
+    for i in range(20000):
+        r = rng.randrange(20)
+        tail = (str(rng.randrange(10**6)) if r % 2
+                else f"val{rng.randrange(10**6)}")
+        triples.append((f"ent{i // 5}", f"rel{r}", tail))
+    path = str(tmp_path / "kg.jsonl")
+    dump_graph(ingest_triples(triples), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cg = load_graph(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(cg) == 20000
+    assert held / len(cg) <= 205
