@@ -23,7 +23,8 @@ from operator import attrgetter, eq, ge, gt, itemgetter, le, lt
 from typing import Any, Callable, Iterable, Sequence
 
 from .dsl import render_value
-from .jsonl import Record, _codec, _read_fields, check_types, read_jsonl
+from .jsonl import (Record, _codec, _read_fields, check_types, open_text,
+                    read_jsonl)
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -260,11 +261,11 @@ class ConditionGraph:
     columns maps each Edge field (_ROW) to its values in edge order; Edges
     are built on demand (edges, lookup). entity_index and relation_index
     map normalized head and relation labels to arrays of edge ids;
-    relation_keys holds each edge's. Other keys (edge_keys), a tail-key
-    index and a numeric-head index are built by the first lookup that
-    needs them. Indexes and keys only accelerate: lookup results equal a
-    brute-force scan. The lazy caches live on the graph and die with it;
-    two threads filling one at once store equal values.
+    relation_keys holds each edge's. Other keys (edge_keys) and indexes
+    (index) are built by the first lookup that needs them. Indexes and
+    keys only accelerate: lookup results equal a brute-force scan. The
+    lazy caches live on the graph and die with it; two threads filling one
+    at once store equal values.
     """
 
     def __init__(self, edges: Iterable[Edge] = (), source_kind: str = "kg",
@@ -297,8 +298,11 @@ class ConditionGraph:
         self._edge_keys: dict[tuple[str, str], tuple] = {
             # a label's "in" key (value_key) is its normalized label
             ("head", "in"): head_keys, ("relation", "in"): self.relation_keys}
+        self._indexes: dict[tuple[str, str], dict] = {
+            ("head", "in"): self.entity_index,
+            ("relation", "in"): self.relation_index}
         self._parts: dict[str, tuple] = {}  # "qkey", "qvalue" (column)
-        self._tail_index = self._head_index = self._schema = None
+        self._schema = None
 
     def __len__(self) -> int:
         return len(self.relation_keys)
@@ -326,13 +330,15 @@ class ConditionGraph:
     def edge_keys(self, field: str, test: str) -> tuple:
         """Each edge's key of a field (see column) under test "in"
         (value_key), "=" (_eq_key) or "<" (order key), built once; "="
-        reuses "in" if no text looks numeric. A missing qualifier part is
+        reuses "in" if no text looks numeric, which the "in" index, if
+        built, tells from its distinct keys. A missing qualifier part is
         _MISSING."""
         table = self._edge_keys.get((field, test))
         if table is None:
             if test == "=":
                 table = self.edge_keys(field, "in")
-                if any(isinstance(k, str) and _NUM_RE.match(k) for k in table):
+                keys = self._indexes.get((field, "in"), table)
+                if any(isinstance(k, str) and _NUM_RE.match(k) for k in keys):
                     table = tuple(map(_eq_of, table))
             else:
                 key = value_key if test == "in" else _order_key
@@ -341,36 +347,27 @@ class ConditionGraph:
             table = self._edge_keys.setdefault((field, test), table)
         return table
 
-    def _tail_keys(self) -> dict:
-        """Tail "in" key -> edge ids."""
-        keys = self.edge_keys("tail", "in")
-        if self._tail_index is None:
-            index: dict = defaultdict(_id_array)
-            for i, key in enumerate(keys):
-                index[key].append(i)
-            self._tail_index = dict(index)
-        return self._tail_index
+    def index(self, field: str, test: str) -> dict:
+        """edge_keys(field, test) key -> array of edge ids, built once; "="
+        reuses the "in" index when their key tables are one."""
+        index = self._indexes.get((field, test))
+        if index is None:
+            keys = self.edge_keys(field, test)
+            if test == "=" and keys is self.edge_keys(field, "in"):
+                index = self.index(field, "in")
+            else:
+                ids: dict = defaultdict(_id_array)
+                for i, key in enumerate(keys):
+                    ids[key].append(i)
+                index = dict(ids)
+            index = self._indexes.setdefault((field, test), index)
+        return index
 
     def head_ids(self, keys: Iterable[float | str]) -> list[int]:
         """Ids, in edge order, of the edges whose head equals under "="
         (_eq_key, as a literal matches) a value whose value_key is in keys:
         the number 7 and the texts '7' and '7.0' reach the head '07'."""
-        index = self._head_keys()
-        if index is not self.entity_index:
-            keys = set(map(_eq_of, keys))  # '7' and 7 reach the same heads
-        return _ids(index, keys)
-
-    def _head_keys(self) -> dict:
-        """Head "=" key -> edge ids: entity_index, unless some head looks
-        numeric, as its ids then sit under its number."""
-        if self._head_index is None:
-            numeric = [h for h in self.entity_index if _NUM_RE.match(h)]
-            index = dict(self.entity_index) if numeric else self.entity_index
-            for head in numeric:
-                index[float(head)] = _id_array(sorted(chain(
-                    index.pop(head), index.get(float(head), ()))))
-            self._head_index = index
-        return self._head_index
+        return _ids(self.index("head", "="), set(map(_eq_of, keys)))
 
     def lookup(self, *args: Any, **kwargs: Any) -> list[Edge]:
         """The edges lookup_ids(*args, **kwargs) names, in edge order."""
@@ -412,14 +409,12 @@ class ConditionGraph:
             options.append(rel_ids)
         if head is not None and head_cmp == "=":
             options.append(self.head_ids(key_map(head)) if _is_set(head)
-                           else self._head_keys().get(_eq_key(head), ()))
+                           else self.index("head", "=").get(_eq_key(head), ()))
         if tail is not None and tail_cmp == head_cmp == "=" and (
                 rel_ids is not None or relation_cmp == "="):
-            index = self._tail_keys()
-            if _is_set(tail):
-                options.append(_ids(index, key_map(tail)))
-            elif self.edge_keys("tail", "=") is self.edge_keys("tail", "in"):
-                options.append(index.get(_eq_key(tail), ()))
+            options.append(_ids(self.index("tail", "in"), key_map(tail))
+                           if _is_set(tail) else
+                           self.index("tail", "=").get(_eq_key(tail), ()))
         ids = min(options, key=len) if options else range(len(self))
         if not ids:
             return []
@@ -451,7 +446,7 @@ class ConditionGraph:
         qualifier test without raising."""
         values = self.column(field)
         if cmp == "=" and _is_set(bound):
-            if field == "head" and self._head_keys() is not self.entity_index:
+            if field == "head":
                 return (self.edge_keys(field, "="),
                         set(map(_eq_of, key_map(bound))).__contains__)
             return self.edge_keys(field, "in"), key_map(bound).__contains__
@@ -585,36 +580,34 @@ def _delimiter(path: str, delimiter: str | None) -> str:
     return delimiter
 
 
-def read_delimited(path: str, delimiter: str | None = None) -> list[list[str]]:
-    """Read a CSV/TSV file, dropping blank lines; the delimiter defaults
-    from the extension."""
-    delimiter = _delimiter(path, delimiter)
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh, delimiter=delimiter) if row]
-
-
 def _load_file(path: str, delimiter: str | None,
                ingest: Callable[..., ConditionGraph],
                header: bool = False) -> ConditionGraph:
-    """ingest(rows) of a delimited file, or ingest(rows[1:], rows[0]) if its
-    first row is a header. A row error is named by path and the 1-based line
-    its row starts on, counting blank lines. Only errors read the file
-    again, so a good load pays nothing for the line count."""
-    rows = read_delimited(path, delimiter)
-    if header and not rows:
-        raise EmptyHeaderError(f"{path} is empty")
-    try:
-        return ingest(rows[1:], rows[0]) if header else ingest(rows)
-    except RowError as err:
-        starts, line = [], 1  # the line each non-blank row starts on
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=_delimiter(path, delimiter))
-            for row in reader:
-                if row:
-                    starts.append(line)
-                line = reader.line_num + 1
-        raise type(err)(err.row, err.reason,
-                        f"{path}:{starts[err.row + header]}") from None
+    """ingest(rows) of a delimited file's non-blank rows, read as ingest
+    asks for them, or ingest(rows, first row) if that row is a header. A
+    row error is named by path and the 1-based line its row starts on,
+    counting blank lines; so is a csv error (open_text names a decoding
+    error)."""
+    delimiter = _delimiter(path, delimiter)
+    line = 1  # where the row being read starts
+
+    def rows(reader: Any) -> Iterable[list[str]]:
+        nonlocal line
+        for row in reader:
+            if row:
+                yield row
+            line = reader.line_num + 1
+
+    with open_text(path, newline="") as fh:
+        data = rows(csv.reader(fh, delimiter=delimiter))
+        try:
+            if header and (names := next(data, None)) is None:
+                raise EmptyHeaderError(f"{path} is empty")
+            return ingest(data, names) if header else ingest(data)
+        except RowError as err:
+            raise type(err)(err.row, err.reason, f"{path}:{line}") from None
+        except csv.Error as err:
+            raise GraphError(f"{path}:{line}: {err}") from None
 
 
 def load_table_file(path: str, key_column: int | str = 0,

@@ -1,9 +1,10 @@
 """The on-disk record format: JSON objects, one per line (JSONL) or per file.
 
 Bad JSON, a non-object, or a KeyError, TypeError or ValueError from a reader's
-build callable fails as one ValueError("path:line: reason"). A Record reads
-and writes itself through a codec derived from its dataclass fields, so a
-wrongly typed value fails as it is read instead of deep inside the pipeline.
+build callable fails as one ValueError("path:line: reason"); text that is not
+UTF-8 fails as ValueError("path: reason"). A Record reads and writes itself
+through a codec derived from its dataclass fields, so a wrongly typed value
+fails as it is read instead of deep inside the pipeline.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import types
+from contextlib import contextmanager
 from functools import cache
-from typing import (Any, Callable, Iterable, Mapping, TypeVar, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import (Any, Callable, Iterable, Iterator, Mapping, TextIO,
+                    TypeVar, Union, get_args, get_origin, get_type_hints)
 
 T = TypeVar("T")
 R = TypeVar("R", bound="Record")
@@ -148,16 +150,28 @@ class Record:
         return cls(**_read_fields(data, readers))
 
 
+@contextmanager
+def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """path opened to read UTF-8 text. Text that does not decode fails as
+    ValueError("path: reason"), naming no line: text decodes in chunks, so
+    the line being read when it fails need not hold the bad byte."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def read_jsonl(path: str, build: Callable[[dict[str, Any]], T]) -> list[T]:
     """build(obj) for each line; blank lines are skipped but counted."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [_build(line, build, path, n)
                 for n, line in enumerate(fh, start=1) if not line.isspace()]
 
 
 def read_json(path: str, build: Callable[[dict[str, Any]], T]) -> T:
     """build(obj) for the one object the file holds."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return _build(fh.read(), build, path)
 
 

@@ -616,6 +616,16 @@ class TestBadInputLines:
         if bad == "missing_key":
             assert f"'{key}'" in err
 
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_bytes_that_are_not_utf8_name_the_file(self, inputs, tmp_path,
+                                                   capsys, name):
+        good, _, argv = inputs[name]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(json.dumps(good).encode() + b"\n\xff\n")
+        err = one_error_line(argv, path, capsys)
+        assert err.startswith(
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in ")
+
     def test_unknown_demo_field_counts_blank_lines(self, inputs, tmp_path,
                                                    capsys):
         good, _, argv = inputs["--demo-pool"]
@@ -855,7 +865,27 @@ MALFORMED = {
     "temporal_long_row": (
         ("terms_tsv", "Bush\t2004", "Bush\t2004\tx"), INGEST["temporal"],
         "terms.tsv:4: 5 cells, not 4"),
+    "kg_cell_past_field_limit": (
+        ("movies_tsv", "Heat\tgenre\tCrime", "Heat\tgenre\t" + "x" * 200_000),
+        INGEST["kg"], "movies.tsv:8: field larger than field limit (131072)"),
 }
+
+
+@pytest.mark.parametrize("argv, name", [
+    (INGEST["kg"], "movies_tsv"), ([*ASK_PEOPLE, "--config", "{config}"],
+                                   "config")], ids=["ingest", "config"])
+def test_undecodable_input_is_one_error_line_naming_its_file(
+        suite, tmp_path, capsys, argv, name):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\n")
+    paths = {**suite, name: str(path), "out": str(tmp_path / "out.json"),
+             "people": os.path.join(suite["graphs_dir"], "people.jsonl")}
+    capsys.readouterr()
+    code = main([paths.get(a[1:-1], a) if a.startswith("{") else a
+                 for a in argv])
+    assert (code, capsys.readouterr().err) == (1, (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position "
+        "0: invalid start byte\n"))
 
 
 @pytest.mark.parametrize("name", list(MALFORMED))

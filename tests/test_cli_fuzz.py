@@ -143,20 +143,23 @@ def mutate_json(data, line: str) -> str:
 
 def mutate(data, path: Path) -> None:
     """Rewrite path with one line dropped, duplicated or truncated, or, in
-    one line, a cell added, removed or blanked (CSV/TSV) or a JSON value
-    changed (mutate_json)."""
+    one line, a byte that is not UTF-8 inserted, a cell added, removed or
+    blanked (CSV/TSV) or a JSON value changed (mutate_json)."""
     lines = path.read_text(encoding="utf-8").splitlines()
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     line = lines[i]
     sep = {".csv": ",", ".tsv": "\t"}.get(path.suffix)
     how = data.draw(st.sampled_from(
-        ["drop", "duplicate", "truncate", "edit"]), label="how")
+        ["drop", "duplicate", "truncate", "edit", "undecodable"]), label="how")
     if how == "drop":
         del lines[i]
     elif how == "duplicate":
         lines.insert(i, line)
     elif how == "truncate":
         lines[i] = line[:data.draw(st.integers(0, max(len(line) - 1, 0)))]
+    elif how == "undecodable":  # "\udcff" is written as the byte 0xff
+        j = data.draw(st.integers(0, len(line)), label="at")
+        lines[i] = line[:j] + "\udcff" + line[j:]
     elif sep is None:
         lines[i] = mutate_json(data, line)
     else:
@@ -170,7 +173,8 @@ def mutate(data, path: Path) -> None:
         else:
             del cells[j]
         lines[i] = sep.join(cells)
-    path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+    path.write_bytes("".join(f"{x}\n" for x in lines).encode(
+        "utf-8", "surrogateescape"))
 
 
 @pytest.mark.parametrize("argv, name", CASES,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import random
@@ -20,6 +21,7 @@ from cgqa.graph import (
     Edge,
     EmptyFieldError,
     EmptyHeaderError,
+    GraphError,
     KindMismatchError,
     RaggedRowError,
     compare_values,
@@ -176,7 +178,12 @@ class TestRowErrorsNameTheFileLine:
          BadTimestampError, ":3: cannot parse time 'abc'"),
         (load_table_file, "\nK\tV\n\na\t1\nb\n", RaggedRowError,
          ":5: 1 cells, header has 2"),
-    ], ids=["blank_lines", "multi_line_cell", "bad_time", "table_header"])
+        (load_table_file, "K\tV\nb\n", RaggedRowError,
+         ":2: 1 cells, header has 2"),
+        (load_triples_file, "a\tr\na\tr\tb\n", RaggedRowError,
+         ":1: 2 cells, not 3"),
+    ], ids=["blank_lines", "multi_line_cell", "bad_time", "table_header",
+            "row_after_header", "ragged_first_line"])
     def test_file_rows_name_the_line(self, tmp_path, load, text, error,
                                      want):
         path = tmp_path / "rows.tsv"
@@ -184,6 +191,35 @@ class TestRowErrorsNameTheFileLine:
         with pytest.raises(error) as info:
             load(str(path))
         assert str(info.value) == f"{path}{want}"
+
+    def test_a_cell_past_the_csv_field_limit_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\tr\tb\n\na\tr\t" + "x" * 200_000 + "\n",
+                        encoding="utf-8")
+        with pytest.raises(GraphError) as info:
+            load_triples_file(str(path))
+        assert str(info.value) == (
+            f"{path}:3: field larger than field limit ({limit})")
+        assert csv.field_size_limit() == limit
+
+    def test_the_first_fault_in_file_order_is_named(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("a\tr\na\tr\t" + "x" * 200_000 + "\n",
+                        encoding="utf-8")
+        with pytest.raises(RaggedRowError, match=r":1: 2 cells, not 3$"):
+            load_triples_file(str(path))
+
+    @pytest.mark.parametrize("load", [load_table_file, load_triples_file,
+                                      load_temporal_file])
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, load):
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(b"K\tV\nab\xffc\t1\n")
+        with pytest.raises(ValueError) as info:
+            load(str(path))
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 6: "
+            "invalid start byte")
 
 
 class TestLookup:
@@ -823,3 +859,42 @@ def test_a_loaded_graph_takes_at_most_half_the_bytes_edge_objects_took(
         tracemalloc.stop()
     assert len(cg) == 20000
     assert held / len(cg) <= 205
+
+
+def test_a_file_is_read_once_without_holding_its_rows(tmp_path):
+    # tracemalloc counts bytes, not time, so the figure is the same each
+    # run. Reading the whole file as a list of rows before ingesting it
+    # peaked at 235 bytes per row of this kg (CPython 3.11) above what the
+    # finished graph holds; reading rows as ingest asks for them, at 111.
+    rng = random.Random(0)
+    lines = []
+    for i in range(20000):
+        r = rng.randrange(20)
+        tail = (str(rng.randrange(10**6)) if r % 2
+                else f"val{rng.randrange(10**6)}")
+        lines.append(f"ent{i // 5}\trel{r}\t{tail}\n")
+    path = tmp_path / "kg.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    del lines
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cg = load_triples_file(str(path))
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cg) == 20000
+    assert (peak - held) / len(cg) <= 160
+
+
+def test_a_head_lookup_without_numeric_heads_reuses_entity_index():
+    cg = ingest_triples([("Ann", "age", "7"), ("07x", "age", "8"),
+                         ("Bo", "likes", "Ann")])
+    assert [e.head for e in cg.lookup(head="ann")] == ["Ann"]
+    assert cg.project("head", tail=frozenset({7})) == {"Ann"}
+    assert cg.index("head", "=") is cg.entity_index
+    assert cg.index("tail", "=") is cg.index("tail", "in")
+    numeric = ingest_triples([("7", "age", "x"), ("Bo", "likes", "7")])
+    assert [e.head for e in numeric.lookup(head=7.0)] == ["7"]
+    assert numeric.index("head", "=") is not numeric.entity_index
