@@ -13,6 +13,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
 from .dsl import DEFAULT_REGISTRY, parse_plan, validate_plan
@@ -64,6 +65,22 @@ class Demonstration(Record):
         """Word set of the question, computed once per demonstration and
         shared by every DemoIndex built over a pool that holds it."""
         return _word_set(self.question)
+
+    @cached_property
+    def body(self) -> str:
+        """The demonstration as a prompt shows it below its numbered
+        header, rendered once; body_json is its JSON-escaped form. The two
+        keep about twice the demonstration's text per demonstration shown."""
+        fix = (f"Wrong query:\n{self.wrong_plan_text}\n"
+               f"Error message: {self.error_message}\n"
+               f"Analysis: {self.analysis}\nCorrected query"
+               if self.is_correction else "Query")
+        return (f"Schema:\n{self.schema_text}\nQuestion: {self.question}\n"
+                f"{fix}:\n{self.plan_text}")
+
+    @cached_property
+    def body_json(self) -> str:
+        return encode_basestring(self.body)[1:-1]
 
 
 @dataclass
@@ -132,7 +149,8 @@ _NO_WORDS = frozenset({""})
 class DemoIndex:
     """Word -> bitmask of the pool positions whose question holds it, and
     question word count -> bitmask of the positions with that count, so
-    retrieval scores the whole pool with a few int operations per word.
+    retrieval scores the whole pool with a few int operations per word;
+    corrections masks the correction demonstrations' positions.
     Two texts without words have Jaccard 1 and match nothing else, so both
     sides stand for an empty word set by the word "", which no word equals.
     """
@@ -141,18 +159,18 @@ class DemoIndex:
         self.pool = tuple(pool)
         self.everyone = (1 << len(self.pool)) - 1
         self.masks, self.by_size = {}, {}  # word, word count -> positions
+        self.corrections = sum(1 << i for i, demo in enumerate(self.pool)
+                               if demo.is_correction)
         for i, demo in enumerate(self.pool):
             words = demo.question_words or _NO_WORDS
             self.by_size[len(words)] = self.by_size.get(len(words), 0) | 1 << i
             for word in words:
                 self.masks[word] = self.masks.get(word, 0) | 1 << i
 
-    def top(self, question_text: str, k: int) -> list[int]:
-        """Positions of the k best demonstrations by (-jaccard, position);
-        fewer than k scoring above zero are followed by the rest in pool
-        order."""
-        if k <= 0:
-            return []
+    def rank(self, question_text: str) -> list[int]:
+        """Bitmasks of pool positions, best first: one per Jaccard score
+        above zero, highest first, then the positions sharing no word.
+        Ranking a sub-pool orders its positions as masking this does."""
         words = _word_set(question_text) or _NO_WORDS
         planes = [0] * len(words).bit_length()  # plane j: bit j of counts
         for carry in map(self.masks.get, words & self.masks.keys()):
@@ -168,12 +186,7 @@ class DemoIndex:
                 if m := at_c & sized:  # equal floats tie, whatever c and s
                     score = -c / (n + s - c)
                     groups[score] = groups.get(score, 0) | m
-        best: list[int] = []
-        for m in [groups[score] for score in sorted(groups)] + [rest]:
-            while m and len(best) < k:
-                best.append((m & -m).bit_length() - 1)
-                m &= m - 1  # drop the lowest position
-        return best
+        return [groups[score] for score in sorted(groups)] + [rest]
 
 
 def retrieve_demos(
@@ -181,21 +194,26 @@ def retrieve_demos(
     pool: Sequence[Demonstration] | DemoIndex,
     k_retrieve: int = 15,
     k_use: int = 8,
+    ranking: Iterable[int] | None = None,
 ) -> list[Demonstration]:
     """The k_use first distinct (question, plan) pairs among the k_retrieve
     demonstrations most similar by token_set_jaccard; ties keep pool order.
-    A plain sequence is indexed for this call only."""
+    A plain sequence is indexed for this call only. ranking, when given, is
+    the index's rank(question_text), whose masks may leave positions out:
+    then only the positions left are retrieved from."""
     index = pool if isinstance(pool, DemoIndex) else DemoIndex(pool)
     picked: list[Demonstration] = []
     seen: set[tuple[str, str]] = set()
-    for i in index.top(question_text, k_retrieve):
-        if len(picked) >= k_use:
-            break
-        demo = index.pool[i]
-        ident = (demo.question, demo.plan_text)
-        if ident not in seen:
-            seen.add(ident)
-            picked.append(demo)
+    left = k_retrieve
+    for m in index.rank(question_text) if ranking is None else ranking:
+        while m and left > 0 and len(picked) < k_use:
+            demo = index.pool[(m & -m).bit_length() - 1]
+            m &= m - 1  # drop the lowest position
+            left -= 1
+            ident = (demo.question, demo.plan_text)
+            if ident not in seen:
+                seen.add(ident)
+                picked.append(demo)
     return picked
 
 
@@ -217,29 +235,35 @@ _SYSTEM_TEXT = (
 )
 
 
-def _demo_block(demos: Sequence[Demonstration]) -> str:
-    if not demos:
-        return "(none)"
-    parts = []
-    for i, demo in enumerate(demos, start=1):
-        if demo.is_correction:
-            parts.append(
-                f"[Demonstration {i}]\n"
-                f"Schema:\n{demo.schema_text}\n"
-                f"Question: {demo.question}\n"
-                f"Wrong query:\n{demo.wrong_plan_text}\n"
-                f"Error message: {demo.error_message}\n"
-                f"Analysis: {demo.analysis}\n"
-                f"Corrected query:\n{demo.plan_text}"
-            )
-        else:
-            parts.append(
-                f"[Demonstration {i}]\n"
-                f"Schema:\n{demo.schema_text}\n"
-                f"Question: {demo.question}\n"
-                f"Query:\n{demo.plan_text}"
-            )
-    return "\n\n".join(parts)
+_SYSTEM = ChatMessage("system", _SYSTEM_TEXT, encode_basestring(_SYSTEM_TEXT))
+
+
+class _Demos(tuple):
+    """Demonstrations whose prompt block is rendered on first use and then
+    kept, so that one question's correction prompts share it."""
+
+    @cached_property
+    def block(self) -> tuple[str, str]:
+        """The demonstrations block of a prompt and its JSON-escaped form."""
+        if not self:
+            return "(none)", "(none)"
+        return ("\n\n".join([f"[Demonstration {i}]\n{demo.body}"
+                             for i, demo in enumerate(self, start=1)]),
+                "\\n\\n".join([f"[Demonstration {i}]\\n{demo.body_json}"
+                               for i, demo in enumerate(self, start=1)]))
+
+
+def _demo_block(demos: Sequence[Demonstration]) -> tuple[str, str]:
+    return (demos if isinstance(demos, _Demos) else _Demos(demos)).block
+
+
+def _user_message(head: str, block: tuple[str, str], tail: str) -> ChatMessage:
+    """The user message head + block + tail; its content_json reuses the
+    block's escaped form instead of escaping the block again."""
+    text, escaped = block
+    return ChatMessage("user", head + text + tail,
+                       encode_basestring(head)[:-1] + escaped
+                       + encode_basestring(tail)[1:])
 
 
 def build_query_prompt(
@@ -248,13 +272,9 @@ def build_query_prompt(
     demos: Sequence[Demonstration] = (),
 ) -> list[ChatMessage]:
     """Prompt asking for an initial query plan."""
-    user = (
-        f"Schema:\n{schema_text}\n\n"
-        f"Demonstrations:\n{_demo_block(demos)}\n\n"
-        f"Question: {question_text}\n"
-        "Write the query plan only."
-    )
-    return [ChatMessage("system", _SYSTEM_TEXT), ChatMessage("user", user)]
+    return [_SYSTEM, _user_message(
+        f"Schema:\n{schema_text}\n\nDemonstrations:\n", _demo_block(demos),
+        f"\n\nQuestion: {question_text}\nWrite the query plan only.")]
 
 
 def build_correction_prompt(
@@ -277,17 +297,14 @@ def build_correction_prompt(
             for i, (plan, message) in enumerate(history, start=1)
         ]
         past = "\n\n".join(blocks) + "\n\n"
-    user = (
-        f"Schema:\n{schema_text}\n\n"
-        f"Demonstrations:\n{_demo_block(demos)}\n\n"
-        f"Question: {question_text}\n\n"
+    return [_SYSTEM, _user_message(
+        f"Schema:\n{schema_text}\n\nDemonstrations:\n", _demo_block(demos),
+        f"\n\nQuestion: {question_text}\n\n"
         f"{past}"
         f"Wrong query:\n{wrong_plan_text}\n\n"
         f"Error message: {error_message}\n\n"
         "First explain what went wrong, then write the corrected full "
-        "query plan (queryN = ... lines)."
-    )
-    return [ChatMessage("system", _SYSTEM_TEXT), ChatMessage("user", user)]
+        "query plan (queryN = ... lines).")]
 
 
 def query_prompt_text(question_text: str, schema_text: str) -> str:
@@ -425,6 +442,7 @@ def run_correction(
     if mct < 0:
         raise ValueError("mct must be >= 0")
     schema_text = render_schema(schema)
+    demos_correction = _Demos(demos_correction)  # rendered once, if at all
     initial_plan, initial_outcome = generate_initial(
         question.text, schema_text, cg, client, demos_query, sc_n, strict_empty
     )

@@ -92,8 +92,8 @@ class PipelineConfig:
     demo_pool: Sequence[Demonstration] = field(default_factory=tuple)
     jobs: int = 1
     full_history: bool = False
-    _indexes: tuple = field(default=(None, None, None), init=False,
-                            repr=False, compare=False)
+    _index: tuple = field(default=(None, None), init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self) -> None:
         for name, low in (("jobs", 1), ("demos", 0), ("retrieves", 0),
@@ -102,16 +102,13 @@ class PipelineConfig:
                 flag = "self-consistency" if name == "sc_n" else name
                 raise ValueError(f"{flag} must be >= {low}")
 
-    def demo_indexes(self) -> tuple[DemoIndex, DemoIndex]:
-        """Word indexes of demo_pool and of its correction demonstrations,
-        built once per pool object."""
-        pool, full, corrections = self._indexes
+    def demo_index(self) -> DemoIndex:
+        """Word index of demo_pool, built once per pool object."""
+        pool, index = self._index
         if pool is not self.demo_pool:
-            pool = self.demo_pool
-            full = DemoIndex(pool)
-            corrections = DemoIndex([d for d in full.pool if d.is_correction])
-            self._indexes = (pool, full, corrections)
-        return full, corrections
+            index = DemoIndex(self.demo_pool)
+            self._index = (self.demo_pool, index)
+        return index
 
 
 def run_question(
@@ -120,12 +117,15 @@ def run_question(
     client,
     config: PipelineConfig,
 ) -> CorrectionTrace:
-    """Resolve demonstrations and run the loop for one question."""
-    pool, corrections = config.demo_indexes()
-    demos_q = retrieve_demos(question.text, pool, config.retrieves,
-                             config.demos)
-    demos_c = retrieve_demos(question.text, corrections, config.retrieves,
-                             config.demos)
+    """Resolve demonstrations and run the loop for one question; the
+    correction demonstrations come from the same ranking, masked."""
+    index = config.demo_index()
+    ranking = index.rank(question.text)
+    demos_q = retrieve_demos(question.text, index, config.retrieves,
+                             config.demos, ranking)
+    demos_c = retrieve_demos(question.text, index, config.retrieves,
+                             config.demos,
+                             [m & index.corrections for m in ranking])
     match_mode = "hits1" if config.metric == METRIC_HITS1 else "denotation"
     return run_correction(
         question,

@@ -407,9 +407,15 @@ class ConditionGraph:
             rel_norm = normalize(str(relation))
             rel_ids = self.relation_index.get(rel_norm, ())
             options.append(rel_ids)
+        by_head = head_test = None
         if head is not None and head_cmp == "=":
-            options.append(self.head_ids(key_map(head)) if _is_set(head)
-                           else self.index("head", "=").get(_eq_key(head), ()))
+            if _is_set(head):  # matched as head_ids does, keyed once
+                heads = set(map(_eq_of, key_map(head)))
+                head_test = (self.edge_keys("head", "="), heads.__contains__)
+                by_head = _ids(self.index("head", "="), heads)
+            else:
+                by_head = self.index("head", "=").get(_eq_key(head), ())
+            options.append(by_head)
         if tail is not None and tail_cmp == head_cmp == "=" and (
                 rel_ids is not None or relation_cmp == "="):
             options.append(_ids(self.index("tail", "in"), key_map(tail))
@@ -420,9 +426,12 @@ class ConditionGraph:
             return []
         set_relation = relation if rel_ids is None else None
         checks = [self.field_test(*test) for test in (
-            ("head", head, head_cmp), ("relation", set_relation, relation_cmp),
-            ("tail", tail, tail_cmp), ("qkey", qual_key, key_cmp),
-            ("qvalue", qual_value, qual_cmp)) if test[1] is not None]
+            ("relation", set_relation, relation_cmp), ("tail", tail, tail_cmp),
+            ("qkey", qual_key, key_cmp), ("qvalue", qual_value, qual_cmp))
+            if test[1] is not None]
+        if head is not None and ids is not by_head:  # else all match it
+            checks.insert(0, head_test or self.field_test("head", head,
+                                                          head_cmp))
         if rel_ids is not None and ids is not rel_ids:
             checks.insert(0, (self.relation_keys, partial(eq, rel_norm)))
         out = []
@@ -440,15 +449,12 @@ class ConditionGraph:
         edge's field (see column) matches bound under cmp, as a scan tests
         it. A literal compares under compare_values, keyed once. A set (an
         earlier step's result) matches by membership in its key_map,
-        without numeric coercion except on the head, which it matches as
-        head_ids does; a set admits only '=', and a bad comparator raises
+        without numeric coercion (lookup_ids matches a head set as head_ids
+        does); a set admits only '=', and a bad comparator raises
         only when an edge is tested. An edge without a qualifier fails a
         qualifier test without raising."""
         values = self.column(field)
         if cmp == "=" and _is_set(bound):
-            if field == "head":
-                return (self.edge_keys(field, "="),
-                        set(map(_eq_of, key_map(bound))).__contains__)
             return self.edge_keys(field, "in"), key_map(bound).__contains__
         if cmp == "=":
             return self.edge_keys(field, "="), partial(eq, _eq_key(bound))

@@ -154,11 +154,18 @@ class Record:
 def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
     """path opened to read UTF-8 text. Text that does not decode fails as
     ValueError("path: reason"), naming no line: text decodes in chunks, so
-    the line being read when it fails need not hold the bad byte."""
+    the line being read when it fails need not hold the bad byte. The
+    reason names the byte's offset in the file, found by decoding the file
+    whole again: the chunk's decoder counts from the chunk."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    exc = whole
             raise ValueError(f"{path}: {exc}") from None
 
 

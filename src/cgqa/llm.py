@@ -18,7 +18,8 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Iterable, Sequence
 
 from .jsonl import Record, check_types, read_jsonl
@@ -51,8 +52,12 @@ class ScriptExhaustedError(ChatError):
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """One chat message; content_json, when set, is content written as a
+    JSON string literal, which request_digest then need not escape."""
+
     role: str
     content: str
+    content_json: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
@@ -92,10 +97,14 @@ def flatten_messages(messages: Sequence[ChatMessage]) -> str:
 
 
 def request_digest(messages: Sequence[ChatMessage]) -> str:
-    """Stable digest of a request, used to key scripted replies."""
-    canon = json.dumps(messages_to_wire(messages), ensure_ascii=False,
-                       sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    """Stable digest of a request, used to key scripted replies: of the
+    JSON that json.dumps(messages_to_wire(messages), ensure_ascii=False,
+    sort_keys=True) writes, put together from each message's content_json
+    (or its escaped content) and its role, which needs no escaping."""
+    canon = ", ".join(
+        f'{{"content": {m.content_json or encode_basestring(m.content)}, '
+        f'"role": "{m.role}"}}' for m in messages)
+    return hashlib.sha256(f"[{canon}]".encode("utf-8")).hexdigest()[:16]
 
 
 class ScriptedChatClient:

@@ -3,8 +3,11 @@ voting, round bookkeeping, and terminal statuses."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -33,7 +36,7 @@ from cgqa.correction import (
 from cgqa.errors import ErrorKind
 from cgqa.evaluate import PipelineConfig
 from cgqa.graph import ingest_table, schema_summary
-from cgqa.llm import ScriptedChatClient, request_digest
+from cgqa.llm import ChatMessage, ScriptedChatClient, request_digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "prompts"
 
@@ -211,20 +214,42 @@ class TestRetrievalIndex:
         assert retrieve_demos("who", pool, 0, 8) == []
         assert retrieve_demos("who", pool, 15, 0) == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(question=retrieval_texts,
+           pool=st.lists(st.tuples(retrieval_texts, st.sampled_from("pq"),
+                                   st.booleans()), max_size=25),
+           k=st.sampled_from([0, 1, 15, "more"]), k_use=st.integers(0, 30))
+    def test_masked_ranking_equals_a_correction_only_index(
+            self, question, pool, k, k_use):
+        """run_question ranks the pool once and masks it to the correction
+        demonstrations; that must pick what indexing them apart picks."""
+        demos = [Demonstration(q, "s", plan, wrong_plan_text="w" if fix
+                               else None) for q, plan, fix in pool]
+        k_retrieve = len(demos) + 1 if k == "more" else k
+        index = DemoIndex(demos)
+        ranking = index.rank(question)
+        fixes = [d for d in demos if d.is_correction]
+        want = retrieve_demos(question, DemoIndex(fixes), k_retrieve, k_use)
+        assert want == brute_force_demos(question, fixes, k_retrieve, k_use)
+        masked = [m & index.corrections for m in ranking]
+        assert retrieve_demos(question, index, k_retrieve, k_use,
+                              masked) == want
+        assert retrieve_demos(question, index, k_retrieve, k_use,
+                              ranking) == brute_force_demos(
+            question, demos, k_retrieve, k_use)
+
     def test_pipeline_config_indexes_each_pool_once(self):
         plain = Demonstration("who is from utah", "s", "p1")
         fix = Demonstration("how old is bob", "s", "p2", wrong_plan_text="w",
                             error_message="e", analysis="a")
         config = PipelineConfig(demo_pool=(plain, fix))
-        full, corrections = config.demo_indexes()
-        assert full.pool == (plain, fix) and corrections.pool == (fix,)
-        again = config.demo_indexes()
-        assert again[0] is full and again[1] is corrections
+        index = config.demo_index()
+        assert index.pool == (plain, fix) and index.corrections == 0b10
+        assert config.demo_index() is index
         config.demo_pool = (plain, fix)  # equal, but another object
-        rebuilt = config.demo_indexes()
-        assert rebuilt[0] is not full and rebuilt[1] is not corrections
-        assert rebuilt[0].pool == full.pool
-        assert config.demo_indexes()[0] is rebuilt[0]
+        rebuilt = config.demo_index()
+        assert rebuilt is not index and rebuilt.pool == index.pool
+        assert config.demo_index() is rebuilt
 
 
 class TestPrompts:
@@ -274,6 +299,38 @@ class TestPrompts:
         assert "[Demonstration 1]" in pq[1].content
         pc = build_correction_prompt("q", schema_text, "wrong", "msg", demos)
         assert "Corrected query:" in pc[1].content
+
+
+def json_dumps_digest(messages) -> str:
+    """request_digest as json.dumps wrote it before content_json existed."""
+    canon = json.dumps([{"role": m.role, "content": m.content}
+                        for m in messages], ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+# Every character JSON escapes, and some it leaves alone: DEL, the line
+# separator U+2028 and an emoji outside the BMP.
+prompt_texts = st.text(st.sampled_from(
+    ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\U0001f600", "a",
+     " ", "é"]), max_size=8)
+demonstrations = st.builds(Demonstration, prompt_texts, prompt_texts,
+                           prompt_texts, st.none() | prompt_texts,
+                           prompt_texts, prompt_texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(question=prompt_texts, schema=prompt_texts, wrong=prompt_texts,
+       message=prompt_texts, demos=st.lists(demonstrations, max_size=3),
+       history=st.lists(st.tuples(prompt_texts, prompt_texts), max_size=2))
+def test_prompts_carry_their_escaped_content(question, schema, wrong, message,
+                                             demos, history):
+    for prompt in (build_query_prompt(question, schema, demos),
+                   build_correction_prompt(question, schema, wrong, message,
+                                           demos, history),
+                   [ChatMessage("system", schema), ChatMessage("user", wrong)]):
+        for m in prompt:
+            assert m.content_json in (None, encode_basestring(m.content))
+        assert request_digest(prompt) == json_dumps_digest(prompt)
 
 
 class TestExtractPlan:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgqa import graph
 from cgqa.graph import (
     BadTimestampError,
     ConditionGraph,
@@ -41,6 +42,7 @@ from cgqa.graph import (
 )
 from cgqa.executor import execute_plan
 from cgqa.dsl import parse_plan, validate_plan
+from cgqa.jsonl import read_json, read_jsonl
 
 from oracle import BIG_ENTITIES, BIG_RELATIONS, random_large_graph
 
@@ -221,12 +223,46 @@ class TestRowErrorsNameTheFileLine:
             f"{path}: 'utf-8' codec can't decode byte 0xff in position 6: "
             "invalid start byte")
 
+    @pytest.mark.parametrize("read, line", [
+        (load_triples_file, b"a\tr\tb\n"),
+        (lambda path: read_jsonl(path, dict), b'{"a": 1}\n'),
+        (lambda path: read_json(path, dict), b" " * 7 + b"\n")],
+        ids=["load_triples_file", "read_jsonl", "read_json"])
+    def test_a_bad_byte_is_named_by_its_offset_in_the_file(self, tmp_path,
+                                                          read, line):
+        """The decoder reads in chunks and counts from its chunk; the
+        error names where the byte is in the file."""
+        path = tmp_path / "input"
+        path.write_bytes(line * 3000 + b"\xff\n")
+        with pytest.raises(ValueError) as info:
+            read(str(path))
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(line) * 3000}: invalid start byte")
+
 
 class TestLookup:
     def test_single_match(self, toy_graph):
         hits = toy_graph.lookup(relation="Colleges", tail="Utah")
         assert [(e.head, e.tail) for e in hits] == [("Alice", "Utah")]
         assert hits == brute_lookup(toy_graph, relation="Colleges", tail="Utah")
+
+    @pytest.mark.parametrize("bounds, want", [
+        ({"relation": "r"}, [1, 2, 3, 20]),
+        ({"tail": frozenset({"t1"})}, [1, 20])],
+        ids=["from_head_index", "from_tail_index"])
+    def test_a_head_set_is_keyed_once_per_lookup(self, monkeypatch, bounds,
+                                                 want):
+        cg = ingest_triples([(f"e{i}", "r", f"t{i}") for i in range(20)]
+                            + [("07", "r", "t1")])
+        heads = frozenset({"e1", "e2", "e3", 7})  # 7 matches the head '07'
+        assert cg.lookup_ids(head=heads, **bounds) == want  # builds indexes
+        calls = []
+        real = graph._eq_of
+        monkeypatch.setattr(graph, "_eq_of",
+                            lambda key: calls.append(key) or real(key))
+        assert cg.lookup_ids(head=heads, **bounds) == want
+        assert len(calls) == len(heads)
 
     def test_empty_result(self, toy_graph):
         assert toy_graph.lookup(relation="Hometown", tail="Utah") == []
