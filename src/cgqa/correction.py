@@ -16,7 +16,7 @@ from functools import cached_property
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
-from .dsl import DEFAULT_REGISTRY, parse_plan, validate_plan
+from .dsl import DEFAULT_REGISTRY, QueryPlan, parse_plan, validate_plan
 from .errors import ErrorKind, QueryError
 from .executor import ExecutionOutcome, execute_plan
 from .graph import ConditionGraph, SchemaDescriptor, Scalar, sort_values
@@ -115,6 +115,10 @@ class CorrectionTrace(Record):
     n: int
     final_plan_text: str | None
     gold_answer: Gold | None = None
+    # Each assessed plan text's parse, or None if it did not parse: in
+    # memory only, for self_records; a trace read from a file has none.
+    parses: dict[str, QueryPlan | None] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def trace_id(self) -> str:
@@ -349,13 +353,19 @@ def extract_plan(completion: str) -> tuple[str, str | None]:
 
 
 def assess(
-    plan_text: str, cg: ConditionGraph, strict_empty: bool = False
+    plan_text: str, cg: ConditionGraph, strict_empty: bool = False,
+    parses: dict[str, QueryPlan | None] | None = None,
 ) -> ExecutionOutcome:
-    """Parse, validate, and execute plan text; failures become outcomes."""
+    """Parse, validate, and execute plan text; failures become outcomes.
+    parses, if given, keeps the text's parse, valid or not, or None."""
+    plan = None
     try:
-        plan = validate_plan(parse_plan(plan_text))
+        validate_plan(plan := parse_plan(plan_text))
     except QueryError as err:
         return ExecutionOutcome("exec_error", [], None, err.detached())
+    finally:
+        if parses is not None:
+            parses[plan_text] = plan
     return execute_plan(plan, cg, strict_empty=strict_empty)
 
 
@@ -373,6 +383,7 @@ def generate_initial(
     demos: Sequence[Demonstration] = (),
     sc_n: int = 5,
     strict_empty: bool = False,
+    parses: dict[str, QueryPlan | None] | None = None,
 ) -> tuple[str, ExecutionOutcome]:
     """Sample sc_n plans and majority-vote their executed answers.
 
@@ -383,7 +394,8 @@ def generate_initial(
     leading bucket outgrows the runner-up by more than the samples left,
     since no later plan can then change the winner. All failing samples
     share one bucket; ties go to the earliest sample. Returns the plan text
-    of the first sample in the winning bucket and its outcome.
+    of the first sample in the winning bucket and its outcome. parses, if
+    given, keeps each assessed text's parse, as assess does.
     """
     if sc_n < 1:
         raise ValueError("sc_n must be >= 1")
@@ -408,7 +420,8 @@ def generate_initial(
     for plan_text, idxs in samples.items():
         if lead > runner + left:
             break  # the rest can neither tie the lead nor move a first index
-        outcome = outcomes[plan_text] = assess(plan_text, cg, strict_empty)
+        outcome = outcomes[plan_text] = assess(plan_text, cg, strict_empty,
+                                               parses)
         buckets.setdefault(_vote_key(outcome), []).extend(idxs)
         left -= len(idxs)
         runner, lead = sorted([0, 0, *map(len, buckets.values())])[-2:]
@@ -443,8 +456,10 @@ def run_correction(
         raise ValueError("mct must be >= 0")
     schema_text = render_schema(schema)
     demos_correction = _Demos(demos_correction)  # rendered once, if at all
+    parses: dict[str, QueryPlan | None] = {}
     initial_plan, initial_outcome = generate_initial(
-        question.text, schema_text, cg, client, demos_query, sc_n, strict_empty
+        question.text, schema_text, cg, client, demos_query, sc_n, strict_empty,
+        parses,
     )
 
     rounds: list[CorrectionRound] = []
@@ -464,6 +479,7 @@ def run_correction(
         analysis, new_plan = extract_plan(completion)
         if new_plan is None:
             new_plan = completion.strip()
+            parses[new_plan] = None  # no step line, so it does not parse
             outcome_after = ExecutionOutcome(
                 "exec_error",
                 [],
@@ -475,7 +491,7 @@ def run_correction(
                 ),
             )
         else:
-            outcome_after = assess(new_plan, cg, strict_empty)
+            outcome_after = assess(new_plan, cg, strict_empty, parses)
         rounds.append(
             CorrectionRound(
                 index=len(rounds) + 1,
@@ -514,6 +530,7 @@ def run_correction(
         n=len(rounds),
         final_plan_text=final_plan,
         gold_answer=question.gold_answer,
+        parses=parses,
     )
 
 

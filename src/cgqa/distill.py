@@ -187,11 +187,11 @@ def self_records(trace: CorrectionTrace) -> list[PreferencePair]:
     if not trace.rounds:
         return []
     prompt = query_prompt_text(trace.question_text, trace.schema_text)
-    final_canonical = canonical_plan_text(final_plan)
+    final_canonical = canonical_plan_text(final_plan, trace.parses)
     pairs = []
     for rnd in trace.rounds:
         attempt = _attempt_before_round(trace, rnd.index)
-        if canonical_plan_text(attempt) == final_canonical:
+        if canonical_plan_text(attempt, trace.parses) == final_canonical:
             continue
         pairs.append(
             PreferencePair(

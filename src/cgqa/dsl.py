@@ -21,11 +21,15 @@ from decimal import Decimal
 from .errors import ErrorKind, QueryError
 
 _STEP_RE = re.compile(r"^query(\d+)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$")
-_ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(<=|>=|=|<|>)\s*(.*)$", re.S)
-_REF_RE = re.compile(r"^output_of_query(\d+)$")
+_NAME_CMP = r"([A-Za-z_][A-Za-z0-9_]*)\s*(<=|>=|=|<|>)\s*"
+_ARG_RE = re.compile(rf"^{_NAME_CMP}(.*)$", re.S)
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\(.*\)$", re.S)
-_NUM_RE = re.compile(r"^-?\d+(\.\d+)?$")
-_STR_RE = re.compile(r"^'([^'\\]*(?:\\.[^'\\]*)*)'$")
+# A value: a quoted string, a numeral or a step reference (see _literal).
+_VALUE = r"'([^'\\]*(?:\\.[^'\\]*)*)'|(-?\d+(?:\.\d+)?)|output_of_query(\d+)"
+_VALUE_RE = re.compile(rf"(?:{_VALUE})\Z", re.S)
+# One well-formed argument after any blanks and empty commas, up to its comma
+# or the list's end: the token split_args and _parse_arg would read there.
+_ARG_SCAN_RE = re.compile(rf"[\s,]*{_NAME_CMP}(?:{_VALUE})\s*(?:,|\Z)", re.S)
 # Escapes inside a quoted string: the quote, the backslash, and every
 # character str.splitlines breaks on, so a label never splits its step.
 _ESCAPES = {"'": "'", "\\": "\\", "n": "\n", "r": "\r", "v": "\x0b",
@@ -149,26 +153,20 @@ def _unescape(m: re.Match) -> str:
     return _ESCAPES[m.group(1)]
 
 
-def _parse_value(raw: str, function: str) -> Literal:
-    m = _STR_RE.match(raw)
-    if m:
-        text = m.group(1)
+def _literal(text: str | None, number: str | None, ref: str | None) -> Literal:
+    """The value of a _VALUE match, from its groups."""
+    if text is not None:
         return _ESCAPE_RE.sub(_unescape, text) if "\\" in text else text
-    if _NUM_RE.match(raw):
-        return int(raw) if "." not in raw else float(raw)
-    m = _REF_RE.match(raw)
-    if m:
-        return StepRef(int(m.group(1)))
-    m = _CALL_RE.match(raw)
-    if m:
-        raise QueryError(
-            ErrorKind.NON_ATOMIC_OPERATION, outer=function, inner=m.group(1)
-        )
-    raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text=raw)
+    if number is not None:
+        return int(number) if "." not in number else float(number)
+    return StepRef(int(ref))
 
 
 def parse_plan(text: str) -> QueryPlan:
     """Parse query text into steps, or raise the first structural error.
+
+    Well-formed arguments are read by _ARG_SCAN_RE, the rest of a list from
+    the first one it does not take by split_args and _parse_arg.
 
     Raises QueryError of kind NON_ATOMIC_OPERATION (nested call) or
     NON_STANDARD_EXPRESSION (anything the grammar cannot extract).
@@ -185,11 +183,16 @@ def parse_plan(text: str) -> QueryPlan:
             raise QueryError(
                 ErrorKind.NON_STANDARD_EXPRESSION, text=line, what="query step"
             )
-        function = m.group(2)
-        args = tuple(
-            _parse_arg(token, function) for token in split_args(m.group(3))
-        )
-        steps.append(QueryStep(index=pos, function=function, args=args))
+        function, arglist = m.group(2), m.group(3)
+        args, at = [], 0
+        while arg := _ARG_SCAN_RE.match(arglist, at):
+            name, comparator, *value = arg.groups()
+            args.append(Arg(name, comparator, _literal(*value)))
+            at = arg.end()
+        if at < len(arglist):
+            args += [_parse_arg(token, function)
+                     for token in split_args(arglist[at:])]
+        steps.append(QueryStep(index=pos, function=function, args=tuple(args)))
     return QueryPlan(steps=steps)
 
 
@@ -197,9 +200,13 @@ def _parse_arg(token: str, function: str) -> Arg:
     m = _ARG_RE.match(token)
     if not m:
         raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text=token)
-    name, comparator, raw = m.group(1), m.group(2), m.group(3).strip()
-    return Arg(name=name, comparator=comparator,
-               value=_parse_value(raw, function))
+    raw = m.group(3).strip()
+    if value := _VALUE_RE.match(raw):
+        return Arg(m.group(1), m.group(2), _literal(*value.groups()))
+    if call := _CALL_RE.match(raw):
+        raise QueryError(ErrorKind.NON_ATOMIC_OPERATION, outer=function,
+                         inner=call.group(1))
+    raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text=raw)
 
 
 def validate_plan(plan: QueryPlan) -> QueryPlan:
@@ -307,9 +314,12 @@ def render_plan(plan: QueryPlan) -> str:
     return "\n".join(render_step(s) for s in plan.steps)
 
 
-def canonical_plan_text(text: str) -> str:
-    """Reprint plan text canonically; unparseable text comes back stripped."""
+def canonical_plan_text(text: str, parses: dict[str, QueryPlan | None]) -> str:
+    """Reprint plan text canonically; unparseable text comes back stripped.
+    A text in parses is not parsed again: it maps to its plan, or to None
+    if it did not parse."""
     try:
-        return render_plan(parse_plan(text))
+        plan = parses[text] if text in parses else parse_plan(text)
     except QueryError:
-        return text.strip()
+        plan = None
+    return text.strip() if plan is None else render_plan(plan)

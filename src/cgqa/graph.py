@@ -416,16 +416,23 @@ class ConditionGraph:
             else:
                 by_head = self.index("head", "=").get(_eq_key(head), ())
             options.append(by_head)
+        by_tail = tail_test = None
         if tail is not None and tail_cmp == head_cmp == "=" and (
                 rel_ids is not None or relation_cmp == "="):
-            options.append(_ids(self.index("tail", "in"), key_map(tail))
-                           if _is_set(tail) else
-                           self.index("tail", "=").get(_eq_key(tail), ()))
+            if _is_set(tail):
+                by_tail = _ids(self.index("tail", "in"), key_map(tail))
+            else:  # keyed once, for the tail index and the tail test
+                tail_key = _eq_key(tail)
+                tail_test = (self.edge_keys("tail", "="), partial(eq, tail_key))
+                by_tail = self.index("tail", "=").get(tail_key, ())
+            options.append(by_tail)
         ids = min(options, key=len) if options else range(len(self))
         if not ids:
             return []
         set_relation = relation if rel_ids is None else None
-        checks = [self.field_test(*test) for test in (
+        tail = None if ids is by_tail else tail  # if so, all match it
+        checks = [tail_test if test[0] == "tail" and tail_test else
+                  self.field_test(*test) for test in (
             ("relation", set_relation, relation_cmp), ("tail", tail, tail_cmp),
             ("qkey", qual_key, key_cmp), ("qvalue", qual_value, qual_cmp))
             if test[1] is not None]

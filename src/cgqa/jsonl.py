@@ -106,7 +106,8 @@ def check_types(data: Mapping[str, Any], hints: Mapping[str, Any],
 def _codec(cls: type) -> tuple:
     """A record class's JSON keys, its to_dict, and the (key, field name,
     required, spec) of its fields."""
-    hints, fields = get_type_hints(cls), dataclasses.fields(cls)
+    hints = get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.compare]
     keys = tuple(f.metadata.get("key", f.name) for f in fields)
     encoders, items, readers = {}, [], []
     for key, f in zip(keys, fields):
@@ -132,6 +133,7 @@ class Record:
     sets the wire form only where it differs: "key" is the JSON key,
     "encode" maps the value to JSON, and "decode" is a pair (JSON type
     hint, function) that maps JSON, once read as that type, to the value.
+    A field with compare=False is in memory only, neither written nor read.
 
     from_dict ignores unknown keys unless strict. A missing key whose field
     has no default fails as KeyError(key), and a wrongly typed value as
@@ -188,11 +190,12 @@ def write_jsonl(items: Iterable[Any], path: str) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
             data = item.to_dict() if hasattr(item, "to_dict") else item
-            fh.write(json.dumps(data, ensure_ascii=False) + "\n")
+            fh.write(_encode(data) + "\n")
             count += 1
     return count
 
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 _scan = json.JSONDecoder().scan_once
 
 

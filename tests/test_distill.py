@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from cgqa.correction import Question, run_correction
+from cgqa import dsl
+from cgqa.correction import CorrectionTrace, Question, run_correction
 from cgqa.distill import (
     IneligibleTraceError,
     PreferencePair,
@@ -20,9 +23,13 @@ from cgqa.distill import (
     teacher_records,
     write_jsonl,
 )
-from cgqa.graph import schema_summary
+from cgqa.evaluate import PipelineConfig, load_questions, run_questions
+from cgqa.graph import (load_table_file, load_temporal_file,
+                        load_triples_file, schema_summary)
 from cgqa.jsonl import read_jsonl
 from cgqa.llm import ScriptedChatClient
+
+import mini_suite
 
 GOOD_PLAN = (
     "query1 = get_information(relation='Colleges', tail_entity='Utah')\n"
@@ -339,3 +346,63 @@ def test_jsonl_round_trip(tmp_path, two_round_trace, toy_graph):
                                             PreferencePair.from_dict)] == [
         p.to_dict() for p in pairs
     ]
+
+
+@pytest.fixture(scope="module")
+def suite_student_traces(tmp_path_factory):
+    """The bundled suite's student traces, as run_correction returns them."""
+    suite = mini_suite.write_all(str(tmp_path_factory.mktemp("suite")))
+    graphs = {"people.jsonl": load_table_file(suite["people_csv"]),
+              "movies.jsonl": load_triples_file(suite["movies_tsv"]),
+              "terms.jsonl": load_temporal_file(suite["terms_tsv"])}
+    return run_questions(load_questions(suite["dataset"]), graphs.__getitem__,
+                         ScriptedChatClient.from_file(suite["script_with"]),
+                         PipelineConfig(sc_n=1, author="student"))
+
+
+def counting_parses(monkeypatch) -> list[str]:
+    parsed: list[str] = []
+    parse = dsl.parse_plan
+    monkeypatch.setattr(dsl, "parse_plan",
+                        lambda text: parsed.append(text) or parse(text))
+    return parsed
+
+
+def round_trip(tmp_path, traces):
+    path = str(tmp_path / "traces.jsonl")
+    write_jsonl(traces, path)
+    return read_jsonl(path, CorrectionTrace.from_dict)
+
+
+class TestSelfRecordsReuseTheVoteParses:
+    def test_suite_pairs_equal_those_of_a_trace_read_back(
+            self, tmp_path, monkeypatch, suite_student_traces):
+        traces = suite_student_traces
+        read_back = round_trip(tmp_path, traces)
+        assert [t.to_dict() for t in read_back] == [t.to_dict()
+                                                    for t in traces]
+        assert all(t.parses for t in traces)
+        assert not any(t.parses for t in read_back)
+        parsed = counting_parses(monkeypatch)
+        in_memory = [p.to_dict() for t in traces for p in self_records(t)]
+        assert parsed == []  # every compared text was parsed by assess
+        from_file = [p.to_dict() for t in read_back for p in self_records(t)]
+        assert from_file == in_memory
+        assert len(in_memory) == len(mini_suite.ERROR_QUESTION_IDS)
+        assert parsed  # a trace read from a file parses again
+
+    def test_an_attempt_that_differs_only_in_spacing_makes_no_pair(
+            self, tmp_path, monkeypatch, toy_graph):
+        trace = make_trace(toy_graph, [WRONG_A, "fix.\n\n" + GOOD_PLAN],
+                           author="student")
+        spaced = "  " + GOOD_PLAN.replace("=", " =  ").replace(",", " ,")
+        trace = dataclasses.replace(
+            trace, initial_plan_text=spaced,
+            parses={spaced: dsl.parse_plan(spaced),
+                    GOOD_PLAN: dsl.parse_plan(GOOD_PLAN)})
+        (read_back,) = round_trip(tmp_path, [trace])
+        parsed = counting_parses(monkeypatch)
+        assert self_records(trace) == []
+        assert parsed == []
+        assert self_records(read_back) == []
+        assert sorted(parsed) == sorted([spaced, GOOD_PLAN])

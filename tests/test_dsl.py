@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgqa import dsl
 from cgqa.dsl import (
     DEFAULT_REGISTRY,
     Arg,
@@ -291,3 +293,150 @@ class TestGeneratedPlans:
             mutated = mutator(plan, rng)
             err = first_error(mutated)
             assert err.kind is kind, f"{mutated!r} -> {err.kind}"
+
+
+# The parser before arguments were scanned in one pass, kept as the
+# reference the scanner must agree with: every argument goes through
+# split_args (here scan_args, its character-scan reference) and is then
+# matched part by part.
+_OLD_STEP_RE = re.compile(
+    r"^query(\d+)\s*=\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$")
+_OLD_ARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(<=|>=|=|<|>)\s*(.*)$",
+                         re.S)
+_OLD_REF_RE = re.compile(r"^output_of_query(\d+)$")
+_OLD_CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\(.*\)$", re.S)
+_OLD_NUM_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_OLD_STR_RE = re.compile(r"^'([^'\\]*(?:\\.[^'\\]*)*)'$")
+_OLD_ESCAPES = {"'": "'", "\\": "\\", "n": "\n", "r": "\r", "v": "\x0b",
+                "f": "\x0c", "x1c": "\x1c", "x1d": "\x1d", "x1e": "\x1e",
+                "x85": "\x85", "u2028": "\u2028", "u2029": "\u2029"}
+_OLD_ESCAPE_RE = re.compile(r"\\(x1[cde]|x85|u202[89]|['\\nrvf])")
+
+
+def old_parse_value(raw: str, function: str):
+    m = _OLD_STR_RE.match(raw)
+    if m:
+        return _OLD_ESCAPE_RE.sub(lambda e: _OLD_ESCAPES[e.group(1)],
+                                  m.group(1))
+    if _OLD_NUM_RE.match(raw):
+        return int(raw) if "." not in raw else float(raw)
+    m = _OLD_REF_RE.match(raw)
+    if m:
+        return StepRef(int(m.group(1)))
+    m = _OLD_CALL_RE.match(raw)
+    if m:
+        raise QueryError(ErrorKind.NON_ATOMIC_OPERATION, outer=function,
+                         inner=m.group(1))
+    raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text=raw)
+
+
+def old_parse_plan(text: str) -> QueryPlan:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text="",
+                         what="query")
+    steps = []
+    for pos, line in enumerate(lines, start=1):
+        m = _OLD_STEP_RE.match(line)
+        if not m or int(m.group(1)) != pos:
+            raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text=line,
+                             what="query step")
+        args = []
+        for token in scan_args(m.group(3)):
+            a = _OLD_ARG_RE.match(token)
+            if not a:
+                raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text=token)
+            args.append(Arg(a.group(1), a.group(2),
+                            old_parse_value(a.group(3).strip(), m.group(2))))
+        steps.append(QueryStep(pos, m.group(2), tuple(args)))
+    return QueryPlan(steps=steps)
+
+
+def parsed(parse, text: str):
+    """The steps, reprs and all (1 and 1.0, 0 and -0.0 differ), or the
+    first error's kind and detail."""
+    try:
+        return repr(parse(text).steps)
+    except QueryError as err:
+        return err.kind, err.detail
+
+
+# Argument lists built from the parts of an argument, each part well-formed
+# or not, for the scanner to take or leave.
+def _parts(*parts: str):
+    return st.sampled_from(parts)
+
+
+_BLANKS = _parts("", " ", "  ", "\t", "\u3000")
+ARG_TEXTS = st.lists(st.tuples(
+    _parts("", "", "", ",", " ,", ";", "(", "[", "'", "\\"),
+    _parts("set", "tail_entity", "x1", "_", "1x", "a-b", ""), _BLANKS,
+    _parts("=", "<", ">", "<=", ">=", "==", "=<", "<>", ""), _BLANKS,
+    _parts("'a'", "''", "'a, b'", "'O\\'Brien'", "'\\n'", "'(]'", "'", "'a",
+           "'a\\'", "1", "-7", "- 1", "-0", "-0.0", "007", "1.5", "1.5.6",
+           ".5", "1.", "\u0663", "\u0661.\u0665", "\uff11",
+           "output_of_query1", "output_of_query1x", "output_of_query\u0662",
+           "output_of_query", "min(set=output_of_query1)", "min()", "[1, 2]",
+           "(1)", ")", "]", '"a"', "\u00df", "e", ""), _BLANKS,
+    _parts(",", ", ", ",,", "", ";", ")", "]", "(", "'", "\\")).map("".join),
+    max_size=4).map("".join)
+
+
+class TestOnePassScanner:
+    @pytest.mark.parametrize("args", [
+        "set=output_of_query1,,", ",, set=output_of_query1", ",", ",,", "",
+        "  ", "relation='a',", "relation='a', ,tail_entity=3",
+        "tail_entity <= 3 , value >= -2", "tail_entity\t<\t3", "a  =  'x'  ",
+        "tail_entity==3", "tail_entity=- 1", "tail_entity=1.5.6",
+        "tail_entity=-0", "tail_entity=-0.0", "tail_entity=007",
+        "tail_entity=\u0663", "tail_entity=\u0661.\u0665", "tail_entity=\uff11",
+        "set=output_of_query\u0662", "set=output_of_query1x",
+        "set=output_of_query", "relation='a", "relation='a\\'",
+        "relation='a', tail_entity='b", "relation='a'b'", "relation='a' 'b'",
+        "set=min(set=output_of_query1)", "relation='a', set=min(set=x)",
+        "set=[output_of_query1]", "relation='a'], set=1", "relation=(1",
+        "relation='a', set=1)", "relation='(', tail_entity=')'",
+        "relation='a,b', tail_entity='[,]'", "1=2", "=2", "relation",
+        "relation 'a'", "relation=a", "relation=\"a\"", "relation='a'=1",
+        "relation=1,=2", "relation=1 2", "relation<>1", "relation=<1",
+        "relation='\\x1c'", "relation='\\\\'", "tail_entity=1.",
+        "tail_entity=.5", ";relation='a'", "relation='a';tail_entity=1"])
+    def test_pinned_argument_lists(self, args):
+        text = f"query1 = get_information({args})"
+        assert parsed(parse_plan, text) == parsed(old_parse_plan, text)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(ARG_TEXTS, min_size=1, max_size=3),
+           st.sampled_from(["get_information", "count", "f"]))
+    def test_argument_text_parses_as_before(self, arglists, function):
+        text = "\n".join(f"query{i} = {function}({args})"
+                         for i, args in enumerate(arglists, start=1))
+        assert parsed(parse_plan, text) == parsed(old_parse_plan, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(LABELS, min_size=1, max_size=4))
+    def test_label_text_parses_as_before(self, labels):
+        text = "query1 = get_information(" + "".join(labels) + ")"
+        assert parsed(parse_plan, text) == parsed(old_parse_plan, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.integers(0, len(MUTATORS)), ARG_TEXTS)
+    def test_generated_plans_and_mutants_parse_as_before(self, rng, which,
+                                                         insert):
+        plan = gen_plan(rng)
+        text = (render_plan(plan) if which == len(MUTATORS)
+                else MUTATORS[which][0](plan, rng))
+        at = rng.randrange(len(text) + 1)  # and with pieces spliced in
+        for case in (text, text[:at] + insert + text[at:]):
+            assert parsed(parse_plan, case) == parsed(old_parse_plan, case)
+
+    def test_well_formed_arguments_are_not_split(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dsl, "split_args",
+                            lambda text: calls.append(text) or [])
+        rng = random.Random(7)
+        for _ in range(50):
+            text = gen_plan_text(rng)
+            assert parse_plan(text).steps == old_parse_plan(text).steps
+        assert calls == []

@@ -264,6 +264,28 @@ class TestLookup:
         assert cg.lookup_ids(head=heads, **bounds) == want
         assert len(calls) == len(heads)
 
+    @pytest.mark.parametrize("bounds, want, keys, tests", [
+        ({"relation": "r"}, [1, 20], 1, 2),  # 2 relation tests
+        ({"head": frozenset({"e1", "e2", "e3", 7})}, [1, 20], 5, 0),
+        ({"head": "e1"}, [1], 2, 1)],
+        ids=["from_tail_index", "head_set_from_tail_index",
+             "from_head_index"])
+    def test_a_literal_tail_is_keyed_once_per_lookup(self, monkeypatch, bounds,
+                                                     want, keys, tests):
+        cg = ingest_triples([(f"e{i}", "r", f"t{i}") for i in range(20)]
+                            + [("07", "r", "t1")])
+        assert cg.lookup_ids(tail="t1", **bounds) == want  # builds indexes
+        calls, compared = [], []
+        real_key, real_eq = graph._eq_of, graph.eq
+        monkeypatch.setattr(graph, "_eq_of",
+                            lambda key: calls.append(key) or real_key(key))
+        monkeypatch.setattr(graph, "eq",
+                            lambda a, b: compared.append(a) or real_eq(a, b))
+        assert cg.lookup_ids(tail="t1", **bounds) == want
+        assert len(calls) == keys
+        # the tail index's candidates are not tested on their tail again
+        assert len(compared) == tests
+
     def test_empty_result(self, toy_graph):
         assert toy_graph.lookup(relation="Hometown", tail="Utah") == []
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from cgqa.errors import ErrorKind, QueryError
 from cgqa.evaluate import ErrorStats, EvalReport
 from cgqa.executor import ExecutionOutcome, StepResult
 from cgqa.graph import Edge
-from cgqa.jsonl import Record
+from cgqa.jsonl import Record, write_jsonl
 from cgqa.llm import ClientConfig
 
 WIRE_KEYS = {
@@ -160,3 +162,25 @@ def test_solved_after_n_counts_must_be_integers():
     with pytest.raises(TypeError, match="field 'solved_after_n' items must "
                                         "be an integer, not a string"):
         EvalReport.from_dict({**wire, "solved_after_n": {"1": "1"}})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(list(RECORDS)).flatmap(RECORDS.get)
+                | json_values, max_size=4))
+def test_written_lines_are_json_dumps(items):
+    """Records nest records; text is any Unicode, floats any float."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.jsonl")
+        assert write_jsonl(items, path) == len(items)
+        with open(path, encoding="utf-8", newline="") as fh:
+            written = fh.read()
+    assert written == "".join(
+        json.dumps(item.to_dict() if isinstance(item, Record) else item,
+                   ensure_ascii=False) + "\n" for item in items)
