@@ -11,20 +11,22 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import sys
 from array import array
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from itertools import chain, count
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, eq, ge, gt, itemgetter, le, lt
-from typing import Any, Callable, Iterable, Sequence
+from operator import attrgetter, eq, ge, gt, is_not, itemgetter, le, lt, sub
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .dsl import render_value
-from .jsonl import (Record, _codec, _read_fields, check_types, open_text,
-                    read_jsonl)
+from .jsonl import (Record, _codec, _read_fields, _scan, check_types,
+                    open_text, read_jsonl)
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -413,8 +415,10 @@ class ConditionGraph:
                 heads = set(map(_eq_of, key_map(head)))
                 head_test = (self.edge_keys("head", "="), heads.__contains__)
                 by_head = _ids(self.index("head", "="), heads)
-            else:
-                by_head = self.index("head", "=").get(_eq_key(head), ())
+            else:  # keyed once, for the head index and the head test
+                head_key = _eq_key(head)
+                head_test = (self.edge_keys("head", "="), partial(eq, head_key))
+                by_head = self.index("head", "=").get(head_key, ())
             options.append(by_head)
         by_tail = tail_test = None
         if tail is not None and tail_cmp == head_cmp == "=" and (
@@ -639,7 +643,9 @@ def load_temporal_file(path: str, delimiter: str = "\t") -> ConditionGraph:
 
 def dump_graph(cg: ConditionGraph, path: str) -> None:
     """Write one JSON object per line: a meta line, then per edge, from the
-    columns, the text of json.dumps(edge.to_dict(), ensure_ascii=False)."""
+    columns, the text of json.dumps(edge.to_dict(), ensure_ascii=False).
+    The lines go to a new file beside path that replaces path only once
+    all are written; a failed dump leaves path as it was."""
     def text(field: str) -> Iterable[str]:
         column = cg.columns[field]
         if field == "tail":  # mostly distinct: none is worth keeping
@@ -650,9 +656,20 @@ def dump_graph(cg: ConditionGraph, path: str) -> None:
     keys = _codec(Edge)[0]  # Edge's JSON keys, in field order
     line = ("{{" + ", ".join(f"{_json(key)}: {{}}" for key in keys)
             + "}}\n").format
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json({"meta": {"source_kind": cg.source_kind}}) + "\n")
-        fh.writelines(map(line, *map(text, _ROW)))
+    folder, name = os.path.split(path)
+    temp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8") as fh:
+            fh.write(_json({"meta": {"source_kind": cg.source_kind}}) + "\n")
+            fh.writelines(map(line, *map(text, _ROW)))
+        os.replace(temp, path)
+    except BaseException as exc:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            # named as open(path) would name it: an OSError of its errno
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _json(value: Any) -> str:
@@ -667,7 +684,109 @@ def _json(value: Any) -> str:
 
 def load_graph(path: str) -> ConditionGraph:
     """Read a dump_graph file into columns; a meta line sets the source
-    kind. Each line is read and checked as Edge.from_dict reads it."""
+    kind. A file as dump_graph writes it is read a chunk of lines at a
+    time (_read_dump); any other, from line 1 again, one line at a time
+    (_read_lines), which alone names a bad line. Both give equal graphs."""
+    try:
+        with open_text(path) as fh:
+            return _read_dump(fh, {}.setdefault)
+    except _NotADump:
+        return _read_lines(path)
+
+
+class _NotADump(Exception):
+    """A file, or a chunk of it, that _read_dump does not take."""
+
+
+_CHUNK = 1 << 14  # characters of whole lines that _read_dump holds at once
+
+
+def _read_dump(fh: TextIO, one: Callable) -> ConditionGraph:
+    """The graph of a file as dump_graph writes it, each label interned by
+    one: a meta line first, if any, then one edge object per line. Any
+    other line raises _NotADump."""
+    chunks = iter(partial(_scan_chunk, fh), [])
+    first, source_kind = next(chunks, []), "kg"
+    if first and "meta" in first[0]:
+        meta = first.pop(0)["meta"]  # read as _read_lines reads it
+        if type(meta) is not dict or type(source_kind := meta.get(
+                "source_kind", source_kind)) is not str:
+            raise _NotADump
+    rows = map(partial(_dump_rows, one=one), chain([first], chunks))
+    # Listed, and freed once read, as _read_lines lists its rows: fed
+    # lazily, the same rows left a process that loads 10^6 edges and then
+    # queries them 8 MB larger (glibc placed its key tables differently).
+    return ConditionGraph(rows=iter(list(chain.from_iterable(rows))),
+                          source_kind=source_kind)
+
+
+def _scan_chunk(fh: TextIO) -> list[dict]:
+    """The objects of fh's next lines, up to _CHUNK characters of them,
+    one object filling each line; [] at the end of the file."""
+    try:
+        lines = fh.readlines(_CHUNK)
+        if lines and lines[-1][-1] != "\n":  # the file's last line
+            lines[-1] += "\n"
+        found = list(map(_scan, lines, repeat(0)))
+    except (ValueError, RecursionError):  # bad UTF-8 or JSON
+        raise _NotADump from None
+    objects = list(map(itemgetter(0), found))
+    # scan_once ends the map at a line that starts with no value
+    if len(found) < len(lines) or not {1}.issuperset(map(
+            sub, map(len, lines), map(itemgetter(1), found))) or (
+            not {dict}.issuperset(map(type, objects))):
+        raise _NotADump
+    return objects
+
+
+def _dump_rows(objects: list[dict], one: Callable) -> Iterable[tuple]:
+    """The rows (see ConditionGraph) of a chunk of edge objects, each field
+    checked by column as _read_lines checks it by line, or _NotADump."""
+    if any(map(dict.__contains__, objects, repeat("meta"))):
+        raise _NotADump
+    columns = []
+    for key, _, required, spec in _codec(Edge)[2]:
+        try:
+            column = (list(map(itemgetter(key), objects)) if required else
+                      list(map(dict.get, objects, repeat(key))))
+        except KeyError:
+            raise _NotADump from None
+        if not spec[0].issuperset(map(type, column)):
+            raise _NotADump
+        columns.append(column)
+    heads, relations, tails, kinds, quals = columns
+    numbers = compress(tails, map(is_not, map(type, tails), repeat(str)))
+    if not all(map(le, map(abs, numbers), repeat(sys.float_info.max))):
+        raise _NotADump  # NaN fails every comparison
+    return zip(map(one, heads, heads), map(one, relations, relations), tails,
+               map(one, kinds, kinds), _qualifiers(quals, one))
+
+
+def _qualifiers(quals: list[dict | None], one: Callable) -> Iterable:
+    """Each qualifier object of a column read as Edge reads it: null and
+    {} as None, else its (key, value) pair, interned by one. An object
+    without both or with a value that is not a string raises _NotADump."""
+    objects = list(filter(None, quals))
+    if not objects:
+        return repeat(None, len(quals))
+    try:
+        pairs = list(zip(map(itemgetter("key"), objects),
+                         map(itemgetter("value"), objects)))
+    except KeyError:
+        raise _NotADump from None
+    if not {str}.issuperset(map(type, chain.from_iterable(
+            map(dict.values, objects)))):
+        raise _NotADump
+    pairs = list(map(one, pairs, pairs))
+    if len(pairs) == len(quals):
+        return pairs
+    ordered = iter(pairs)
+    return [next(ordered) if q else None for q in quals]
+
+
+def _read_lines(path: str) -> ConditionGraph:
+    """load_graph of any file, each line read and checked as
+    Edge.from_dict reads it; a bad line fails as path:line."""
     meta, one = {"source_kind": "kg"}, {}.setdefault  # one object per label
     readers = _codec(Edge)[2]
 

@@ -286,6 +286,26 @@ class TestLookup:
         # the tail index's candidates are not tested on their tail again
         assert len(compared) == tests
 
+    @pytest.mark.parametrize("bounds, want, keys", [
+        ({"relation": "r3"}, [3], 1),
+        ({"tail": "t3"}, [3], 2),
+        ({"relation": "r3", "tail": "t3"}, [3], 2)],
+        ids=["from_relation_index", "from_tail_index", "both"])
+    def test_a_literal_head_is_keyed_once_per_lookup(self, monkeypatch,
+                                                     bounds, want, keys):
+        # the head index holds more edges than the one the other index
+        # names, so the head is tested on it, with the key the index used
+        cg = ingest_triples([("e1", f"r{i}", f"t{i}") for i in range(6)]
+                            + [("07", "r3", "t3")])
+        assert cg.lookup_ids(head="E1", **bounds) == want  # builds indexes
+        calls = []
+        real = graph._eq_of
+        monkeypatch.setattr(graph, "_eq_of",
+                            lambda key: calls.append(key) or real(key))
+        assert cg.lookup_ids(head="E1", **bounds) == want
+        assert cg.lookup_ids(head=7, **bounds) == [6]
+        assert len(calls) == 2 * keys
+
     def test_empty_result(self, toy_graph):
         assert toy_graph.lookup(relation="Hometown", tail="Utah") == []
 
@@ -956,3 +976,234 @@ def test_a_head_lookup_without_numeric_heads_reuses_entity_index():
     numeric = ingest_triples([("7", "age", "x"), ("Bo", "likes", "7")])
     assert [e.head for e in numeric.lookup(head=7.0)] == ["7"]
     assert numeric.index("head", "=") is not numeric.entity_index
+
+
+def test_a_failed_dump_leaves_no_graph_behind(tmp_path):
+    # the last edge cannot be written as UTF-8, so the dump fails after
+    # 20,000 lines: none of them may reach path, as a graph that loads
+    cg = ingest_triples([(f"a{i}", "r", f"t{i}") for i in range(20000)]
+                        + [("b\ud800", "r", "t")])
+    path = tmp_path / "kg.jsonl"
+    with pytest.raises(UnicodeEncodeError):
+        dump_graph(cg, str(path))
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"an earlier file\n")
+    with pytest.raises(UnicodeEncodeError):
+        dump_graph(cg, str(path))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"an earlier file\n"
+    # a dump that cannot be placed names path, as open(path) would
+    cg = ingest_triples([("a", "r", "t")])
+    missing = tmp_path / "no" / "kg.jsonl"
+    with pytest.raises(FileNotFoundError) as err:
+        dump_graph(cg, str(missing))
+    assert str(err.value) == ("[Errno 2] No such file or directory: "
+                              f"'{missing}'")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        dump_graph(cg, str(folder))
+    assert str(err.value) == f"[Errno 21] Is a directory: '{folder}'"
+    assert sorted(tmp_path.iterdir()) == [folder, path]
+
+
+def test_a_dump_is_loaded_without_the_per_line_reader(tmp_path,
+                                                      monkeypatch):
+    edges = [Edge("Ann", "age", 2**70, "numeric"),
+             Edge("Bo", "x", -0.0, "numeric", ("time", "1999")),
+             Edge("Zoë", '"q"', "数据", "text")]
+    calls = []  # into load_graph's per-line build
+    read = graph.read_jsonl
+    monkeypatch.setattr(graph, "read_jsonl", lambda path, build: read(
+        path, lambda data: calls.append(data) or build(data)))
+    for cg in [*_ingest_every_kind(), ConditionGraph(edges, "é\"x")]:
+        path = tmp_path / f"{cg.source_kind}.jsonl"
+        dump_graph(cg, str(path))
+        back = load_graph(str(path))
+        assert calls == []
+        assert (back.columns, back.source_kind) == (cg.columns,
+                                                    cg.source_kind)
+        # a file dump_graph did not write is read line by line
+        path.write_bytes(path.read_bytes() + b"\n")
+        assert load_graph(str(path)).columns == cg.columns
+        assert len(calls) == len(cg) + 1  # the meta line too
+        calls.clear()
+
+
+def test_a_dump_is_loaded_a_chunk_at_a_time(tmp_path):
+    # tracemalloc counts bytes, not time, so the figure is the same each
+    # run. Above what the finished graph holds, the per-line reader peaked
+    # at 71 bytes per edge of this kg (CPython 3.11), and a reader of the
+    # whole file at 678. The bulk reader, holding 16 KiB of lines at once,
+    # peaks at 76; the bound 100 allows chunks up to about 64 KiB.
+    rng = random.Random(0)
+    triples = []
+    for i in range(20000):
+        r = rng.randrange(20)
+        tail = (str(rng.randrange(10**6)) if r % 2
+                else f"val{rng.randrange(10**6)}")
+        triples.append((f"ent{i // 5}", f"rel{r}", tail))
+    path = str(tmp_path / "kg.jsonl")
+    dump_graph(ingest_triples(triples), path)
+    del triples
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cg = load_graph(path)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cg) == 20000
+    assert (peak - held) / len(cg) <= 100
+
+
+_NUMERALS = st.sampled_from(["7", "07", "2.50", "-3e2", "1e999", "1e-999",
+                             "0", "20", "1" + "0" * 30])
+_CELLS = _LABELS | _NUMERALS
+
+
+@st.composite
+def _any_graph(draw) -> ConditionGraph:
+    """A table, kg or temporal kg as ingested, or a graph of any edges; it
+    holds at least one edge."""
+    kind = draw(st.sampled_from(["table", "kg", "temporal_kg", "edges"]))
+    if kind == "table":
+        header = draw(st.lists(_LABELS, min_size=2, max_size=4))
+        cells = st.lists(_CELLS, min_size=len(header), max_size=len(header))
+        rows = draw(st.lists(cells, min_size=1, max_size=5))
+        return ingest_table(rows, header)
+    if kind == "kg":
+        return ingest_triples(draw(st.lists(
+            st.tuples(_LABELS, _LABELS, _CELLS), min_size=1, max_size=8)))
+    if kind == "temporal_kg":
+        times = st.sampled_from(["1996", "2008-05-16", " 2001 "])
+        return ingest_temporal(draw(st.lists(
+            st.tuples(_LABELS, _LABELS, _CELLS, times), min_size=1,
+            max_size=8)))
+    return ConditionGraph(draw(st.lists(_EDGES, min_size=1, max_size=8)),
+                          draw(st.sampled_from(["kg", "é\"x"])))
+
+
+def _with(key: str, text: str | None):
+    """An edit of an edge line: key set to the JSON text, or dropped."""
+    def edit(line: str) -> list[str]:
+        obj = {k: json.dumps(v, ensure_ascii=False)
+               for k, v in json.loads(line).items()}
+        obj[key] = text
+        return ["{" + ", ".join(f'"{k}": {v}' for k, v in obj.items()
+                                if v is not None) + "}\n"]
+    return edit
+
+
+def _as(*texts: str):
+    """An edit that puts texts in place of a line."""
+    return lambda line: list(texts)
+
+
+_QUALIFIED = ('{"head": "a", "relation": "r", "tail": 1, '
+              '"tail_kind": "numeric", "qualifier": ')
+# Edits of one edge line that give a file dump_graph did not write (the
+# first gives the dump itself), as the line's new lines...
+_EDITS = {
+    "none": lambda line: [line],
+    **{f"no {key}": _with(key, None)
+       for key in ["head", "relation", "tail", "tail_kind"]},
+    "meta key": _with("meta", '{"source_kind": "table"}'),
+    **{f"{key}: {text}": _with(key, text) for key, text in [
+        ("head", "5"), ("head", '""'), ("relation", "null"),
+        ("tail", "true"), ("tail", "false"), ("tail", "null"),
+        ("tail", "[1]"), ("tail", "{}"), ("tail_kind", "3"),
+        ("qualifier", '"x"'), ("qualifier", "5"), ("qualifier", "[]"),
+        ("tail", "NaN"), ("tail", "Infinity"), ("tail", "-Infinity"),
+        ("tail", "1e400"), ("tail", "1" + "0" * 400),
+        ("tail", "-1" + "0" * 400),
+        ("tail", str(int(sys.float_info.max) + 1)),
+        ("tail", "1" * 5000),  # past the int digits limit
+        ("tail", "[" * 5000 + "]" * 5000)]},  # past the recursion limit
+    **{f"qualifier: {text}": _as(_QUALIFIED + text + "}\n") for text in [
+        "{}", '{"key": "time", "value": "1996", "x": "y"}',
+        '{"key": "time", "value": "1996", "x": 5}', '{"key": "time"}',
+        '{"value": "1996"}', '{"key": "time", "value": 5}',
+        '{"key": 5, "value": "1996"}']},
+    **{f"line {texts!r}": _as(*texts) for texts in [
+        ['{"meta": {"source_kind": "table"}}\n'], ["[1]\n"], ["null\n"],
+        ['"text"\n'], ["5\n"], ['{"head": \n']]},
+    "meta line before": lambda line: ['{"meta": {}}\n', line],
+    "blank line before": lambda line: ["\n", line],
+    "blank line after": lambda line: [line, "  \t\n"],
+    "crlf": lambda line: [line[:-1] + "\r\n"],
+    "cr": lambda line: [line[:-1] + "\r"],
+    "trailing blank": lambda line: [line[:-1] + " \n"],
+    "leading blank": lambda line: [" " + line],
+    "leading tab": lambda line: ["\t" + line],
+    "two on one line": lambda line: [line[:-1] + line],
+    "two spaced": lambda line: [line[:-1] + " " + line],
+    "split over two lines": lambda line: [line.replace(", ", ",\n", 1)],
+    "truncated": lambda line: [line[:-3] + "\n"],
+}
+# ...and edits of a dump's meta line.
+_META_EDITS = {
+    **{f"meta {text}": _as(text + "\n") for text in [
+        '{"meta": 5}', '{"meta": null}', '{"meta": {"source_kind": 3}}',
+        '{"meta": {}}', '{"meta": {"source_kind": "table", "x": 1}}']},
+    "no meta": _as(),
+    "bom": lambda line: ["\ufeff" + line],
+}
+# The bulk reader takes the dump and these files, whose lines it reads as
+# the per-line reader does (an empty head passes, and fails as the graph
+# is built).
+_TAKEN = {"none", 'head: ""', "qualifier: {}",
+          'qualifier: {"key": "time", "value": "1996", "x": "y"}',
+          "crlf", "cr", "all crlf", "no final newline", "no meta",
+          'meta {"meta": {}}',
+          'meta {"meta": {"source_kind": "table", "x": 1}}'}
+
+
+def _load_outcome(load, path: str) -> tuple:
+    try:
+        cg = load(path)
+    except Exception as exc:  # the reference raises what the load raises
+        return type(exc), str(exc)
+    return (cg.source_kind, cg.columns,
+            [type(tail) for tail in cg.columns["tail"]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(_any_graph(), st.data())
+def test_a_dump_loads_as_the_per_line_reader_reads_it(tmp_path_factory, cg,
+                                                      data):
+    # load_graph reads every file as its per-line reader (read_jsonl with
+    # the per-line build) does, whether the bulk reader takes the file or
+    # hands it over
+    path = tmp_path_factory.getbasetemp() / "dump-as-lines.jsonl"
+    dump_graph(cg, str(path))
+    text = path.read_bytes().decode("utf-8")  # a label may hold U+2028
+    dumped = [line + "\n" for line in text.split("\n")[:-1]]
+    cases = [*((name, i, edit) for name, edit in _EDITS.items()
+               for i in [data.draw(st.integers(1, len(dumped) - 1))]),
+             *((name, 0, edit) for name, edit in _META_EDITS.items()),
+             ("no final newline", len(dumped) - 1, lambda line: [line[:-1]]),
+             ("all crlf", 0, None)]
+    for name, i, edit in cases:
+        if edit is None:
+            lines = [line[:-1] + "\r\n" for line in dumped]
+        else:
+            lines = [*dumped[:i], *edit(dumped[i]), *dumped[i + 1:]]
+        raw = [line.encode("utf-8") for line in lines]
+        bad_byte = data.draw(st.sampled_from([None, "before", "after"]))
+        if bad_byte:  # a line of its own, before or after the edited one
+            where = (data.draw(st.integers(0, i)) if bad_byte == "before"
+                     else data.draw(st.integers(i + 1, len(raw))))
+            raw.insert(where, b"\xff\n")
+        path.write_bytes(b"".join(raw))
+        handed = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_CHUNK", data.draw(
+                st.sampled_from([1, 100, graph._CHUNK])))
+            patch.setattr(graph, "_read_lines", lambda path, read=(
+                graph._read_lines): handed.append(path) or read(path))
+            loaded = _load_outcome(load_graph, str(path))
+        assert loaded == _load_outcome(graph._read_lines, str(path)), (
+            name, bad_byte)
+        assert (handed == []) == (name in _TAKEN and not bad_byte), name
