@@ -36,10 +36,10 @@ from .graph import (
     Scalar,
     ValueSet,
     key_map,
-    normalize,
     sort_values,
     sorted_keys,
     time_key,
+    value_key,
 )
 from .jsonl import Record
 
@@ -193,7 +193,7 @@ def _exec_keep(
     cond = bound["value"]
     value = _bound_value(cond.value, env)
     tails, tail_ok = cg.field_test("tail", value, cond.comparator)
-    key_norm = normalize(str(key))
+    match_key = value_key(key)
     relations = cg.relation_keys
     quals = cg.edge_keys("qkey", "in") if cg.has_qualifier else ()
 
@@ -204,9 +204,9 @@ def _exec_keep(
 
     kept = {}
     for k in sorted_keys(source):  # the first fault is the same each run
-        for i in cg.head_ids((k,)):
-            if relations[i] == key_norm and tail_ok(tails[i]) or (
-                    quals and quals[i] == key_norm and value_ok()(i)):
+        for i in cg.entity_index.get(k, ()):
+            if relations[i] == match_key and tail_ok(tails[i]) or (
+                    quals and quals[i] == match_key and value_ok()(i)):
                 kept[k] = source[k]
                 break
     return StepResult(step.index, kind=ENTITY_SET, values=ValueSet(kept))

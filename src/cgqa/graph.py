@@ -120,17 +120,22 @@ def value_text(value: Scalar) -> str:
 
 
 def value_key(value: Scalar) -> float | str:
-    """Identity key used for set membership and deduplication: the number,
-    or the normalized text. A str never equals a float, so kinds stay apart."""
+    """The one equality key of a value, for matching, set operations and
+    deduplication: the float of a number or of a numeral within float
+    range ('07', '7.0', '1e1', '.5'), else the normalized text ('1e999'
+    stays text, as infer_scalar keeps it)."""
     if isinstance(value, (int, float)):
         return float(value)
-    return normalize(value)
+    text = normalize(value)
+    if _NUM_RE.match(text) and math.isfinite(number := float(text)):
+        return number
+    return text
 
 
 class ValueSet(frozenset):
-    """A step result: a frozenset of one value per value_key that holds
-    by_key (key -> value), so later steps, bounds and sort_values read the
-    keys instead of computing them again."""
+    """A step result: a frozenset of one value per value_key (so 7 and '07'
+    are one) that holds by_key (key -> value), so later steps, bounds and
+    sort_values read the keys instead of computing them again."""
 
     __slots__ = ("by_key",)
 
@@ -154,22 +159,25 @@ def sorted_keys(keys: Iterable[float | str]) -> list[float | str]:
 
 
 def sort_values(values: Iterable[Scalar]) -> list[Scalar]:
-    """Stable rendering order: numbers first by value, then text. A ValueSet
-    sorts by its held keys; other values keep ties in iteration order."""
+    """Stable rendering order by value_key: numbers and numerals first by
+    value, then text. A ValueSet sorts by its held keys; other values keep
+    ties in iteration order."""
     if isinstance(values, ValueSet):
         return [values.by_key[k] for k in sorted_keys(values.by_key)]
-    return sorted(values, key=lambda v: (isinstance(v, str), value_key(v)))
+    return sorted(values, key=lambda v: (isinstance(k := value_key(v), str),
+                                         k))
 
 
 def compare_values(left: Scalar, right: Scalar, op: str) -> bool:
     """Compare two scalars under =, <, >, <=, >=.
 
-    Numbers compare numerically; date-shaped text compares chronologically
-    (bare years count as January 1). Text supports only equality; a non-equal
-    comparator against text raises KindMismatchError.
+    '=' compares value_keys. Numbers order numerically; date-shaped text
+    orders chronologically (bare years count as January 1). Text supports
+    only equality; a non-equal comparator against text raises
+    KindMismatchError.
     """
     if op == "=":
-        return _eq_key(left) == _eq_key(right)
+        return value_key(left) == value_key(right)
     return _compare_keys(_order_key(left), _order_key(right), left, right, op)
 
 
@@ -193,16 +201,6 @@ def _compare_keys(lk: tuple[str, Any] | None, rk: tuple[str, Any] | None,
 
 
 _ORDERS = {"<": lt, ">": gt, "<=": le, ">=": ge}
-
-
-def _eq_key(value: Scalar) -> float | str:
-    """value_key under '=', where '20' and 20 match."""
-    return _eq_of(value_key(value))
-
-
-def _eq_of(key: float | str) -> float | str:
-    """The "=" key (_eq_key) of a value whose value_key is key."""
-    return float(key) if isinstance(key, str) and _NUM_RE.match(key) else key
 
 
 def _order_key(value: Scalar) -> tuple[str, Any] | None:
@@ -262,7 +260,7 @@ class ConditionGraph:
 
     columns maps each Edge field (_ROW) to its values in edge order; Edges
     are built on demand (edges, lookup). entity_index and relation_index
-    map normalized head and relation labels to arrays of edge ids;
+    map the value_keys of head and relation labels to arrays of edge ids;
     relation_keys holds each edge's. Other keys (edge_keys) and indexes
     (index) are built by the first lookup that needs them. Indexes and
     keys only accelerate: lookup results equal a brute-force scan. The
@@ -279,26 +277,25 @@ class ConditionGraph:
         heads, relations, tails, kinds, quals = (
             tuple(map(itemgetter(f), distinct)) for f in range(5))
         del distinct  # the rows die before the indexes are built
-        labels: dict[str, str] = {}  # one normalized str object per label
+        labels: dict[float | str, float | str] = {}  # one object per key
         raw = {*heads, *relations}
-        norm = {label: labels.setdefault(key, key)
-                for label, key in zip(raw, map(normalize, raw))}
+        keyed = {label: labels.setdefault(key, key)
+                 for label, key in zip(raw, map(value_key, raw))}
         if "" in labels:
             bad = next(r for r in zip(heads, relations, tails, kinds, quals)
-                       if "" in (norm[r[0]], norm[r[1]]))
+                       if "" in (keyed[r[0]], keyed[r[1]]))
             raise EmptyFieldError("edge with empty head or relation: "
                                   f"{Edge(*bad).to_dict()!r}")
         self.columns = dict(zip(_ROW, (heads, relations, tails, kinds, quals)))
         self.source_kind = source_kind
-        head_keys = tuple(map(norm.__getitem__, heads))
-        self.relation_keys = tuple(map(norm.__getitem__, relations))
+        head_keys = tuple(map(keyed.__getitem__, heads))
+        self.relation_keys = tuple(map(keyed.__getitem__, relations))
         ent, rel = defaultdict(_id_array), defaultdict(_id_array)
         for i, head, relation in zip(count(), head_keys, self.relation_keys):
             ent[head].append(i)
             rel[relation].append(i)
         self.entity_index, self.relation_index = dict(ent), dict(rel)
         self._edge_keys: dict[tuple[str, str], tuple] = {
-            # a label's "in" key (value_key) is its normalized label
             ("head", "in"): head_keys, ("relation", "in"): self.relation_keys}
         self._indexes: dict[tuple[str, str], dict] = {
             ("head", "in"): self.entity_index,
@@ -331,45 +328,24 @@ class ConditionGraph:
 
     def edge_keys(self, field: str, test: str) -> tuple:
         """Each edge's key of a field (see column) under test "in"
-        (value_key), "=" (_eq_key) or "<" (order key), built once; "="
-        reuses "in" if no text looks numeric, which the "in" index, if
-        built, tells from its distinct keys. A missing qualifier part is
-        _MISSING."""
+        (value_key) or "<" (order key), built once. A missing qualifier
+        part is _MISSING."""
         table = self._edge_keys.get((field, test))
         if table is None:
-            if test == "=":
-                table = self.edge_keys(field, "in")
-                keys = self._indexes.get((field, "in"), table)
-                if any(isinstance(k, str) and _NUM_RE.match(k) for k in keys):
-                    table = tuple(map(_eq_of, table))
-            else:
-                key = value_key if test == "in" else _order_key
-                table = tuple(v if v is _MISSING else key(v)
-                              for v in self.column(field))
-            table = self._edge_keys.setdefault((field, test), table)
+            key = {"in": value_key, "<": _order_key}[test]
+            table = self._edge_keys.setdefault((field, test), tuple(
+                v if v is _MISSING else key(v) for v in self.column(field)))
         return table
 
     def index(self, field: str, test: str) -> dict:
-        """edge_keys(field, test) key -> array of edge ids, built once; "="
-        reuses the "in" index when their key tables are one."""
+        """edge_keys(field, test) key -> array of edge ids, built once."""
         index = self._indexes.get((field, test))
         if index is None:
-            keys = self.edge_keys(field, test)
-            if test == "=" and keys is self.edge_keys(field, "in"):
-                index = self.index(field, "in")
-            else:
-                ids: dict = defaultdict(_id_array)
-                for i, key in enumerate(keys):
-                    ids[key].append(i)
-                index = dict(ids)
-            index = self._indexes.setdefault((field, test), index)
+            ids: dict = defaultdict(_id_array)
+            for i, key in enumerate(self.edge_keys(field, test)):
+                ids[key].append(i)
+            index = self._indexes.setdefault((field, test), dict(ids))
         return index
-
-    def head_ids(self, keys: Iterable[float | str]) -> list[int]:
-        """Ids, in edge order, of the edges whose head equals under "="
-        (_eq_key, as a literal matches) a value whose value_key is in keys:
-        the number 7 and the texts '7' and '7.0' reach the head '07'."""
-        return _ids(self.index("head", "="), set(map(_eq_of, keys)))
 
     def lookup(self, *args: Any, **kwargs: Any) -> list[Edge]:
         """The edges lookup_ids(*args, **kwargs) names, in edge order."""
@@ -396,7 +372,7 @@ class ConditionGraph:
         """Ids of the edges matching every bound field, in edge order.
 
         A bound field is a literal or a set of values, tested as field_test
-        says, on stored keys; a literal relation matches by normalized label
+        says, on stored keys; a literal relation matches by value_key
         whatever its comparator. A scan tests relation literal, head,
         relation set, tail, qualifier key and qualifier value in that order,
         raising the first failing comparison. Candidates come from the
@@ -406,45 +382,39 @@ class ConditionGraph:
         options: list[Sequence[int]] = []
         rel_ids = None
         if relation is not None and not _is_set(relation):
-            rel_norm = normalize(str(relation))
-            rel_ids = self.relation_index.get(rel_norm, ())
+            rel_key = value_key(relation)
+            rel_ids = self.relation_index.get(rel_key, ())
             options.append(rel_ids)
-        by_head = head_test = None
-        if head is not None and head_cmp == "=":
-            if _is_set(head):  # matched as head_ids does, keyed once
-                heads = set(map(_eq_of, key_map(head)))
-                head_test = (self.edge_keys("head", "="), heads.__contains__)
-                by_head = _ids(self.index("head", "="), heads)
-            else:  # keyed once, for the head index and the head test
-                head_key = _eq_key(head)
-                head_test = (self.edge_keys("head", "="), partial(eq, head_key))
-                by_head = self.index("head", "=").get(head_key, ())
-            options.append(by_head)
-        by_tail = tail_test = None
-        if tail is not None and tail_cmp == head_cmp == "=" and (
-                rel_ids is not None or relation_cmp == "="):
-            if _is_set(tail):
-                by_tail = _ids(self.index("tail", "in"), key_map(tail))
-            else:  # keyed once, for the tail index and the tail test
-                tail_key = _eq_key(tail)
-                tail_test = (self.edge_keys("tail", "="), partial(eq, tail_key))
-                by_tail = self.index("tail", "=").get(tail_key, ())
-            options.append(by_tail)
+        keyed = {}  # field -> (its test, the ids its index names), keyed once
+        for field, bound, indexed in (
+                ("head", head, head_cmp == "="),
+                ("tail", tail, tail_cmp == head_cmp == "=" and (
+                    rel_ids is not None or relation_cmp == "="))):
+            if bound is None or not indexed:
+                continue
+            keys, index = self.edge_keys(field, "in"), self.index(field, "in")
+            if _is_set(bound):
+                wanted = key_map(bound)
+                test, by = (keys, wanted.__contains__), _ids(index, wanted)
+            else:
+                key = value_key(bound)
+                test, by = (keys, partial(eq, key)), index.get(key, ())
+            keyed[field] = test, by
+            options.append(by)
         ids = min(options, key=len) if options else range(len(self))
         if not ids:
             return []
-        set_relation = relation if rel_ids is None else None
-        tail = None if ids is by_tail else tail  # if so, all match it
-        checks = [tail_test if test[0] == "tail" and tail_test else
-                  self.field_test(*test) for test in (
-            ("relation", set_relation, relation_cmp), ("tail", tail, tail_cmp),
-            ("qkey", qual_key, key_cmp), ("qvalue", qual_value, qual_cmp))
-            if test[1] is not None]
-        if head is not None and ids is not by_head:  # else all match it
-            checks.insert(0, head_test or self.field_test("head", head,
-                                                          head_cmp))
-        if rel_ids is not None and ids is not rel_ids:
-            checks.insert(0, (self.relation_keys, partial(eq, rel_norm)))
+        checks = [] if rel_ids is None or ids is rel_ids else [
+            (self.relation_keys, partial(eq, rel_key))]
+        for field, bound, cmp in (
+                ("head", head, head_cmp),
+                ("relation", relation if rel_ids is None else None,
+                 relation_cmp),
+                ("tail", tail, tail_cmp), ("qkey", qual_key, key_cmp),
+                ("qvalue", qual_value, qual_cmp)):
+            test, by = keyed.get(field, (None, None))
+            if bound is not None and ids is not by:  # else all match it
+                checks.append(test or self.field_test(field, bound, cmp))
         out = []
         for i in ids:
             for keys, test in checks:
@@ -459,16 +429,16 @@ class ConditionGraph:
         """(a sequence indexed by edge id, a test of its item): whether an
         edge's field (see column) matches bound under cmp, as a scan tests
         it. A literal compares under compare_values, keyed once. A set (an
-        earlier step's result) matches by membership in its key_map,
-        without numeric coercion (lookup_ids matches a head set as head_ids
-        does); a set admits only '=', and a bad comparator raises
-        only when an edge is tested. An edge without a qualifier fails a
-        qualifier test without raising."""
+        earlier step's result) matches by membership in its key_map; it
+        admits only '=', and a bad comparator raises only when an edge is
+        tested. An edge without a qualifier fails a qualifier test without
+        raising."""
         values = self.column(field)
-        if cmp == "=" and _is_set(bound):
-            return self.edge_keys(field, "in"), key_map(bound).__contains__
         if cmp == "=":
-            return self.edge_keys(field, "="), partial(eq, _eq_key(bound))
+            keys = self.edge_keys(field, "in")
+            if _is_set(bound):
+                return keys, key_map(bound).__contains__
+            return keys, partial(eq, value_key(bound))
         if _is_set(bound):
             def reject(i: int) -> bool:
                 if values[i] is _MISSING:
@@ -683,10 +653,11 @@ def _json(value: Any) -> str:
 
 
 def load_graph(path: str) -> ConditionGraph:
-    """Read a dump_graph file into columns; a meta line sets the source
-    kind. A file as dump_graph writes it is read a chunk of lines at a
-    time (_read_dump); any other, from line 1 again, one line at a time
-    (_read_lines), which alone names a bad line. Both give equal graphs."""
+    """Read a dump_graph file into columns; a meta line, first and holding
+    nothing but "meta", sets the source kind. A file as dump_graph writes
+    it is read a chunk of lines at a time (_read_dump); any other, from
+    line 1 again, one line at a time (_read_lines), which alone names a
+    bad line. Both give equal graphs."""
     try:
         with open_text(path) as fh:
             return _read_dump(fh, {}.setdefault)
@@ -707,7 +678,7 @@ def _read_dump(fh: TextIO, one: Callable) -> ConditionGraph:
     other line raises _NotADump."""
     chunks = iter(partial(_scan_chunk, fh), [])
     first, source_kind = next(chunks, []), "kg"
-    if first and "meta" in first[0]:
+    if first and first[0].keys() == {"meta"}:
         meta = first.pop(0)["meta"]  # read as _read_lines reads it
         if type(meta) is not dict or type(source_kind := meta.get(
                 "source_kind", source_kind)) is not str:
@@ -788,12 +759,15 @@ def _read_lines(path: str) -> ConditionGraph:
     """load_graph of any file, each line read and checked as
     Edge.from_dict reads it; a bad line fails as path:line."""
     meta, one = {"source_kind": "kg"}, {}.setdefault  # one object per label
-    readers = _codec(Edge)[2]
+    readers, lines = _codec(Edge)[2], count()
 
     def build(data: dict[str, Any]) -> tuple | None:
+        first = next(lines) == 0  # blank lines are not read
         if "meta" in data:
             check_types(data, {"meta": dict})
             check_types(data["meta"], {"source_kind": str})
+            if not first or len(data) > 1:
+                raise ValueError('"meta" must be alone on the first line')
             meta.update(data["meta"])
             return None
         # a missing required key raises; qualifier defaults to None

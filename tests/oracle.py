@@ -32,18 +32,18 @@ def _canon(v) -> str:
 
 
 def _key(v):
+    """A number, or a numeral within float range ('07', '7.0', '1e1',
+    '.5'), keys as its number; other text ('1e999' too) as itself."""
     if isinstance(v, (int, float)):
         return ("n", float(v))
-    return ("t", _norm(str(v)))
+    text = _norm(str(v))
+    if _NUM.match(text) and math.isfinite(float(text)):
+        return ("n", float(text))
+    return ("t", text)
 
 
 def _eq(a, b) -> bool:
-    def coerce(x):
-        if isinstance(x, str) and _NUM.match(x.strip()):
-            return float(x)
-        return x
-
-    return _key(coerce(a)) == _key(coerce(b))
+    return _key(a) == _key(b)
 
 
 def _time_tuple(v):
@@ -373,19 +373,27 @@ BIG_ENTITIES = [f"e{i}" for i in range(300)]
 BIG_TEXTS = TEXTS + [f"town{i}" for i in range(40)]
 # "code" holds text tails; with numeric_text some of them read as numbers.
 BIG_RELATIONS = RELATIONS + ["code"]
+# Entities labelled by numerals: '7', '07' and '7.0' are the number 7 (a
+# tail too), '1e1' and '10' are 10, '.5' and '0.5' are 0.5, and '1e999',
+# which overflows a float, is text that equals no number.
+NUMERAL_ENTITIES = BIG_ENTITIES[:20] + ["7", "07", "7.0", "1e1", "10", ".5",
+                                        "0.5", "1e999"]
+NUMERAL_LITERALS = NUMERAL_ENTITIES + [7, 7.0, 10, 0.5]
 
 
 def random_large_graph(rng: random.Random, n_edges: int = 3000,
-                       numeric_text: bool = False):
-    """Like random_graph, over a wider vocabulary and n_edges draws."""
+                       numeric_text: bool = False,
+                       entities: list[str] = BIG_ENTITIES):
+    """Like random_graph, over a wider vocabulary and n_edges draws; heads
+    and "team" tails are drawn from entities."""
     raw = []
     for _ in range(n_edges):
-        head = rng.choice(BIG_ENTITIES)
+        head = rng.choice(entities)
         rel = rng.choice(BIG_RELATIONS)
         if rel in NUMERIC_RELATIONS:
             tail, kind = rng.randint(0, 50), "numeric"
         elif rel == "team":
-            tail, kind = rng.choice(BIG_ENTITIES), "text"
+            tail, kind = rng.choice(entities), "text"
         elif rel == "code" and numeric_text and rng.random() < 0.5:
             tail, kind = str(rng.randint(0, 50)), "text"
         else:
@@ -403,7 +411,7 @@ def random_large_graph(rng: random.Random, n_edges: int = 3000,
     return cg, tuples
 
 
-def _big_tail(rng: random.Random):
+def _big_tail(rng: random.Random, entities: list):
     """A tail literal of any kind: number, number-like text, text, entity."""
     pick = rng.randrange(4)
     if pick == 0:
@@ -412,23 +420,26 @@ def _big_tail(rng: random.Random):
         return str(rng.randint(0, 50))
     if pick == 2:
         return rng.choice(BIG_TEXTS)
-    return rng.choice(BIG_ENTITIES)
+    return rng.choice(entities)
 
 
-def gen_lookup_plan(rng: random.Random):
+def gen_lookup_plan(rng: random.Random,
+                    entities: list = BIG_ENTITIES):
     """A valid plan of one or two get_information steps, optionally followed
-    by keep, set_negation or an aggregate over the last result."""
+    by keep, set_negation or an aggregate over the last result; entity
+    literals are drawn from entities."""
     from cgqa.dsl import Arg, QueryPlan, QueryStep
 
     cmps = ["=", "<", ">", "<=", ">="]
     rel = rng.choice(BIG_RELATIONS)
     first = rng.choice([
-        [Arg("head_entity", "=", rng.choice(BIG_ENTITIES))],
-        [Arg("tail_entity", "=", _big_tail(rng))],
+        [Arg("head_entity", "=", rng.choice(entities))],
+        [Arg("tail_entity", "=", _big_tail(rng, entities))],
         [Arg("tail_entity", rng.choice(cmps), rng.randint(0, 50))],
-        [Arg("head_entity", "=", rng.choice(BIG_ENTITIES)),
+        [Arg("head_entity", "=", rng.choice(entities)),
          Arg("tail_entity", rng.choice(cmps[1:]), rng.randint(0, 50))],
-        [Arg("relation", "=", rel), Arg("tail_entity", "=", _big_tail(rng))],
+        [Arg("relation", "=", rel),
+         Arg("tail_entity", "=", _big_tail(rng, entities))],
         [Arg("relation", "=", rel),
          Arg("tail_entity", rng.choice(cmps), rng.randint(0, 50))],
         [Arg("relation", "=", rel), Arg("key", "=", "time"),

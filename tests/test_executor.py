@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,8 @@ from cgqa.graph import (
 
 from genplans import gen_plan
 from oracle import (
+    NUMERAL_ENTITIES,
+    NUMERAL_LITERALS,
     gen_lookup_plan,
     gen_set_op_plan,
     random_case,
@@ -302,9 +305,9 @@ class TestSetOps:
                 "query2 = keep(set=output_of_query1, key='{}', value{})")
         assert answer(plan.format("president", "='Chirac'"),
                       terms_graph) == {"France"}
-        assert ("qvalue", "=") not in terms_graph._edge_keys
+        assert ("qvalue", "in") not in terms_graph._edge_keys
         assert answer(plan.format("time", "='2004'"), terms_graph) == {"USA"}
-        assert ("qvalue", "=") in terms_graph._edge_keys
+        assert ("qvalue", "in") in terms_graph._edge_keys
 
 
 class TestEmptyHandling:
@@ -362,16 +365,27 @@ class TestOutcomeShape:
     def test_sort_values_stable(self):
         assert sort_values({"b", 2, "a", 10}) == [2, 10, "a", "b"]
 
+    def test_sort_values_orders_numerals_by_their_number(self):
+        assert sort_values({"10", "a", 3, "2", "1e999"}) == [
+            "2", 3, "10", "1e999", "a"]
+
     @given(st.lists(st.integers(-3, 3) | st.floats(-3, 3) | st.booleans()
                     | st.sampled_from(["a", "A", " a", "b", "B ", "ß", "SS",
                                        "ss", "10", "2"]) | st.text(max_size=3),
                     max_size=12))
     def test_sort_values_is_numbers_by_value_then_text_by_label(self, values):
         # sorted is stable, so ties keep their input order; repr tells
-        # 1, 1.0 and True (and 0.0 and -0.0) apart
-        numbers = sorted((v for v in values if not isinstance(v, str)),
-                         key=float)
-        texts = sorted((v for v in values if isinstance(v, str)),
+        # 1, 1.0 and True (and 0.0 and -0.0) apart. A numeral ("10", " 2")
+        # is ordered by its number.
+        def number(value):
+            if not isinstance(value, str):
+                return float(value)
+            text = normalize(value)
+            return float(text) if re.fullmatch(
+                r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", text) else None
+        numbers = sorted((v for v in values if number(v) is not None),
+                         key=number)
+        texts = sorted((v for v in values if number(v) is None),
                        key=normalize)
         assert list(map(repr, sort_values(values))) == list(
             map(repr, numbers + texts))
@@ -479,8 +493,8 @@ def test_reference_agreement_on_labels_that_share_a_key(seed):
 
 def test_steps_read_the_keys_the_graph_and_earlier_steps_hold(monkeypatch):
     # Once a graph's key tables are built, projecting, combining, negating,
-    # filtering and encoding step results computes no value_key. A literal
-    # under "=" keys itself once (_eq_key), so only relations bind one here.
+    # filtering and encoding step results computes no value_key but one per
+    # literal under "=": here the relations and keep's key.
     cg, _ = random_large_graph(random.Random(31), 3000)
     plan = validate_plan(parse_plan(
         "query1 = get_information(relation='age', tail_entity>40)\n"
@@ -509,7 +523,7 @@ def test_steps_read_the_keys_the_graph_and_earlier_steps_hold(monkeypatch):
         if hasattr(module, "value_key"):
             monkeypatch.setattr(module, "value_key", counted)
     assert execute_plan(plan, cg).to_dict() == want
-    assert calls == []
+    assert calls == ["age", "team", "score", "team"]
 
 
 @pytest.fixture(scope="module", params=[False, True],
@@ -541,6 +555,31 @@ def test_reference_agreement_on_large_graphs(large_case):
         kinds.add(got["status"] if got["error_kind"] is None
                   else got["error_kind"])
     # the plans reach answers, empty steps and trapped faults alike
+    assert kinds == {"success", "empty_mid_step_result", "runtime_exception"}
+
+
+def test_reference_agreement_on_a_numeral_graph(tmp_path):
+    # Heads and tails hold one number in several forms ('7', '07', '7.0'
+    # and the tail 7; '1e1' and '10'; '.5' and '0.5') beside the text
+    # '1e999', which equals no number; plan literals hold those forms and
+    # the numbers themselves.
+    cg, tuples = random_large_graph(random.Random(37), 3000,
+                                    numeric_text=True,
+                                    entities=NUMERAL_ENTITIES)
+    path = str(tmp_path / "graph.jsonl")
+    dump_graph(cg, path)
+    loaded = load_graph(path)
+    assert loaded.edges == cg.edges
+    assert {7.0, 10.0, 0.5, "1e999"} <= loaded.entity_index.keys()
+    rng = random.Random(4243)
+    kinds = set()
+    for _ in range(150):
+        plan = validate_plan(gen_lookup_plan(rng, NUMERAL_LITERALS))
+        got = summarize_outcome(execute_plan(plan, loaded))
+        want = run_reference(plan, tuples)
+        assert got == want, f"\nplan:\n{plan}\ngot:  {got}\nwant: {want}"
+        kinds.add(got["status"] if got["error_kind"] is None
+                  else got["error_kind"])
     assert kinds == {"success", "empty_mid_step_result", "runtime_exception"}
 
 
@@ -707,6 +746,24 @@ def test_a_number_in_a_step_result_reaches_the_entity_its_numeral_labels(
     assert kept == {number}
 
 
+# 'a' has the number 7, which labels the entity '7'; 'b' is another entity
+_SEVEN = [("a", "r", "7"), ("7", "color", "red"), ("b", "s", "x")]
+_HOP = "query1 = get_information(head_entity='a', relation='r')\n"
+
+
+def test_the_negation_of_a_number_drops_the_entity_its_numeral_labels():
+    assert answer(_HOP + "query2 = set_negation(set=output_of_query1)",
+                  ingest_triples(_SEVEN)) == {"a", "b"}
+
+
+def test_a_number_and_its_numeral_intersect():
+    got = run(_HOP + "query2 = get_information(relation='color')\n"
+              "query3 = get_information(tail_entity=output_of_query2)\n"
+              "query4 = set_intersection(set1=output_of_query1, "
+              "set2=output_of_query3)", ingest_triples(_SEVEN))
+    assert got.to_dict()["answer"] == [7]  # set1's value
+
+
 def test_a_set_bound_head_matches_as_a_literal_head_does():
     # every value of the set under '=' (compare_values), as a scan tests it
     rng = random.Random(17)
@@ -722,4 +779,5 @@ def test_a_set_bound_head_matches_as_a_literal_head_does():
                 if any(compare_values(e.head, v, "=") for v in bound)
                 and (relations is None or e.relation in relations)]
         assert cg.lookup(head=bound, relation=relation) == want, bound
-    assert cg.head_ids({7.0}) == cg.head_ids({"07", "7"}) != []
+    assert cg.lookup_ids(head=frozenset({7.0})) == cg.lookup_ids(
+        head=frozenset({"07", "7"})) != []

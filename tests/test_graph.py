@@ -258,14 +258,14 @@ class TestLookup:
         heads = frozenset({"e1", "e2", "e3", 7})  # 7 matches the head '07'
         assert cg.lookup_ids(head=heads, **bounds) == want  # builds indexes
         calls = []
-        real = graph._eq_of
-        monkeypatch.setattr(graph, "_eq_of",
-                            lambda key: calls.append(key) or real(key))
+        real = graph.value_key
+        monkeypatch.setattr(graph, "value_key",
+                            lambda value: calls.append(value) or real(value))
         assert cg.lookup_ids(head=heads, **bounds) == want
-        assert len(calls) == len(heads)
+        assert len(calls) == len(heads) + 1  # and the other bound's one
 
     @pytest.mark.parametrize("bounds, want, keys, tests", [
-        ({"relation": "r"}, [1, 20], 1, 2),  # 2 relation tests
+        ({"relation": "r"}, [1, 20], 2, 2),  # 2 relation tests
         ({"head": frozenset({"e1", "e2", "e3", 7})}, [1, 20], 5, 0),
         ({"head": "e1"}, [1], 2, 1)],
         ids=["from_tail_index", "head_set_from_tail_index",
@@ -276,9 +276,10 @@ class TestLookup:
                             + [("07", "r", "t1")])
         assert cg.lookup_ids(tail="t1", **bounds) == want  # builds indexes
         calls, compared = [], []
-        real_key, real_eq = graph._eq_of, graph.eq
-        monkeypatch.setattr(graph, "_eq_of",
-                            lambda key: calls.append(key) or real_key(key))
+        real_key, real_eq = graph.value_key, graph.eq
+        monkeypatch.setattr(graph, "value_key",
+                            lambda value: calls.append(value)
+                            or real_key(value))
         monkeypatch.setattr(graph, "eq",
                             lambda a, b: compared.append(a) or real_eq(a, b))
         assert cg.lookup_ids(tail="t1", **bounds) == want
@@ -287,9 +288,9 @@ class TestLookup:
         assert len(compared) == tests
 
     @pytest.mark.parametrize("bounds, want, keys", [
-        ({"relation": "r3"}, [3], 1),
+        ({"relation": "r3"}, [3], 2),
         ({"tail": "t3"}, [3], 2),
-        ({"relation": "r3", "tail": "t3"}, [3], 2)],
+        ({"relation": "r3", "tail": "t3"}, [3], 3)],
         ids=["from_relation_index", "from_tail_index", "both"])
     def test_a_literal_head_is_keyed_once_per_lookup(self, monkeypatch,
                                                      bounds, want, keys):
@@ -299,9 +300,9 @@ class TestLookup:
                             + [("07", "r3", "t3")])
         assert cg.lookup_ids(head="E1", **bounds) == want  # builds indexes
         calls = []
-        real = graph._eq_of
-        monkeypatch.setattr(graph, "_eq_of",
-                            lambda key: calls.append(key) or real(key))
+        real = graph.value_key
+        monkeypatch.setattr(graph, "value_key",
+                            lambda value: calls.append(value) or real(value))
         assert cg.lookup_ids(head="E1", **bounds) == want
         assert cg.lookup_ids(head=7, **bounds) == [6]
         assert len(calls) == 2 * keys
@@ -649,6 +650,38 @@ def test_dropped_graph_leaves_no_step_result_alive():
     assert [r() for r in refs] == [None] * 4
 
 
+def _three_edge_dump(path) -> list[str]:
+    """The lines of a dump of three edges at path: a meta line first."""
+    dump_graph(ingest_triples([("a", "r", "1"), ("b", "r", "2"),
+                               ("c", "r", "3")]), str(path))
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_an_edge_line_that_also_holds_meta_fails_as_its_line(tmp_path, line):
+    # not read as a meta line that drops its edge and sets the source kind
+    path = tmp_path / "graph.jsonl"
+    lines = _three_edge_dump(path)[line == 1:]  # line 1: an edge line
+    lines[line - 1] = lines[line - 1].replace(
+        "{", '{"meta": {"source_kind": "table"}, ', 1)
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_graph(str(path))
+    assert str(err.value) == (
+        f'{path}:{line}: "meta" must be alone on the first line')
+
+
+def test_a_meta_line_after_line_1_fails_as_its_line(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    lines = _three_edge_dump(path)
+    lines.insert(2, '{"meta": {"source_kind": "table"}}\n')
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_graph(str(path))
+    assert str(err.value) == (
+        f'{path}:3: "meta" must be alone on the first line')
+
+
 def test_null_tail_in_a_dump_fails_at_load(tmp_path):
     # A tail is a string or a number: a hand-written "tail": null fails as
     # its file and line, before any lookup could reach the edge.
@@ -971,11 +1004,13 @@ def test_a_head_lookup_without_numeric_heads_reuses_entity_index():
                          ("Bo", "likes", "Ann")])
     assert [e.head for e in cg.lookup(head="ann")] == ["Ann"]
     assert cg.project("head", tail=frozenset({7})) == {"Ann"}
-    assert cg.index("head", "=") is cg.entity_index
-    assert cg.index("tail", "=") is cg.index("tail", "in")
+    assert cg.index("head", "in") is cg.entity_index
     numeric = ingest_triples([("7", "age", "x"), ("Bo", "likes", "7")])
     assert [e.head for e in numeric.lookup(head=7.0)] == ["7"]
-    assert numeric.index("head", "=") is not numeric.entity_index
+    assert numeric.index("head", "in") is numeric.entity_index
+    for held in (cg, numeric):  # one key per value: no "=" table
+        assert {test for _, test in held._edge_keys} == {"in"}
+        assert {test for _, test in held._indexes} == {"in"}
 
 
 def test_a_failed_dump_leaves_no_graph_behind(tmp_path):

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports: an unused-import
-check built on the standard library's ast module alone. An import on a line
-marked `# noqa: F401` (a re-export) is exempt, and so is `__init__.py`,
-whose imports are the package's public names."""
+"""Every module of the package uses each name it imports, and the package
+reads each private name it defines: checks built on the standard library's
+ast module alone. An import on a line marked `# noqa: F401` (a re-export)
+is exempt, and so is `__init__.py`, whose imports are the package's public
+names."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cgqa"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text(encoding="utf-8")
+           for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,3 +60,58 @@ def test_module_uses_every_import(path):
         "local"])
 def test_unused_imports_finds_each_unread_name(source, want):
     assert unused_imports(source) == want
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """'module: name' for each private name (_name, not __dunder__) that a
+    module defines at its top level, or as a method of a top-level class,
+    and that no module reads: as a name, an attribute or an import."""
+    read, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+        for node in tree.body:
+            names = [node.name] if isinstance(node, _DEFS) else [
+                t.id for t in getattr(node, "targets", [
+                    getattr(node, "target", None)])
+                if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                names += [item.name for item in node.body
+                          if isinstance(item, _DEFS[:2])]
+            defined += [(module, name) for name in names if _private(name)]
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read]
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert unread_private_names(SOURCES) == []
+
+
+@pytest.mark.parametrize("sources, want", [
+    ({"a.py": "_X = 1\n"}, ["a.py: _X"]),
+    ({"a.py": "_X = 1\n", "b.py": "from a import _X\n"}, []),
+    ({"a.py": "def _f():\n    pass\n_f()\n"}, []),
+    ({"a.py": "class C:\n    def _m(self):\n        pass\n"}, ["a.py: _m"]),
+    ({"a.py": "class C:\n    def _m(self):\n        self._m()\n"}, []),
+    ({"a.py": "class C:\n    def __init__(self):\n        pass\n"}, []),
+    ({"a.py": "_T: int = 1\nclass _C:\n    pass\n"},
+     ["a.py: _T", "a.py: _C"]),
+    ({"a.py": "def f():\n    _local = 1\n"}, []),
+], ids=["unread", "imported", "called", "method", "method read", "dunder",
+        "annotated and class", "local"])
+def test_unread_private_names_finds_each_unread_definition(sources, want):
+    assert unread_private_names(sources) == want
