@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from functools import partial
 from typing import Any, Sequence
 
@@ -104,14 +105,16 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _graph_resolver(graphs_dir: str):
     cache: dict[str, ConditionGraph] = {}
+    lock = threading.Lock()  # --jobs threads share one load of each graph
 
     def resolve(ref: str) -> ConditionGraph:
-        if ref not in cache:
-            path = os.path.join(graphs_dir, ref)
-            if not os.path.exists(path):
-                raise GraphNotFoundError(f"graph dump not found: {path}")
-            cache[ref] = load_graph(path)
-        return cache[ref]
+        with lock:
+            if ref not in cache:
+                path = os.path.join(graphs_dir, ref)
+                if not os.path.exists(path):
+                    raise GraphNotFoundError(f"graph dump not found: {path}")
+                cache[ref] = load_graph(path)
+            return cache[ref]
 
     return resolve
 

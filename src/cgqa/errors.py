@@ -62,9 +62,12 @@ class QueryError(Exception):
 
         A caught error's traceback pins every frame that raised it, and each
         frame its callers, in a reference cycle that only a full collection
-        frees.
+        frees. The copy keeps the rendered message, so it is not rendered
+        again.
         """
-        return QueryError(self.kind, **self.detail)
+        copy = QueryError.__new__(QueryError, *self.args)
+        copy.kind, copy.detail = self.kind, dict(self.detail)
+        return copy
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -194,7 +194,7 @@ def _exec_keep(
     value = _bound_value(cond.value, env)
     tails, tail_ok = cg.field_test("tail", value, cond.comparator)
     match_key = value_key(key)
-    relations = cg.relation_keys
+    relations, entities = cg.relation_keys, cg.entity_index
     quals = cg.edge_keys("qkey", "in") if cg.has_qualifier else ()
 
     @cache  # the qualifier-value test, built once a qualifier key matches
@@ -204,7 +204,7 @@ def _exec_keep(
 
     kept = {}
     for k in sorted_keys(source):  # the first fault is the same each run
-        for i in cg.entity_index.get(k, ()):
+        for i in entities.get(k, ()):
             if relations[i] == match_key and tail_ok(tails[i]) or (
                     quals and quals[i] == match_key and value_ok()(i)):
                 kept[k] = source[k]

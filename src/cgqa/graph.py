@@ -18,7 +18,7 @@ from array import array
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, eq, ge, gt, is_not, itemgetter, le, lt, sub
@@ -127,7 +127,9 @@ def value_key(value: Scalar) -> float | str:
     if isinstance(value, (int, float)):
         return float(value)
     text = normalize(value)
-    if _NUM_RE.match(text) and math.isfinite(number := float(text)):
+    # a numeral starts with a sign, '.' or a digit (\d: any decimal digit)
+    if ((first := text[:1]) in "+-." or first.isdecimal()) and _NUM_RE.match(
+            text) and math.isfinite(number := float(text)):
         return number
     return text
 
@@ -259,13 +261,12 @@ class ConditionGraph:
     """Immutable, indexed edge set, held as columns.
 
     columns maps each Edge field (_ROW) to its values in edge order; Edges
-    are built on demand (edges, lookup). entity_index and relation_index
-    map the value_keys of head and relation labels to arrays of edge ids;
-    relation_keys holds each edge's. Other keys (edge_keys) and indexes
-    (index) are built by the first lookup that needs them. Indexes and
-    keys only accelerate: lookup results equal a brute-force scan. The
-    lazy caches live on the graph and die with it; two threads filling one
-    at once store equal values.
+    are built on demand (edges, lookup). The first lookup that reads a key
+    table (edge_keys) or an index (index) builds it; load_graph builds the
+    head and relation indexes, entity_index and relation_index, and with
+    them relation_keys. Indexes and keys only accelerate: lookup results
+    equal a brute-force scan. The lazy caches live on the graph and die
+    with it; two threads filling one at once store equal values.
     """
 
     def __init__(self, edges: Iterable[Edge] = (), source_kind: str = "kg",
@@ -274,37 +275,26 @@ class ConditionGraph:
         order, which build no Edge); equal edges collapse to the first."""
         distinct = dict.fromkeys(chain(map(_AS_ROW, edges), rows))
         # by field, not zip(*distinct), which would hold an iterator per row
-        heads, relations, tails, kinds, quals = (
-            tuple(map(itemgetter(f), distinct)) for f in range(5))
-        del distinct  # the rows die before the indexes are built
-        labels: dict[float | str, float | str] = {}  # one object per key
-        raw = {*heads, *relations}
-        keyed = {label: labels.setdefault(key, key)
-                 for label, key in zip(raw, map(value_key, raw))}
-        if "" in labels:
-            bad = next(r for r in zip(heads, relations, tails, kinds, quals)
-                       if "" in (keyed[r[0]], keyed[r[1]]))
+        columns = [tuple(map(itemgetter(f), distinct)) for f in range(5)]
+        del distinct  # the rows die before any key table is built
+        if blank := {label for label in {*columns[0], *columns[1]} if
+                     isinstance(label, str) and not label.strip()}:
+            bad = next(row for row in zip(*columns)  # value_key is ""
+                       if row[0] in blank or row[1] in blank)
             raise EmptyFieldError("edge with empty head or relation: "
                                   f"{Edge(*bad).to_dict()!r}")
-        self.columns = dict(zip(_ROW, (heads, relations, tails, kinds, quals)))
-        self.source_kind = source_kind
-        head_keys = tuple(map(keyed.__getitem__, heads))
-        self.relation_keys = tuple(map(keyed.__getitem__, relations))
-        ent, rel = defaultdict(_id_array), defaultdict(_id_array)
-        for i, head, relation in zip(count(), head_keys, self.relation_keys):
-            ent[head].append(i)
-            rel[relation].append(i)
-        self.entity_index, self.relation_index = dict(ent), dict(rel)
-        self._edge_keys: dict[tuple[str, str], tuple] = {
-            ("head", "in"): head_keys, ("relation", "in"): self.relation_keys}
-        self._indexes: dict[tuple[str, str], dict] = {
-            ("head", "in"): self.entity_index,
-            ("relation", "in"): self.relation_index}
+        self.columns, self.source_kind = dict(zip(_ROW, columns)), source_kind
+        self._edge_keys: dict[tuple[str, str], tuple] = {}
+        self._indexes: dict[tuple[str, str], dict] = {}
         self._parts: dict[str, tuple] = {}  # "qkey", "qvalue" (column)
         self._schema = None
 
     def __len__(self) -> int:
-        return len(self.relation_keys)
+        return len(self.columns["relation"])
+
+    entity_index = property(lambda self: self.index("head", "in"))
+    relation_index = property(lambda self: self.index("relation", "in"))
+    relation_keys = property(lambda self: self.edge_keys("relation", "in"))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -328,13 +318,13 @@ class ConditionGraph:
 
     def edge_keys(self, field: str, test: str) -> tuple:
         """Each edge's key of a field (see column) under test "in"
-        (value_key) or "<" (order key), built once. A missing qualifier
-        part is _MISSING."""
+        (value_key) or "<" (order key), built once, keyed once per distinct
+        value. A missing qualifier part is _MISSING."""
         table = self._edge_keys.get((field, test))
         if table is None:
-            key = {"in": value_key, "<": _order_key}[test]
+            keys = _Keys({"in": value_key, "<": _order_key}[test])
             table = self._edge_keys.setdefault((field, test), tuple(
-                v if v is _MISSING else key(v) for v in self.column(field)))
+                map(keys.__getitem__, self.column(field))))
         return table
 
     def index(self, field: str, test: str) -> dict:
@@ -464,6 +454,22 @@ def _id_array(ids: Iterable[int] = ()) -> array:
     return array("I", ids)
 
 
+class _Keys(dict):
+    """value -> key(value), computed once per distinct value; _MISSING ->
+    _MISSING. Equal values (1 and 1.0, 0.0 and -0.0) share an entry, which
+    is sound only because equal values have equal keys. Each key maps to
+    itself as well (a key is its own key), so equal keys share one object."""
+
+    def __init__(self, key: Callable[[Any], Any]) -> None:
+        super().__init__({_MISSING: _MISSING})
+        self.key = key
+
+    def __missing__(self, value: Any) -> Any:
+        key = self.key(value)
+        key = self[value] = self.setdefault(key, key)
+        return key
+
+
 def _is_set(value: Any) -> bool:
     return isinstance(value, (set, frozenset))
 
@@ -493,7 +499,7 @@ def ingest_table(
         key_idx = key_column
         if not 0 <= key_idx < len(header):
             raise EmptyHeaderError(f"key column index {key_idx} out of range")
-    edges = []
+    edges, scalars = [], lru_cache(_MEMO)(infer_scalar)  # see _MEMO
     names = [h.strip() for h in header]
     for r, row in enumerate(rows):
         if len(row) != len(header):
@@ -502,7 +508,7 @@ def ingest_table(
         head = str(row[key_idx]).strip()
         for c, cell in enumerate(row):
             if c != key_idx:
-                edges.append((head, names[c], *infer_scalar(str(cell)), None))
+                edges.append((head, names[c], *scalars(str(cell)), None))
     return ConditionGraph(rows=edges, source_kind="table")
 
 
@@ -523,18 +529,24 @@ def ingest_temporal(quads: Iterable[Sequence[str]]) -> ConditionGraph:
 def _ingest_facts(rows: Iterable[Sequence[str]], width: int,
                   source_kind: str) -> ConditionGraph:
     """One edge per (head, relation, tail[, time]) row of width cells."""
-    edges = []
+    edges, scalars = [], lru_cache(_MEMO)(infer_scalar)  # see _MEMO
+    times = lru_cache(_MEMO)(lambda text: None if time_key(
+        time := text.strip()) is None else ("time", time))  # its qualifier
     for r, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRowError(r, f"{len(row)} cells, not {width}")
         qualifier = None
-        if width == 4:
-            qualifier = ("time", str(row[3]).strip())
-            if time_key(qualifier[1]) is None:
-                raise BadTimestampError(r, f"cannot parse time {row[3]!r}")
+        if width == 4 and (qualifier := times(str(row[3]))) is None:
+            raise BadTimestampError(r, f"cannot parse time {row[3]!r}")
         edges.append((str(row[0]).strip(), str(row[1]).strip(),
-                      *infer_scalar(str(row[2])), qualifier))
+                      *scalars(str(row[2])), qualifier))
     return ConditionGraph(rows=edges, source_kind=source_kind)
+
+
+# An ingest infers each cell text, and checks each time, once while a memo
+# of at most _MEMO texts holds it (so memory stays flat), keyed by the text,
+# never the cell: 1, 1.0 and True are equal keys but infer as 1, 1.0, 'True'.
+_MEMO = 1 << 11
 
 
 def schema_summary(cg: ConditionGraph) -> SchemaDescriptor:
@@ -612,26 +624,29 @@ def load_temporal_file(path: str, delimiter: str = "\t") -> ConditionGraph:
 
 
 def dump_graph(cg: ConditionGraph, path: str) -> None:
-    """Write one JSON object per line: a meta line, then per edge, from the
-    columns, the text of json.dumps(edge.to_dict(), ensure_ascii=False).
-    The lines go to a new file beside path that replaces path only once
-    all are written; a failed dump leaves path as it was."""
+    """Write one JSON object per line: a meta line, then per edge the text
+    of json.dumps(edge.to_dict(), ensure_ascii=False), joined from each
+    column's JSON between constant separators. The lines go to a new file
+    beside path that replaces path only once all are written; a failed
+    dump leaves path as it was."""
     def text(field: str) -> Iterable[str]:
         column = cg.columns[field]
         if field == "tail":  # mostly distinct: none is worth keeping
             return map(_json, column)
-        memo = {item: _json(_wire(item) if field == "qualifier" else item)
-                for item in set(column)}  # each label is encoded once
+        # a qualifier's text as _json(_wire(q)) writes it, without json.dumps
+        encode = _json if field != "qualifier" else lambda q: q and (
+            f'{{"key": {_json(q[0])}, "value": {_json(q[1])}}}') or "null"
+        memo = {item: encode(item) for item in set(column)}  # once a label
         return map(memo.__getitem__, column)
-    keys = _codec(Edge)[0]  # Edge's JSON keys, in field order
-    line = ("{{" + ", ".join(f"{_json(key)}: {{}}" for key in keys)
-            + "}}\n").format
+    seps = [("{" if i == 0 else ", ") + _json(key) + ": "
+            for i, key in enumerate(_codec(Edge)[0])]  # Edge's JSON keys
+    parts = chain.from_iterable(zip(map(repeat, seps), map(text, _ROW)))
     folder, name = os.path.split(path)
     temp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(temp, "x", encoding="utf-8") as fh:
             fh.write(_json({"meta": {"source_kind": cg.source_kind}}) + "\n")
-            fh.writelines(map(line, *map(text, _ROW)))
+            fh.writelines(map("".join, zip(*parts, repeat("}\n"))))
         os.replace(temp, path)
     except BaseException as exc:
         with suppress(FileNotFoundError):
@@ -657,12 +672,16 @@ def load_graph(path: str) -> ConditionGraph:
     nothing but "meta", sets the source kind. A file as dump_graph writes
     it is read a chunk of lines at a time (_read_dump); any other, from
     line 1 again, one line at a time (_read_lines), which alone names a
-    bad line. Both give equal graphs."""
+    bad line. Both give equal graphs, which hold their head and relation
+    indexes, so no first lookup builds them."""
     try:
         with open_text(path) as fh:
-            return _read_dump(fh, {}.setdefault)
+            cg = _read_dump(fh, {}.setdefault)
     except _NotADump:
-        return _read_lines(path)
+        cg = _read_lines(path)
+    cg.index("head", "in")
+    cg.index("relation", "in")
+    return cg
 
 
 class _NotADump(Exception):

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from cgqa import cli
 from cgqa.cli import main
 from cgqa.graph import load_graph
 from cgqa.llm import (
@@ -504,6 +506,30 @@ class TestJobs:
                     assert got == want, (jobs, run)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_resolving_one_graph_load_it_once(self, tmp_path,
+                                                      monkeypatch):
+        (tmp_path / "g.jsonl").write_text("", encoding="utf-8")
+        calls = []
+
+        def slow_load(path):
+            calls.append(path)
+            time.sleep(0.05)
+            return object()
+        monkeypatch.setattr(cli, "load_graph", slow_load)
+        resolve = cli._graph_resolver(str(tmp_path))
+        start, got = threading.Barrier(4), []
+
+        def worker():
+            start.wait()
+            got.append(resolve("g.jsonl"))
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert calls == [str(tmp_path / "g.jsonl")]
+        assert len(got) == 4 and all(graph is got[0] for graph in got)
 
 
 ALICE_PLAN = ("query1 = get_information(head_entity='Alice', "

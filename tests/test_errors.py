@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cgqa import errors
 from cgqa.correction import assess
 from cgqa.dsl import parse_plan, validate_plan
 from cgqa.errors import (
@@ -298,3 +299,21 @@ def test_from_dict_checks_exactly_the_keys_the_messages_read():
     # "reason" picks an inconsistent-parameters template; templates read
     # every other key.
     assert read | {"reason"} == set(_DETAIL_TYPES)
+
+
+def test_a_stored_error_keeps_its_rendered_message(toy_graph, monkeypatch):
+    calls = []
+    monkeypatch.setattr(errors, "render_message",
+                        lambda err, render=render_message: calls.append(
+                            err.kind) or render(err))
+    err = assess("query1 = find_everything(head_entity='Alice')",
+                 toy_graph).error
+    assert calls == [ErrorKind.UNDEFINED_FUNCTION]  # rendered once
+    assert err.kind is ErrorKind.UNDEFINED_FUNCTION
+    assert err.message == render_message(err)
+    assert (err.__traceback__, err.__cause__, err.__context__) == (
+        None, None, None)
+    copy = err.detached()
+    assert (copy.kind, copy.detail, copy.args) == (err.kind, err.detail,
+                                                   err.args)
+    assert copy.detail is not err.detail
