@@ -334,9 +334,9 @@ def extract_plan(completion: str) -> tuple[str, str | None]:
     The plan block is the first contiguous run of queryN = ... lines; code
     fences are ignored. Returns (analysis, None) when no step line exists.
     """
-    lines = [
-        ln for ln in completion.splitlines() if not ln.strip().startswith("```")
-    ]
+    lines = completion.splitlines()
+    if "```" in completion:
+        lines = [ln for ln in lines if not ln.strip().startswith("```")]
     start = None
     for i, ln in enumerate(lines):
         if _STEP_LINE_RE.match(ln):
@@ -543,8 +543,10 @@ def normalize_answer_value(value: Any) -> tuple[str, Any]:
     text = str(value).strip()
     if _NUMERIC_RE.match(text):
         return ("n", float(text))
-    cleaned = _PUNCT_RE.sub(" ", text.casefold())
-    return ("t", " ".join(cleaned.split()))
+    folded = text.casefold()
+    if folded.isalnum():  # \w is the alphanumerics and "_": nothing to clean
+        return ("t", folded)
+    return ("t", " ".join(_PUNCT_RE.sub(" ", folded).split()))
 
 
 def _norm_values(values: Iterable[Any]) -> list[tuple[str, Any]]:

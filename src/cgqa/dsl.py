@@ -17,6 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache, partial
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple
 
 from .errors import ErrorKind, QueryError
 
@@ -43,8 +46,9 @@ _BREAK_ESCAPES = str.maketrans({c: "\\" + e for e, c in _ESCAPES.items()
 _PIECE_RE = re.compile(r"'[^'\\]*(?:\\.[^'\\]*)*'?|[^',()[\]]+|.", re.S)
 
 
-@dataclass(frozen=True)
-class StepRef:
+# Plan nodes are named tuples: immutable, hashable, and cheap to build; a
+# node also compares equal to the plain tuple of its fields.
+class StepRef(NamedTuple):
     """Reference to the result of an earlier step."""
 
     index: int
@@ -53,15 +57,13 @@ class StepRef:
 Literal = str | int | float | StepRef
 
 
-@dataclass(frozen=True)
-class Arg:
+class Arg(NamedTuple):
     name: str
     comparator: str
     value: Literal
 
 
-@dataclass(frozen=True)
-class QueryStep:
+class QueryStep(NamedTuple):
     index: int
     function: str
     args: tuple[Arg, ...]
@@ -192,7 +194,7 @@ def parse_plan(text: str) -> QueryPlan:
         if at < len(arglist):
             args += [_parse_arg(token, function)
                      for token in split_args(arglist[at:])]
-        steps.append(QueryStep(index=pos, function=function, args=tuple(args)))
+        steps.append(QueryStep(pos, function, tuple(args)))
     return QueryPlan(steps=steps)
 
 
@@ -214,78 +216,70 @@ def validate_plan(plan: QueryPlan) -> QueryPlan:
 
     Per step, in order: function defined, parameter names legal, parameter
     combination legal, comparators legal, step references resolve backwards.
+    The first four depend only on the step's shape, and are checked once
+    per shape (see _shape_fault).
     """
     for step in plan.steps:
-        sig = DEFAULT_REGISTRY.entries.get(step.function)
-        if sig is None:
-            raise QueryError(
-                ErrorKind.UNDEFINED_FUNCTION,
-                function=step.function,
-                registry=DEFAULT_REGISTRY.names(),
-            )
-        for arg in step.args:
-            if arg.name not in sig.params:
-                raise QueryError(
-                    ErrorKind.ILLEGAL_PARAMETER,
-                    function=step.function,
-                    parameter=arg.name,
-                    allowed=list(sig.params),
-                )
-        _check_combination(step, sig)
-        for arg in step.args:
-            if arg.comparator != "=" and arg.name not in sig.comparable:
-                raise QueryError(
-                    ErrorKind.ILLEGAL_COMPARATOR,
-                    function=step.function,
-                    parameter=arg.name,
-                    comparator=arg.comparator,
-                )
-        for arg in step.args:
-            if isinstance(arg.value, StepRef) and not (
-                1 <= arg.value.index < step.index
+        fault = _shape_fault(step.function, tuple(map(_SHAPE, step.args)))
+        if fault is not None:
+            raise fault()
+        for _, _, value in step.args:
+            if isinstance(value, StepRef) and not (
+                1 <= value.index < step.index
             ):
-                raise QueryError(
-                    ErrorKind.NON_STANDARD_EXPRESSION,
-                    text=f"output_of_query{arg.value.index}",
-                    what="step reference",
-                )
+                raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION,
+                                 text=f"output_of_query{value.index}",
+                                 what="step reference")
     return plan
 
 
-def _check_combination(step: QueryStep, sig: FunctionSignature) -> None:
-    names = [a.name for a in step.args]
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
-        raise QueryError(
-            ErrorKind.INCONSISTENT_PARAMETERS,
-            function=step.function,
-            parameters=dupes,
-            reason="duplicate",
-        )
-    missing = sorted(sig.required - set(names))
-    if missing:
-        raise QueryError(
-            ErrorKind.INCONSISTENT_PARAMETERS,
-            function=step.function,
-            parameters=missing,
-            reason="missing",
-        )
+_SHAPE = itemgetter(0, 1)  # an argument's (name, comparator)
+# The first violation of each step shape is found once while a memo of at
+# most _SHAPES shapes holds it. That is sound only because DEFAULT_REGISTRY
+# is never mutated.
+_SHAPES = 1 << 10
+
+
+@lru_cache(_SHAPES)
+def _shape_fault(function: str, shape: tuple[tuple[str, str], ...]
+                 ) -> Callable[[], QueryError] | None:
+    """What builds the first violation of a step of function whose
+    arguments have these (name, comparator) pairs, or None."""
+    sig = DEFAULT_REGISTRY.entries.get(function)
+    if sig is None:
+        return _fault(ErrorKind.UNDEFINED_FUNCTION, function=function,
+                      registry=DEFAULT_REGISTRY.names())
+    names = [name for name, _ in shape]
+    for name in names:
+        if name not in sig.params:
+            return _fault(ErrorKind.ILLEGAL_PARAMETER, function=function,
+                          parameter=name, allowed=list(sig.params))
+    inconsistent = partial(_fault, ErrorKind.INCONSISTENT_PARAMETERS,
+                           function=function)
+    if dupes := sorted({n for n in names if names.count(n) > 1}):
+        return inconsistent(parameters=dupes, reason="duplicate")
+    if missing := sorted(sig.required - set(names)):
+        return inconsistent(parameters=missing, reason="missing")
     if len(names) < sig.min_bound:
-        raise QueryError(
-            ErrorKind.INCONSISTENT_PARAMETERS,
-            function=step.function,
-            parameters=[],
-            reason="unbound",
-        )
-    if sig.exclusive_assign:
-        assigned = {a.name for a in step.args if a.comparator == "="}
-        if all(p in assigned for p in sig.exclusive_assign):
-            raise QueryError(
-                ErrorKind.INCONSISTENT_PARAMETERS,
-                function=step.function,
-                parameters=list(sig.exclusive_assign),
-                reason="simultaneous",
-            )
+        return inconsistent(parameters=[], reason="unbound")
+    assigned = {name for name, comparator in shape if comparator == "="}
+    if sig.exclusive_assign and all(p in assigned
+                                    for p in sig.exclusive_assign):
+        return inconsistent(parameters=list(sig.exclusive_assign),
+                            reason="simultaneous")
+    for name, comparator in shape:
+        if comparator != "=" and name not in sig.comparable:
+            return _fault(ErrorKind.ILLEGAL_COMPARATOR, function=function,
+                          parameter=name, comparator=comparator)
+    return None
+
+
+def _fault(kind: ErrorKind, **detail: Any) -> Callable[[], QueryError]:
+    """What builds QueryError(kind, **detail) afresh, each error with its
+    own copy of every list in detail."""
+    return lambda: QueryError(kind, **{
+        key: list(value) if isinstance(value, list) else value
+        for key, value in detail.items()})
 
 
 def render_value(value: Literal) -> str:
