@@ -19,14 +19,14 @@ from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, eq, ge, gt, is_not, itemgetter, le, lt, sub
+from operator import attrgetter, eq, ge, gt, is_not, itemgetter, le, lt
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .dsl import render_value
-from .jsonl import (Record, _codec, _read_fields, _scan, check_types,
-                    open_text, read_jsonl)
+from .jsonl import (Record, _build_lines, _codec, _read_fields, _scan,
+                    check_types, open_text)
 
 Scalar = str | int | float
 Bound = Scalar | set | frozenset | None  # a lookup field; None is unbound
@@ -669,101 +669,119 @@ def _json(value: Any) -> str:
 
 def load_graph(path: str) -> ConditionGraph:
     """Read a dump_graph file into columns; a meta line, first and holding
-    nothing but "meta", sets the source kind. A file as dump_graph writes
-    it is read a chunk of lines at a time (_read_dump); any other, from
-    line 1 again, one line at a time (_read_lines), which alone names a
-    bad line. Both give equal graphs, which hold their head and relation
-    indexes, so no first lookup builds them."""
-    try:
-        with open_text(path) as fh:
-            cg = _read_dump(fh, {}.setdefault)
-    except _NotADump:
-        cg = _read_lines(path)
+    nothing but "meta", sets the source kind. The file is read once, a
+    chunk of lines at a time: by column (_bulk_rows) if dump_graph could
+    have written it, else line by line (_edge_row), which alone names a bad
+    line. The graph holds its head and relation indexes."""
+    meta, one, line, rows = {}, {}.setdefault, 1, []  # one object per label
+    with open_text(path) as fh:
+        for lines, whole in _chunks(fh):
+            try:
+                rows += _bulk_rows(lines, whole, meta, one)
+            except _NotADump:
+                rows += filter(None, _build_lines(
+                    lines, partial(_edge_row, meta, one), path, line))
+            line += len(lines)
+    rows = iter(rows)  # so the list is freed once read
+    cg = ConditionGraph(rows=rows, source_kind=meta.get("source_kind", "kg"))
     cg.index("head", "in")
     cg.index("relation", "in")
     return cg
 
 
 class _NotADump(Exception):
-    """A file, or a chunk of it, that _read_dump does not take."""
+    """A chunk of lines that _bulk_rows does not take."""
 
 
-_CHUNK = 1 << 14  # characters of whole lines that _read_dump holds at once
+_CHUNK = 1 << 14  # characters of whole lines that load_graph holds at once
 
 
-def _read_dump(fh: TextIO, one: Callable) -> ConditionGraph:
-    """The graph of a file as dump_graph writes it, each label interned by
-    one: a meta line first, if any, then one edge object per line. Any
-    other line raises _NotADump."""
-    chunks = iter(partial(_scan_chunk, fh), [])
-    first, source_kind = next(chunks, []), "kg"
-    if first and first[0].keys() == {"meta"}:
-        meta = first.pop(0)["meta"]  # read as _read_lines reads it
-        if type(meta) is not dict or type(source_kind := meta.get(
-                "source_kind", source_kind)) is not str:
-            raise _NotADump
-    rows = map(partial(_dump_rows, one=one), chain([first], chunks))
-    # Listed, and freed once read, as _read_lines lists its rows: fed
-    # lazily, the same rows left a process that loads 10^6 edges and then
-    # queries them 8 MB larger (glibc placed its key tables differently).
-    return ConditionGraph(rows=iter(list(chain.from_iterable(rows))),
-                          source_kind=source_kind)
-
-
-def _scan_chunk(fh: TextIO) -> list[dict]:
-    """The objects of fh's next lines, up to _CHUNK characters of them,
-    one object filling each line; [] at the end of the file."""
+def _chunks(fh: TextIO) -> Iterable[tuple[list[str], bool]]:
+    """Chunks of fh's lines, _CHUNK characters of whole lines each, with
+    whether each is whole: the lines read before a decode error are not."""
+    lines, size = [], 0
     try:
-        lines = fh.readlines(_CHUNK)
-        if lines and lines[-1][-1] != "\n":  # the file's last line
-            lines[-1] += "\n"
+        for text in fh:
+            lines.append(text)
+            size += len(text)
+            if size >= _CHUNK:
+                yield lines, True
+                lines, size = [], 0
+    except UnicodeDecodeError:
+        yield lines, False
+        raise
+    if lines:
+        yield lines, True
+
+
+def _edge_row(meta: dict, one: Callable, data: dict) -> tuple | None:
+    """The row of a line's object, checked as Edge.from_dict reads it, each
+    label interned by one; or None for a meta line, which must be alone on
+    the first line read (while meta is {}) and sets meta."""
+    if "meta" in data:
+        check_types(data, {"meta": dict})
+        check_types(data["meta"], {"source_kind": str})
+        if meta or len(data) > 1:
+            raise ValueError('"meta" must be alone on the first line')
+        meta["source_kind"] = data["meta"].get("source_kind", "kg")
+        return None
+    meta.setdefault("source_kind", "kg")  # no later line is the first
+    # a missing required key raises; qualifier defaults to None
+    head, relation, tail, kind, qual = map(
+        _read_fields(data, _codec(Edge)[2]).get, _ROW)
+    if not (isinstance(tail, str)  # NaN fails every comparison
+            or abs(tail) <= sys.float_info.max):
+        raise ValueError("field 'tail' must be a string or a number "
+                         "within float range")
+    return (one(head, head), one(relation, relation), tail,
+            one(kind, kind), one(qual, qual))
+
+
+def _bulk_rows(lines: list[str], whole: bool, meta: dict, one: Callable
+               ) -> Iterable[tuple]:
+    """The rows of a whole chunk of lines as dump_graph writes them, checked
+    by column as _edge_row checks them by line; a meta line first in the
+    file (while meta is {}) sets meta. Any other chunk raises _NotADump."""
+    readers, kind = _codec(Edge)[2], meta.get("source_kind", "kg")
+    try:  # bad JSON, a line that is not an object, a missing key
         found = list(map(_scan, lines, repeat(0)))
-    except (ValueError, RecursionError):  # bad UTF-8 or JSON
+        objects = list(map(itemgetter(0), found))
+        if not meta and objects[0].keys() == {"meta"}:
+            kind = objects.pop(0)["meta"].get("source_kind", kind)
+        columns = [list(map(itemgetter(key), objects)) if required else
+                   list(map(dict.get, objects, repeat(key)))
+                   for key, _, required, _ in readers]
+        heads, relations, tails, kinds, quals = columns
+        quals = _qualifiers(quals, one)
+    except (AttributeError, LookupError, TypeError, ValueError,
+            RecursionError):
         raise _NotADump from None
-    objects = list(map(itemgetter(0), found))
-    # scan_once ends the map at a line that starts with no value
-    if len(found) < len(lines) or not {1}.issuperset(map(
-            sub, map(len, lines), map(itemgetter(1), found))) or (
-            not {dict}.issuperset(map(type, objects))):
+    # scan_once ends the map at a line that starts with no value. No value
+    # takes in its line's "\n": the sums are equal if each fills its line.
+    if not whole or len(found) < len(lines) or sum(map(len, lines)) - sum(
+            map(itemgetter(1), found)) != len(lines) - (lines[-1][-1] != "\n"):
         raise _NotADump
-    return objects
-
-
-def _dump_rows(objects: list[dict], one: Callable) -> Iterable[tuple]:
-    """The rows (see ConditionGraph) of a chunk of edge objects, each field
-    checked by column as _read_lines checks it by line, or _NotADump."""
-    if any(map(dict.__contains__, objects, repeat("meta"))):
-        raise _NotADump
-    columns = []
-    for key, _, required, spec in _codec(Edge)[2]:
-        try:
-            column = (list(map(itemgetter(key), objects)) if required else
-                      list(map(dict.get, objects, repeat(key))))
-        except KeyError:
-            raise _NotADump from None
-        if not spec[0].issuperset(map(type, column)):
-            raise _NotADump
-        columns.append(column)
-    heads, relations, tails, kinds, quals = columns
+    typed = all(spec[0].issuperset(map(type, column))
+                for (*_, spec), column in zip(readers, columns))
     numbers = compress(tails, map(is_not, map(type, tails), repeat(str)))
-    if not all(map(le, map(abs, numbers), repeat(sys.float_info.max))):
+    if not typed or type(kind) is not str or any(map(
+            dict.__contains__, objects, repeat("meta"))) or not all(map(
+            le, map(abs, numbers), repeat(sys.float_info.max))):
         raise _NotADump  # NaN fails every comparison
+    meta["source_kind"] = kind  # no later line is the first
     return zip(map(one, heads, heads), map(one, relations, relations), tails,
-               map(one, kinds, kinds), _qualifiers(quals, one))
+               map(one, kinds, kinds), quals)
 
 
 def _qualifiers(quals: list[dict | None], one: Callable) -> Iterable:
-    """Each qualifier object of a column read as Edge reads it: null and
-    {} as None, else its (key, value) pair, interned by one. An object
-    without both or with a value that is not a string raises _NotADump."""
+    """Each qualifier object of a column read as Edge reads it: null and {}
+    as None, else its (key, value) pair, interned by one; a missing key
+    raises KeyError, and a value that is not a string _NotADump."""
     objects = list(filter(None, quals))
     if not objects:
         return repeat(None, len(quals))
-    try:
-        pairs = list(zip(map(itemgetter("key"), objects),
-                         map(itemgetter("value"), objects)))
-    except KeyError:
-        raise _NotADump from None
+    pairs = list(zip(map(itemgetter("key"), objects),
+                     map(itemgetter("value"), objects)))
     if not {str}.issuperset(map(type, chain.from_iterable(
             map(dict.values, objects)))):
         raise _NotADump
@@ -772,31 +790,3 @@ def _qualifiers(quals: list[dict | None], one: Callable) -> Iterable:
         return pairs
     ordered = iter(pairs)
     return [next(ordered) if q else None for q in quals]
-
-
-def _read_lines(path: str) -> ConditionGraph:
-    """load_graph of any file, each line read and checked as
-    Edge.from_dict reads it; a bad line fails as path:line."""
-    meta, one = {"source_kind": "kg"}, {}.setdefault  # one object per label
-    readers, lines = _codec(Edge)[2], count()
-
-    def build(data: dict[str, Any]) -> tuple | None:
-        first = next(lines) == 0  # blank lines are not read
-        if "meta" in data:
-            check_types(data, {"meta": dict})
-            check_types(data["meta"], {"source_kind": str})
-            if not first or len(data) > 1:
-                raise ValueError('"meta" must be alone on the first line')
-            meta.update(data["meta"])
-            return None
-        # a missing required key raises; qualifier defaults to None
-        head, relation, tail, kind, qual = map(
-            _read_fields(data, readers).get, _ROW)
-        if not (isinstance(tail, str)  # NaN fails every comparison
-                or abs(tail) <= sys.float_info.max):
-            raise ValueError("field 'tail' must be a string or a number "
-                             "within float range")
-        return (one(head, head), one(relation, relation), tail,
-                one(kind, kind), one(qual, qual))
-    rows = filter(None, read_jsonl(path, build))  # frees the list once read
-    return ConditionGraph(rows=rows, source_kind=meta["source_kind"])

@@ -154,28 +154,30 @@ class Record:
 
 @contextmanager
 def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """path opened to read UTF-8 text. Text that does not decode fails as
-    ValueError("path: reason"), naming no line: text decodes in chunks, so
-    the line being read when it fails need not hold the bad byte. The
-    reason names the byte's offset in the file, found by decoding the file
-    whole again: the chunk's decoder counts from the chunk."""
+    """path opened, once, to read UTF-8 text. Text that does not decode
+    fails as ValueError("path: reason"), naming no line: text decodes in
+    chunks, so the line being read need not hold the bad byte. The reason
+    names the byte's offset in the file, or none if the handle cannot seek
+    back to decode it whole (a pipe): the decoder counts from its chunk."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            with open(path, "rb") as raw:
+            if fh.seekable():
+                fh.buffer.seek(0)
                 try:
-                    raw.read().decode("utf-8")
+                    fh.buffer.read().decode("utf-8")
                 except UnicodeDecodeError as whole:
-                    exc = whole
-            raise ValueError(f"{path}: {exc}") from None
+                    raise ValueError(f"{path}: {whole}") from None
+            raise ValueError(f"{path}: '{exc.encoding}' codec can't decode "
+                             f"byte 0x{exc.object[exc.start]:02x}: "
+                             f"{exc.reason}") from None
 
 
 def read_jsonl(path: str, build: Callable[[dict[str, Any]], T]) -> list[T]:
     """build(obj) for each line; blank lines are skipped but counted."""
     with open_text(path) as fh:
-        return [_build(line, build, path, n)
-                for n, line in enumerate(fh, start=1) if not line.isspace()]
+        return _build_lines(fh, build, path)
 
 
 def read_json(path: str, build: Callable[[dict[str, Any]], T]) -> T:
@@ -209,6 +211,13 @@ def _loads(text: str) -> Any:
     except (StopIteration, ValueError):
         pass
     return json.loads(text)  # any other text, and any error
+
+
+def _build_lines(lines: Iterable[str], build: Callable[[dict[str, Any]], T],
+                 path: str, line: int = 1) -> list[T]:
+    """build(obj) for each of lines, numbered from line, as read_jsonl."""
+    return [_build(text, build, path, n)
+            for n, text in enumerate(lines, line) if not text.isspace()]
 
 
 def _build(text: str, build: Callable[[dict[str, Any]], T], path: str,

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import suppress
+
 import pytest
 
 from cgqa.graph import ConditionGraph, ingest_table, ingest_temporal, ingest_triples
@@ -57,3 +61,28 @@ def terms_graph() -> ConditionGraph:
             ("USA", "president", "Bush", "2004"),
         ]
     )
+
+
+@pytest.fixture
+def piped():
+    """pipe(data) -> a /dev/fd path that reads data through a pipe, which a
+    thread writes. At teardown each pipe is closed, so a writer that a
+    reader left behind ends, and each writer is joined."""
+    ends = []
+
+    def pipe(data: bytes) -> str:
+        read, write = os.pipe()
+
+        def feed() -> None:
+            with suppress(BrokenPipeError), open(write, "wb") as fh:
+                fh.write(data)
+
+        thread = threading.Thread(target=feed)
+        thread.start()
+        ends.append((read, thread))
+        return f"/dev/fd/{read}"
+
+    yield pipe
+    for read, thread in ends:
+        os.close(read)
+        thread.join()

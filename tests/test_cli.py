@@ -15,7 +15,7 @@ import pytest
 
 from cgqa import cli
 from cgqa.cli import main
-from cgqa.graph import load_graph
+from cgqa.graph import dump_graph, ingest_triples, load_graph
 from cgqa.llm import (
     ChatError,
     ScriptedChatClient,
@@ -620,6 +620,33 @@ def one_error_line(argv, path, capsys):
     assert code == 1
     assert err.count("\n") == 1 and "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize("edit", ["indented", "null tail"])
+def test_ask_reads_a_graph_through_a_pipe(tmp_path, capsys, piped, edit):
+    """A dump whose line 2501, past the first chunk, is indented answers
+    through a pipe as from its file; with a null tail there, the pipe fails
+    with the file's one error line, naming the pipe."""
+    triples = [("Alice", "Hometown", "Texas")]
+    triples += [(f"e{i}", "r", f"t{i}") for i in range(2999)]
+    path = tmp_path / "kg.jsonl"
+    dump_graph(ingest_triples(triples), str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2500] = (b" " + lines[2500] if edit == "indented" else json.dumps(
+        {**json.loads(lines[2500]), "tail": None}).encode() + b"\n")
+    script = tmp_path / "ask.jsonl"
+    script.write_text(json.dumps({"reply": ALICE_PLAN}) + "\n",
+                      encoding="utf-8")
+    source = piped(b"".join(lines))
+    code = main([*ASK, "--graph", source, "--script", str(script)])
+    out, err = capsys.readouterr()
+    if edit == "indented":
+        assert code == 0 and err == ""
+        assert json.loads(out)["initial_outcome"]["answer"] == ["Texas"]
+    else:
+        assert code == 1 and out == ""
+        assert err == (f"error: {source}:2501: field 'tail' must be a "
+                       "string, an integer or a number, not null\n")
 
 
 class TestBadInputLines:

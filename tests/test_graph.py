@@ -11,6 +11,8 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,24 @@ class TestRowErrorsNameTheFileLine:
         assert str(info.value) == (
             f"{path}: 'utf-8' codec can't decode byte 0xff in position "
             f"{len(line) * 3000}: invalid start byte")
+
+    @pytest.mark.parametrize("read, line", [
+        (load_triples_file, b"a\tr\tb\n"),
+        (lambda path: read_jsonl(path, dict), b'{"a": 1}\n'),
+        (lambda path: read_json(path, dict), b" " * 7 + b"\n"),
+        (load_graph, b'{"head": "a", "relation": "r", "tail": "b", '
+         b'"tail_kind": "text", "qualifier": null}\n')],
+        ids=["load_triples_file", "read_jsonl", "read_json", "load_graph"])
+    def test_a_bad_byte_in_a_pipe_is_named_without_an_offset(self, piped,
+                                                             read, line):
+        """A pipe cannot be decoded again from its start, and its decoder
+        counts from its chunk: the error names the byte and no offset."""
+        source = piped(line * 3000 + b"\xff\n")
+        with pytest.raises(ValueError) as info:
+            read(source)
+        assert str(info.value) == (
+            f"{source}: 'utf-8' codec can't decode byte 0xff: invalid start "
+            "byte")
 
 
 class TestLookup:
@@ -1048,10 +1068,10 @@ def test_a_dump_is_loaded_without_the_per_line_reader(tmp_path,
     edges = [Edge("Ann", "age", 2**70, "numeric"),
              Edge("Bo", "x", -0.0, "numeric", ("time", "1999")),
              Edge("Zoë", '"q"', "数据", "text")]
-    calls = []  # into load_graph's per-line build
-    read = graph.read_jsonl
-    monkeypatch.setattr(graph, "read_jsonl", lambda path, build: read(
-        path, lambda data: calls.append(data) or build(data)))
+    calls = []  # into the per-line build of load_graph's per-chunk fallback
+    read = graph._build_lines
+    monkeypatch.setattr(graph, "_build_lines", lambda lines, build, *rest: (
+        read(lines, lambda data: calls.append(data) or build(data), *rest)))
     for cg in [*_ingest_every_kind(), ConditionGraph(edges, "é\"x")]:
         path = tmp_path / f"{cg.source_kind}.jsonl"
         dump_graph(cg, str(path))
@@ -1196,6 +1216,15 @@ _TAKEN = {"none", 'head: ""', "qualifier: {}",
           'meta {"meta": {"source_kind": "table", "x": 1}}'}
 
 
+def _read_lines(path: str) -> ConditionGraph:
+    """load_graph as a whole-file per-line read: read_jsonl with load_graph's
+    per-line check."""
+    meta = {}
+    rows = read_jsonl(path, partial(graph._edge_row, meta, {}.setdefault))
+    return ConditionGraph(rows=filter(None, rows),
+                          source_kind=meta.get("source_kind", "kg"))
+
+
 def _load_outcome(load, path: str) -> tuple:
     try:
         cg = load(path)
@@ -1209,9 +1238,9 @@ def _load_outcome(load, path: str) -> tuple:
 @given(_any_graph(), st.data())
 def test_a_dump_loads_as_the_per_line_reader_reads_it(tmp_path_factory, cg,
                                                       data):
-    # load_graph reads every file as its per-line reader (read_jsonl with
-    # the per-line build) does, whether the bulk reader takes the file or
-    # hands it over
+    # load_graph reads every file as a whole-file per-line read (read_jsonl
+    # with the per-line build) does, whether the bulk reader takes each
+    # chunk or hands it over
     path = tmp_path_factory.getbasetemp() / "dump-as-lines.jsonl"
     dump_graph(cg, str(path))
     text = path.read_bytes().decode("utf-8")  # a label may hold U+2028
@@ -1237,12 +1266,118 @@ def test_a_dump_loads_as_the_per_line_reader_reads_it(tmp_path_factory, cg,
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph, "_CHUNK", data.draw(
                 st.sampled_from([1, 100, graph._CHUNK])))
-            patch.setattr(graph, "_read_lines", lambda path, read=(
-                graph._read_lines): handed.append(path) or read(path))
+            patch.setattr(graph, "_build_lines", lambda lines, *rest, read=(
+                graph._build_lines): handed.append(lines) or read(
+                    lines, *rest))
             loaded = _load_outcome(load_graph, str(path))
-        assert loaded == _load_outcome(graph._read_lines, str(path)), (
+        assert loaded == _load_outcome(_read_lines, str(path)), (
             name, bad_byte)
         assert (handed == []) == (name in _TAKEN and not bad_byte), name
+
+
+def _dump_edited_at_2501(tmp_path, edit) -> tuple[ConditionGraph, Path]:
+    """A 3,000-triple graph, and the path of its dump with line 2501, far
+    past the first chunk, replaced by edit(line)."""
+    cg = ingest_triples([(f"e{i}", "r", f"t{i}") for i in range(3000)])
+    path = tmp_path / "kg.jsonl"
+    dump_graph(cg, str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2500] = edit(lines[2500])
+    path.write_bytes(b"".join(lines))
+    return cg, path
+
+
+def _indented(line: bytes) -> bytes:
+    return b" " + line
+
+
+def _null_tail(line: bytes) -> bytes:
+    return json.dumps({**json.loads(line), "tail": None}).encode() + b"\n"
+
+
+def test_only_the_chunk_of_a_bad_line_is_read_line_by_line(tmp_path,
+                                                           monkeypatch):
+    cg, path = _dump_edited_at_2501(tmp_path, _indented)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    handed = []  # (lines, number of the first) per chunk read line by line
+    read = graph._build_lines
+    monkeypatch.setattr(graph, "_build_lines", lambda chunk, build, path,
+                        line: handed.append((chunk, line)) or read(
+                            chunk, build, path, line))
+    back = load_graph(str(path))
+    assert (back.columns, back.source_kind) == (cg.columns, cg.source_kind)
+    [(chunk, line)] = handed
+    assert chunk == lines[line - 1:line - 1 + len(chunk)]
+    assert line <= 2501 < line + len(chunk) and len(chunk) < len(lines) / 10
+
+
+def test_a_dump_loads_through_a_pipe_as_from_its_file(tmp_path, piped):
+    cg, path = _dump_edited_at_2501(tmp_path, _indented)
+    for source in [str(path), piped(path.read_bytes())]:
+        back = load_graph(source)
+        assert (back.columns, back.source_kind) == (cg.columns,
+                                                    cg.source_kind)
+    _, path = _dump_edited_at_2501(tmp_path, _null_tail)
+    for source in [str(path), piped(path.read_bytes())]:
+        with pytest.raises(ValueError) as info:
+            load_graph(source)
+        assert str(info.value) == (
+            f"{source}:2501: field 'tail' must be a string, an integer or "
+            "a number, not null")
+
+
+def _read_outcome(read, source: str):
+    """What read(source) gives, or its error with source written as
+    <source>."""
+    try:
+        got = read(source)
+    except ValueError as exc:
+        return str(exc).replace(source, "<source>")
+    return getattr(got, "columns", got)
+
+
+@pytest.mark.parametrize("read, line, bad", [
+    (load_triples_file, b"a\tr\tb\n", b"a\tr\n"),
+    (lambda path: read_jsonl(path, dict), b'{"a": 1}\n', b"[1]\n")],
+    ids=["load_triples_file", "read_jsonl"])
+def test_a_pipe_is_read_as_its_file(tmp_path, piped, read, line, bad):
+    path = tmp_path / "input"
+    for data in [line * 3000, line * 2500 + bad + line * 499]:
+        path.write_bytes(data)
+        assert _read_outcome(read, piped(data)) == _read_outcome(
+            read, str(path))
+
+
+_DUMP_LINE = (b'{"head": "a", "relation": "r", "tail": 1, '
+              b'"tail_kind": "numeric", "qualifier": null}\n')
+# Per reader: a file it reads, and a line that it fails on.
+_SOURCES = {
+    "load_graph": (load_graph, b'{"meta": {"source_kind": "kg"}}\n'
+                   + _DUMP_LINE * 3, b"[1]\n"),
+    "load_table_file": (load_table_file, b"K,V\na,1\n", b"b\n"),
+    "load_triples_file": (load_triples_file, b"a\tr\tb\n", b"a\tr\n"),
+    "load_temporal_file": (load_temporal_file, b"a\tr\tb\t1996\n",
+                           b"a\tr\tb\n"),
+    "read_jsonl": (lambda path: read_jsonl(path, dict), b'{"a": 1}\n',
+                   b"[1]\n"),
+    "read_json": (lambda path: read_json(path, dict), b'{"a": 1}', b"}"),
+}
+
+
+@pytest.mark.parametrize("damage", ["none", "bad line", "bad byte"])
+@pytest.mark.parametrize("name", list(_SOURCES))
+def test_a_source_is_opened_once(tmp_path, monkeypatch, name, damage):
+    read, good, bad = _SOURCES[name]
+    path = tmp_path / ("input.csv" if name == "load_table_file" else "input")
+    path.write_bytes(good + {"none": b"", "bad line": bad,
+                             "bad byte": b"\xff\n"}[damage])
+    opened, real = [], open
+    monkeypatch.setattr("builtins.open", lambda *args, **kwargs: (
+        opened.append(args[0]) or real(*args, **kwargs)))
+    outcome = _read_outcome(read, str(path))
+    monkeypatch.undo()
+    assert opened == [str(path)]
+    assert isinstance(outcome, str) == (damage != "none"), outcome
 
 
 # The per-row ingest that the memoized one replaced, kept as the reference:
