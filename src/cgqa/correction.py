@@ -21,7 +21,7 @@ from .errors import ErrorKind, QueryError
 from .executor import ExecutionOutcome, execute_plan
 from .graph import ConditionGraph, SchemaDescriptor, Scalar, sort_values
 from .jsonl import Record
-from .llm import ChatMessage, flatten_messages
+from .llm import ChatMessage
 
 _STEP_LINE_RE = re.compile(r"^\s*query\d+\s*=")
 _PUNCT_RE = re.compile(r"[^\w\s.-]|_")
@@ -133,20 +133,6 @@ def _word_set(text: str) -> frozenset[str]:
     return frozenset(map(sys.intern, _WORD_RE.findall(text.casefold())))
 
 
-def token_set_jaccard(a: str, b: str) -> float:
-    """Default demonstration similarity: Jaccard over casefolded word sets."""
-    return _jaccard(_word_set(a), _word_set(b))
-
-
-def _jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
-    if not ta and not tb:
-        return 1.0
-    if not ta or not tb:
-        return 0.0
-    common = len(ta & tb)
-    return common / (len(ta) + len(tb) - common)
-
-
 _NO_WORDS = frozenset({""})
 
 
@@ -201,7 +187,8 @@ def retrieve_demos(
     ranking: Iterable[int] | None = None,
 ) -> list[Demonstration]:
     """The k_use first distinct (question, plan) pairs among the k_retrieve
-    demonstrations most similar by token_set_jaccard; ties keep pool order.
+    demonstrations most similar by Jaccard over casefolded word sets (see
+    DemoIndex); ties keep pool order.
     A plain sequence is indexed for this call only. ranking, when given, is
     the index's rank(question_text), whose masks may leave positions out:
     then only the positions left are retrieved from."""
@@ -309,23 +296,6 @@ def build_correction_prompt(
         f"Error message: {error_message}\n\n"
         "First explain what went wrong, then write the corrected full "
         "query plan (queryN = ... lines).")]
-
-
-def query_prompt_text(question_text: str, schema_text: str) -> str:
-    return flatten_messages(build_query_prompt(question_text, schema_text))
-
-
-def correction_prompt_text(
-    question_text: str,
-    schema_text: str,
-    wrong_plan_text: str,
-    error_message: str,
-) -> str:
-    return flatten_messages(
-        build_correction_prompt(
-            question_text, schema_text, wrong_plan_text, error_message
-        )
-    )
 
 
 def extract_plan(completion: str) -> tuple[str, str | None]:

@@ -21,12 +21,13 @@ from typing import Any, Iterable, Protocol, Sequence
 from .correction import (
     SOLVED_STATUSES,
     CorrectionTrace,
-    correction_prompt_text,
-    query_prompt_text,
+    build_correction_prompt,
+    build_query_prompt,
 )
 from .dsl import canonical_plan_text
 from .jsonl import Record, check_types, read_json
 from .jsonl import write_jsonl  # noqa: F401, re-export
+from .llm import flatten_messages
 
 KIND_QUERY_GEN = "query_gen"
 KIND_CORRECTION = "correction"
@@ -148,8 +149,8 @@ def teacher_records(trace: CorrectionTrace) -> list[SftRecord]:
     records = [
         SftRecord(
             kind=KIND_QUERY_GEN,
-            input_text=query_prompt_text(trace.question_text,
-                                         trace.schema_text),
+            input_text=flatten_messages(build_query_prompt(
+                trace.question_text, trace.schema_text)),
             target_text=final_plan,
             round_index=None,
             trace_id=trace.trace_id,
@@ -159,12 +160,12 @@ def teacher_records(trace: CorrectionTrace) -> list[SftRecord]:
         records.append(
             SftRecord(
                 kind=KIND_CORRECTION,
-                input_text=correction_prompt_text(
+                input_text=flatten_messages(build_correction_prompt(
                     trace.question_text,
                     trace.schema_text,
                     _attempt_before_round(trace, rnd.index),
                     rnd.error_in.message,
-                ),
+                )),
                 target_text=_concat_target(rnd.analysis, final_plan),
                 round_index=rnd.index,
                 trace_id=trace.trace_id,
@@ -186,7 +187,8 @@ def self_records(trace: CorrectionTrace) -> list[PreferencePair]:
     assert final_plan is not None
     if not trace.rounds:
         return []
-    prompt = query_prompt_text(trace.question_text, trace.schema_text)
+    prompt = flatten_messages(build_query_prompt(trace.question_text,
+                                                 trace.schema_text))
     final_canonical = canonical_plan_text(final_plan, trace.parses)
     pairs = []
     for rnd in trace.rounds:

@@ -14,6 +14,7 @@ calls, unextractable values) are caught before any signature checks.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -29,9 +30,8 @@ _ARG_RE = re.compile(rf"^{_NAME_CMP}(.*)$", re.S)
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\(.*\)$", re.S)
 # A value: a quoted string, a numeral or a step reference (see _literal).
 _VALUE = r"'([^'\\]*(?:\\.[^'\\]*)*)'|(-?\d+(?:\.\d+)?)|output_of_query(\d+)"
-_VALUE_RE = re.compile(rf"(?:{_VALUE})\Z", re.S)
 # One well-formed argument after any blanks and empty commas, up to its comma
-# or the list's end: the token split_args and _parse_arg would read there.
+# or the list's end.
 _ARG_SCAN_RE = re.compile(rf"[\s,]*{_NAME_CMP}(?:{_VALUE})\s*(?:,|\Z)", re.S)
 # Escapes inside a quoted string: the quote, the backslash, and every
 # character str.splitlines breaks on, so a label never splits its step.
@@ -126,31 +126,6 @@ DEFAULT_REGISTRY = FunctionRegistry(entries={
 })
 
 
-def split_args(text: str) -> list[str]:
-    """Split an argument list on top-level commas.
-
-    Commas inside quotes, parentheses, or brackets do not split, so nested
-    calls and bracketed lists come through as single (rejectable) tokens.
-    Inside quotes, a backslash escapes the next character.
-    """
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for piece in _PIECE_RE.findall(text):
-        if piece in "([":
-            depth += 1
-        elif piece in ")]":
-            depth -= 1
-        elif piece == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-            continue
-        current.append(piece)
-    if current:
-        parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
-
-
 def _unescape(m: re.Match) -> str:
     return _ESCAPES[m.group(1)]
 
@@ -160,15 +135,18 @@ def _literal(text: str | None, number: str | None, ref: str | None) -> Literal:
     if text is not None:
         return _ESCAPE_RE.sub(_unescape, text) if "\\" in text else text
     if number is not None:
-        return int(number) if "." not in number else float(number)
+        value = float(number)
+        if not math.isfinite(value):  # no float holds it: text, as in ingest
+            return number
+        return int(number) if "." not in number else value
     return StepRef(int(ref))
 
 
 def parse_plan(text: str) -> QueryPlan:
     """Parse query text into steps, or raise the first structural error.
 
-    Well-formed arguments are read by _ARG_SCAN_RE, the rest of a list from
-    the first one it does not take by split_args and _parse_arg.
+    Well-formed arguments are read by _ARG_SCAN_RE; the first argument it
+    does not take, if any, is read by _raise_bad_arg, which names its error.
 
     Raises QueryError of kind NON_ATOMIC_OPERATION (nested call) or
     NON_STANDARD_EXPRESSION (anything the grammar cannot extract).
@@ -192,19 +170,30 @@ def parse_plan(text: str) -> QueryPlan:
             args.append(Arg(name, comparator, _literal(*value)))
             at = arg.end()
         if at < len(arglist):
-            args += [_parse_arg(token, function)
-                     for token in split_args(arglist[at:])]
+            _raise_bad_arg(arglist[at:], function)
         steps.append(QueryStep(pos, function, tuple(args)))
     return QueryPlan(steps=steps)
 
 
-def _parse_arg(token: str, function: str) -> Arg:
-    m = _ARG_RE.match(token)
-    if not m:
+def _raise_bad_arg(text: str, function: str) -> None:
+    """Raise the error of the first argument in text, the rest of a list
+    from where _ARG_SCAN_RE stopped: the text up to its first comma outside
+    quotes and brackets. _ARG_SCAN_RE takes every argument that reads as a
+    value, so that argument is bad; only blanks and commas pass."""
+    depth, token = 0, ""
+    for piece in _PIECE_RE.findall(text):
+        if piece == "," and depth == 0:
+            if token.strip():
+                break
+            token = ""
+            continue
+        depth += (piece in "([") - (piece in ")]")
+        token += piece
+    if not (token := token.strip()):
+        return
+    if not (m := _ARG_RE.match(token)):
         raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION, text=token)
     raw = m.group(3).strip()
-    if value := _VALUE_RE.match(raw):
-        return Arg(m.group(1), m.group(2), _literal(*value.groups()))
     if call := _CALL_RE.match(raw):
         raise QueryError(ErrorKind.NON_ATOMIC_OPERATION, outer=function,
                          inner=call.group(1))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, eq, ge, gt, is_not, itemgetter, le, lt
+from operator import eq, ge, gt, is_not, itemgetter, le, lt
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .dsl import render_value
@@ -225,7 +225,8 @@ def _wire(qualifier: tuple[str, str] | None) -> dict[str, str] | None:
 
 @dataclass(frozen=True)
 class Edge(Record):
-    """One fact: head --relation--> tail, optionally qualified (e.g. by time)."""
+    """One fact: head --relation--> tail, optionally qualified (e.g. by time);
+    the record codec of a dump line. A graph holds the fields as columns."""
 
     head: str
     relation: str
@@ -260,20 +261,21 @@ class SchemaDescriptor:
 class ConditionGraph:
     """Immutable, indexed edge set, held as columns.
 
-    columns maps each Edge field (_ROW) to its values in edge order; Edges
-    are built on demand (edges, lookup). The first lookup that reads a key
-    table (edge_keys) or an index (index) builds it; load_graph builds the
-    head and relation indexes, entity_index and relation_index, and with
-    them relation_keys. Indexes and keys only accelerate: lookup results
-    equal a brute-force scan. The lazy caches live on the graph and die
-    with it; two threads filling one at once store equal values.
+    columns maps each Edge field (_ROW) to its values in edge order, and
+    lookup_ids names edges by id, an edge's position in the columns. The first
+    lookup that reads a key table (edge_keys) or an index (index) builds
+    it; load_graph builds the head and relation indexes, entity_index and
+    relation_index, and with them relation_keys. Indexes and keys only
+    accelerate: lookup results equal a brute-force scan. The lazy caches
+    live on the graph and die with it; two threads filling one at once
+    store equal values.
     """
 
-    def __init__(self, edges: Iterable[Edge] = (), source_kind: str = "kg",
-                 rows: Iterable[tuple] = ()) -> None:
-        """The graph of edges, then of rows (Edge field tuples, in _ROW
-        order, which build no Edge); equal edges collapse to the first."""
-        distinct = dict.fromkeys(chain(map(_AS_ROW, edges), rows))
+    def __init__(self, rows: Iterable[tuple] = (),
+                 source_kind: str = "kg") -> None:
+        """The graph of rows (Edge field tuples, in _ROW order); equal rows
+        collapse to the first."""
+        distinct = dict.fromkeys(rows)
         # by field, not zip(*distinct), which would hold an iterator per row
         columns = [tuple(map(itemgetter(f), distinct)) for f in range(5)]
         del distinct  # the rows die before any key table is built
@@ -295,11 +297,6 @@ class ConditionGraph:
     entity_index = property(lambda self: self.index("head", "in"))
     relation_index = property(lambda self: self.index("relation", "in"))
     relation_keys = property(lambda self: self.edge_keys("relation", "in"))
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """Every edge as an Edge, in edge order, built on first use."""
-        return tuple(map(Edge, *(self.columns[f] for f in _ROW)))
 
     @cached_property
     def has_qualifier(self) -> bool:
@@ -336,10 +333,6 @@ class ConditionGraph:
                 ids[key].append(i)
             index = self._indexes.setdefault((field, test), dict(ids))
         return index
-
-    def lookup(self, *args: Any, **kwargs: Any) -> list[Edge]:
-        """The edges lookup_ids(*args, **kwargs) names, in edge order."""
-        return [self.edges[i] for i in self.lookup_ids(*args, **kwargs)]
 
     def project(self, field: str, **bounds: Any) -> ValueSet:
         """The field (see column) of the edges lookup_ids(**bounds) names,
@@ -445,7 +438,6 @@ class ConditionGraph:
 
 
 _ROW = tuple(f.name for f in fields(Edge))
-_AS_ROW = attrgetter(*_ROW)
 _MISSING = object()
 
 

@@ -85,10 +85,6 @@ class ClientConfig(Record):
             raise ValueError("timeout must be positive")
 
 
-def messages_to_wire(messages: Sequence[ChatMessage]) -> list[dict[str, str]]:
-    return [{"role": m.role, "content": m.content} for m in messages]
-
-
 def flatten_messages(messages: Sequence[ChatMessage]) -> str:
     """Flatten to a single string, each role prefixed with '###', ending in
     an empty assistant block that cues the reply."""
@@ -98,9 +94,10 @@ def flatten_messages(messages: Sequence[ChatMessage]) -> str:
 
 def request_digest(messages: Sequence[ChatMessage]) -> str:
     """Stable digest of a request, used to key scripted replies: of the
-    JSON that json.dumps(messages_to_wire(messages), ensure_ascii=False,
-    sort_keys=True) writes, put together from each message's content_json
-    (or its escaped content) and its role, which needs no escaping."""
+    JSON that json.dumps([{"role": m.role, "content": m.content} for m in
+    messages], ensure_ascii=False, sort_keys=True) writes, put together
+    from each message's content_json (or its escaped content) and its role,
+    which needs no escaping."""
     canon = ", ".join(
         f'{{"content": {m.content_json or encode_basestring(m.content)}, '
         f'"role": "{m.role}"}}' for m in messages)
@@ -176,7 +173,8 @@ class HttpChatClient:
         payload = json.dumps(
             {
                 "model": cfg.model,
-                "messages": messages_to_wire(messages),
+                "messages": [{"role": m.role, "content": m.content}
+                             for m in messages],
                 "temperature": cfg.temperature,
             }
         ).encode("utf-8")

@@ -12,7 +12,7 @@ import random
 import re
 
 from cgqa.dsl import QueryPlan, StepRef
-from cgqa.graph import ConditionGraph, Edge
+from cgqa.graph import ConditionGraph
 
 from genplans import ENTITIES, NUMERIC_RELATIONS, RELATIONS, TEXTS, gen_plan
 
@@ -328,7 +328,7 @@ def random_graph(rng: random.Random, max_edges: int = 30,
         seen.setdefault(item, None)
     raw = list(seen)
     edges = [
-        Edge(h, r, t, "numeric" if isinstance(t, int) else "text", q)
+        (h, r, t, "numeric" if isinstance(t, int) else "text", q)
         for h, r, t, q in raw
     ]
     cg = ConditionGraph(edges)
@@ -403,7 +403,7 @@ def random_large_graph(rng: random.Random, n_edges: int = 3000,
             qual = ("time", str(rng.randint(1990, 2020)))
         raw.append((head, rel, tail, kind, qual))
     raw = list(dict.fromkeys(raw))
-    cg = ConditionGraph(Edge(h, r, t, k, q) for h, r, t, k, q in raw)
+    cg = ConditionGraph(raw)
     tuples = [
         (h, r, t, q[0] if q else None, q[1] if q else None)
         for h, r, t, _, q in raw

@@ -58,7 +58,7 @@ class TestIngest:
         assert movies.source_kind == "kg"
         assert len(terms) == 4
         assert terms.source_kind == "temporal_kg"
-        assert all(e.qualifier for e in terms.edges)
+        assert all(terms.columns["qualifier"])
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main([
@@ -86,6 +86,26 @@ class TestAsk:
         trace = json.loads(capsys.readouterr().out)
         assert trace["status"] == "solved_direct"
         assert trace["initial_outcome"]["answer"] == ["Texas"]
+
+
+    def test_a_numeral_no_float_holds_is_run_as_a_plan(self, suite, tmp_path,
+                                                      capsys):
+        # the reply's numeral stays text, as ingest keeps such a cell: the
+        # plan runs, and the run goes on to write its trace
+        script = tmp_path / "ask.jsonl"
+        script.write_text(json.dumps({
+            "reply": "query1 = get_information(relation='Age', tail_entity>"
+                     + "9" * 5000 + ")"}) + "\n", encoding="utf-8")
+        code = main([
+            "ask", "Who is older than that?",
+            "--graph", os.path.join(suite["graphs_dir"], "people.jsonl"),
+            "--backend", "scripted", "--script", str(script),
+            "--self-consistency", "1",
+        ])
+        assert code == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert trace["initial_outcome"]["error"] is None
+        assert trace["initial_outcome"]["answer"] == []
 
 
 class _NotFoundHandler(BaseHTTPRequestHandler):

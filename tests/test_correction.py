@@ -24,19 +24,17 @@ from cgqa.correction import (
     assess,
     build_correction_prompt,
     build_query_prompt,
-    correction_prompt_text,
     extract_plan,
     generate_initial,
-    query_prompt_text,
     render_schema,
     retrieve_demos,
     run_correction,
-    token_set_jaccard,
 )
 from cgqa.errors import ErrorKind
 from cgqa.evaluate import PipelineConfig
 from cgqa.graph import ingest_table, schema_summary
-from cgqa.llm import ChatMessage, ScriptedChatClient, request_digest
+from cgqa.llm import (ChatMessage, ScriptedChatClient, flatten_messages,
+                      request_digest)
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "prompts"
 
@@ -57,6 +55,14 @@ def make_question(gold=None):
     return Question(id="q1", text=QUESTION, gold_answer=gold, graph_ref="toy")
 
 
+def jaccard(a: str, b: str) -> float:
+    """Jaccard over casefolded word sets, the retrieval score, computed
+    here on its own."""
+    ta = set(re.findall(r"\w+", a.casefold()))
+    tb = set(re.findall(r"\w+", b.casefold()))
+    return len(ta & tb) / len(ta | tb) if ta | tb else 1.0
+
+
 class TestRetrieveDemos:
     def test_clamping_small_pool(self):
         pool = [Demonstration("only one", "s", "query1 = count(set=output_of_query1)")]
@@ -70,7 +76,7 @@ class TestRetrieveDemos:
         ]
         got = retrieve_demos(QUESTION, pool, 15, 2)
         assert got[0].question == QUESTION
-        assert token_set_jaccard(QUESTION, QUESTION) == 1.0
+        assert jaccard(QUESTION, QUESTION) == 1.0
 
     def test_top_k_against_brute_force(self):
         pool = [
@@ -80,12 +86,12 @@ class TestRetrieveDemos:
         query = "question about topic 13 number 6"
         got = retrieve_demos(query, pool, k_retrieve=15, k_use=8)
         assert len(got) == 8
-        scores = [token_set_jaccard(query, d.question) for d in got]
+        scores = [jaccard(query, d.question) for d in got]
         assert scores == sorted(scores, reverse=True)
         # independent full ranking: stable sort by (-score, pool position)
         ranked = sorted(
             range(len(pool)),
-            key=lambda i: (-token_set_jaccard(query, pool[i].question), i),
+            key=lambda i: (-jaccard(query, pool[i].question), i),
         )
         assert [d.plan_text for d in got] == [
             pool[i].plan_text for i in ranked[:8]
@@ -95,11 +101,6 @@ class TestRetrieveDemos:
         assert retrieve_demos("q", [], 15, 8) == []
 
     def test_ranking_matches_plain_jaccard(self):
-        def jaccard(a, b):
-            ta = set(re.findall(r"\w+", a.casefold()))
-            tb = set(re.findall(r"\w+", b.casefold()))
-            return len(ta & tb) / len(ta | tb) if ta | tb else 1.0
-
         rng = random.Random(3)
         words = ["who", "What", "age", "Utah", "city", "mean", "of", "in",
                  "team", "born", "2001", "the"]
@@ -254,16 +255,17 @@ class TestRetrievalIndex:
 
 class TestPrompts:
     def test_query_prompt_golden(self, toy_graph):
-        text = query_prompt_text(QUESTION, render_schema(schema_summary(toy_graph)))
+        text = flatten_messages(build_query_prompt(
+            QUESTION, render_schema(schema_summary(toy_graph))))
         golden = (GOLDEN_DIR / "query_prompt.txt").read_text(encoding="utf-8")
         assert text + "\n" == golden
 
     def test_correction_prompt_golden(self, toy_graph):
         schema_text = render_schema(schema_summary(toy_graph))
         err = assess(WRONG_SUBTRACT, toy_graph).error
-        text = correction_prompt_text(
+        text = flatten_messages(build_correction_prompt(
             QUESTION, schema_text, WRONG_SUBTRACT, err.message
-        )
+        ))
         golden = (GOLDEN_DIR / "correction_prompt.txt").read_text(
             encoding="utf-8"
         )

@@ -49,7 +49,7 @@ from oracle import (
     run_reference,
     summarize_outcome,
 )
-from test_graph import _iso, _temporal_edges
+from test_graph import _iso, _temporal_edges, edge_rows, lookup
 
 
 def run(text: str, cg, strict_empty: bool = False):
@@ -194,7 +194,7 @@ class TestAggregates:
     def test_a_result_that_is_not_finite_is_runtime_fault(self, fn, tails):
         # JSON has no Infinity or NaN: a sum that overflows, or a sum or mean
         # over infinite tails (a graph built in memory), is no answer
-        cg = ConditionGraph(Edge(f"p{i}", "mass", float(t), "numeric")
+        cg = ConditionGraph((f"p{i}", "mass", float(t), "numeric", None)
                             for i, t in enumerate(tails))
         outcome = run("query1 = get_information(relation='mass')\n"
                       f"query2 = {fn}(set=output_of_query1)", cg)
@@ -425,7 +425,7 @@ class TestSetAlgebraLaws:
     def test_laws_on_random_graphs(self, seed):
         rng = random.Random(seed)
         cg, _, _ = random_case(rng)
-        if not cg.edges:
+        if not len(cg):
             return
         base = (
             "query1 = get_information(relation='age')\n"
@@ -536,10 +536,10 @@ def large_case(request, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("large") / "graph.jsonl")
     dump_graph(cg, path)
     loaded = load_graph(path)
-    assert loaded.edges == cg.edges
+    assert loaded.columns == cg.columns
     if request.param:
-        assert any(e.tail == "20" and e.tail_kind == "text"
-                   for e in loaded.edges)
+        assert any(tail == "20" and kind == "text"
+                   for _, _, tail, kind, _ in edge_rows(loaded))
     return loaded, tuples
 
 
@@ -569,7 +569,7 @@ def test_reference_agreement_on_a_numeral_graph(tmp_path):
     path = str(tmp_path / "graph.jsonl")
     dump_graph(cg, path)
     loaded = load_graph(path)
-    assert loaded.edges == cg.edges
+    assert loaded.columns == cg.columns
     assert {7.0, 10.0, 0.5, "1e999"} <= loaded.entity_index.keys()
     rng = random.Random(4243)
     kinds = set()
@@ -594,11 +594,12 @@ def test_ordering_fault_names_the_first_edge_a_scan_reaches(large_case):
         outcome = run(f"query1 = get_information(head_entity='{head}', "
                       f"tail_entity{cmp}{limit})", cg)
         expected = None
-        for edge in cg.edges:  # the first edge of the head whose tail is text
-            if edge.head != head:
+        # the first edge of the head whose tail is text
+        for edge_head, _, tail, _, _ in edge_rows(cg):
+            if edge_head != head:
                 continue
             try:
-                compare_values(edge.tail, limit, cmp)
+                compare_values(tail, limit, cmp)
             except KindMismatchError as exc:
                 expected = classify_fault("get_information", exc).message
                 break
@@ -624,7 +625,7 @@ def _first_match_keep(cg, entities, key, bound, cmp):
         return compare_values(value, bound, cmp)
 
     by_head: dict = {}
-    for edge in cg.edges:
+    for edge in [Edge(*row) for row in edge_rows(cg)]:
         by_head.setdefault(normalize(edge.head), []).append(edge)
     kept = []
     for entity in sort_values(entities):
@@ -746,6 +747,18 @@ def test_a_number_in_a_step_result_reaches_the_entity_its_numeral_labels(
     assert kept == {number}
 
 
+@pytest.mark.parametrize("numeral", ["9" * 400, "-" + "9" * 400 + ".5"],
+                         ids=["integer", "negative_fraction"])
+def test_a_numeral_no_float_holds_matches_quoted_or_not(numeral):
+    # ingest keeps such a cell as its text, and so does the parser, whether
+    # the plan quotes the numeral or not
+    cg = ingest_triples([("Ann", "mass", numeral), ("Bo", "mass", "5")])
+    for literal in (numeral, f"'{numeral}'"):
+        got = run(f"query1 = get_information(relation='mass', "
+                  f"tail_entity={literal})", cg)
+        assert got.error is None and set(got.answer) == {"Ann"}, literal
+
+
 # 'a' has the number 7, which labels the entity '7'; 'b' is another entity
 _SEVEN = [("a", "r", "7"), ("7", "color", "red"), ("b", "s", "x")]
 _HOP = "query1 = get_information(head_entity='a', relation='r')\n"
@@ -775,9 +788,9 @@ def test_a_set_bound_head_matches_as_a_literal_head_does():
         bound = frozenset(rng.sample(values, rng.randint(1, 4)))
         relation = rng.choice([None, "r", frozenset({"s"})])
         relations = {relation} if isinstance(relation, str) else relation
-        want = [e for e in cg.edges
-                if any(compare_values(e.head, v, "=") for v in bound)
-                and (relations is None or e.relation in relations)]
-        assert cg.lookup(head=bound, relation=relation) == want, bound
+        want = [row for row in edge_rows(cg)
+                if any(compare_values(row[0], v, "=") for v in bound)
+                and (relations is None or row[1] in relations)]
+        assert lookup(cg, head=bound, relation=relation) == want, bound
     assert cg.lookup_ids(head=frozenset({7.0})) == cg.lookup_ids(
         head=frozenset({"07", "7"})) != []

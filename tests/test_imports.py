@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports, and the package
-reads each private name it defines: checks built on the standard library's
-ast module alone. An import on a line marked `# noqa: F401` (a re-export)
-is exempt, and so is `__init__.py`, whose imports are the package's public
-names."""
+"""Every module of the package uses each name it imports, the package
+reads each private name it defines, and the package or the benchmark reads
+each public function, class and method: checks built on the standard
+library's ast module alone. An import on a line marked `# noqa: F401` (a
+re-export) is exempt, and so is `__init__.py`, whose imports are the
+package's public names."""
 
 from __future__ import annotations
 
@@ -15,6 +16,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cgqa"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = {p.name: p.read_text(encoding="utf-8")
            for p in sorted(PACKAGE.glob("*.py"))}
+BENCHMARK = {f"perfbench/{p.name}": p.read_text(encoding="utf-8")
+             for p in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))}
+# Public names that neither the package nor the benchmark reads, and why
+# each is kept.
+KEPT_PUBLIC = {
+    "compare_values": "the scalar comparison rule that the tests' "
+                      "brute-force scans call",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,20 +79,32 @@ def _private(name: str) -> bool:
                                          and name.endswith("__"))
 
 
+def read_names(source: str) -> set[str]:
+    """The names a module reads: as a name, an attribute, an import or the
+    string getattr is given."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    return read
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """'module: name' for each private name (_name, not __dunder__) that a
     module defines at its top level, or as a method of a top-level class,
-    and that no module reads: as a name, an attribute or an import."""
+    and that no module reads (see read_names)."""
     read, defined = set(), []
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
+        read |= read_names(source)
         for node in tree.body:
             names = [node.name] if isinstance(node, _DEFS) else [
                 t.id for t in getattr(node, "targets", [
@@ -115,3 +136,46 @@ def test_package_reads_every_private_name_it_defines():
         "annotated and class", "local"])
 def test_unread_private_names_finds_each_unread_definition(sources, want):
     assert unread_private_names(sources) == want
+
+
+def unread_public_names(sources: dict[str, str],
+                        readers: dict[str, str]) -> list[str]:
+    """'module: name' for each public function or class that a module of
+    sources defines at its top level, and each public method of such a
+    class, that no module of readers reads (see read_names)."""
+    read = set().union(*map(read_names, readers.values()))
+    unread = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, _DEFS):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [item.name for item in node.body
+                          if isinstance(item, _DEFS[:2])]
+            unread += [f"{module}: {name}" for name in names
+                       if not name.startswith("_") and name not in read]
+    return unread
+
+
+def test_package_or_benchmark_reads_every_public_name():
+    unread = unread_public_names(SOURCES, {**SOURCES, **BENCHMARK})
+    assert [line for line in unread
+            if line.partition(": ")[2] not in KEPT_PUBLIC] == []
+
+
+@pytest.mark.parametrize("sources, readers, want", [
+    ({"a.py": "def f():\n    pass\n"}, {}, ["a.py: f"]),
+    ({"a.py": "def f():\n    pass\n"}, {"b.py": "from a import f\n"}, []),
+    ({"a.py": "class C:\n    def m(self):\n        pass\n"},
+     {"b.py": "C\n"}, ["a.py: m"]),
+    ({"a.py": "class C:\n    def m(self):\n        pass\n"},
+     {"b.py": "C().m()\n"}, []),
+    ({"a.py": "def f():\n    pass\n"}, {"b.py": "getattr(a, 'f')\n"}, []),
+    ({"a.py": "X = 1\ndef _f():\n    pass\nclass C:\n"
+      "    def __len__(self):\n        return 0\n"}, {"b.py": "C\n"}, []),
+], ids=["unread", "imported", "method", "method read", "getattr",
+        "not public"])
+def test_unread_public_names_finds_each_unread_definition(sources, readers,
+                                                          want):
+    assert unread_public_names(sources, readers) == want
