@@ -257,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--key-column", default=0,
-                   type=lambda v: int(v) if v.lstrip("-").isdigit() else v,
-                   help="table row-key column (index or name)")
+                   type=lambda v: int(v) if v.removeprefix("-").isdecimal()
+                   else v, help="table row-key column (index or name)")
     p.add_argument("--delimiter", default=None)
     p.set_defaults(func=_cmd_ingest)
 

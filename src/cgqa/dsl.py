@@ -44,6 +44,8 @@ _BREAK_ESCAPES = str.maketrans({c: "\\" + e for e, c in _ESCAPES.items()
 # A quoted string (to the end if it is not closed), or else one bracket or
 # comma, or a run of other characters.
 _PIECE_RE = re.compile(r"'[^'\\]*(?:\\.[^'\\]*)*'?|[^',()[\]]+|.", re.S)
+# A numeral; its digits match one way only, so a failed match takes linear time
+_NUM_RE = re.compile(r"^[+-]?(\d+(?:\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 
 
 # Plan nodes are named tuples: immutable, hashable, and cheap to build; a
@@ -130,16 +132,29 @@ def _unescape(m: re.Match) -> str:
     return _ESCAPES[m.group(1)]
 
 
+def read_numeral(text: str) -> int | float | None:
+    """The number a numeral (\\d: any Unicode decimal digit) names, or None:
+    an int for bare digits that a float holds, else the float, +-inf if no
+    float holds it. The one number rule of ingest, keys and plan literals."""
+    if not (m := _NUM_RE.match(text)):
+        return None
+    if not math.isfinite(number := float(text)) or m[2] or "." in m[1]:
+        return number
+    # a float below 2**53 holds its integer; int(text) fails past 4300 digits
+    return int(number) if abs(number) < 2 ** 53 else int(Decimal(text))
+
+
 def _literal(text: str | None, number: str | None, ref: str | None) -> Literal:
     """The value of a _VALUE match, from its groups."""
     if text is not None:
         return _ESCAPE_RE.sub(_unescape, text) if "\\" in text else text
     if number is not None:
-        value = float(number)
-        if not math.isfinite(value):  # no float holds it: text, as in ingest
-            return number
-        return int(number) if "." not in number else value
-    return StepRef(int(ref))
+        value = read_numeral(number)  # no float holds it: text, as in ingest
+        return value if math.isfinite(value) else number
+    if not isinstance(index := read_numeral(ref), int):  # past any step
+        raise QueryError(ErrorKind.NON_STANDARD_EXPRESSION,
+                         text=f"output_of_query{ref}", what="step reference")
+    return StepRef(index)
 
 
 def parse_plan(text: str) -> QueryPlan:
@@ -159,7 +174,7 @@ def parse_plan(text: str) -> QueryPlan:
     steps: list[QueryStep] = []
     for pos, line in enumerate(lines, start=1):
         m = _STEP_RE.match(line)
-        if not m or int(m.group(1)) != pos:
+        if not m or m[1] != str(pos) and read_numeral(m[1]) != pos:
             raise QueryError(
                 ErrorKind.NON_STANDARD_EXPRESSION, text=line, what="query step"
             )

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring
 from operator import eq, ge, gt, is_not, itemgetter, le, lt
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
-from .dsl import render_value
+from .dsl import read_numeral, render_value
 from .jsonl import (Record, _build_lines, _codec, _read_fields, _scan,
                     check_types, open_text)
 
@@ -35,7 +35,6 @@ KIND_TEXT = "text"
 KIND_NUMERIC = "numeric"
 KIND_DATE = "date"
 
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
 _YEAR_RE = re.compile(r"^\d{4}$")
 
@@ -81,39 +80,26 @@ def normalize(label: str) -> str:
 
 
 def infer_scalar(text: str) -> tuple[Scalar, str]:
-    """Infer (typed value, kind) for a cell. Numbers win over bare years."""
+    """Infer (typed value, kind) for a cell: read_numeral's number, so
+    numbers win over bare years; one that overflows ('1e999') stays text."""
     cell = text.strip()
-    if _NUM_RE.match(cell):
-        value = float(cell)
-        if value.is_integer() and "e" not in cell.lower() and "." not in cell:
-            return int(cell), KIND_NUMERIC
-        if abs(value) > sys.float_info.max:  # 1e999: JSON holds no Infinity
-            return cell, KIND_TEXT
+    if (value := read_numeral(cell)) is not None and math.isfinite(value):
         return value, KIND_NUMERIC
-    if _DATE_RE.match(cell):
-        return cell, KIND_DATE
-    return cell, KIND_TEXT
+    return cell, KIND_DATE if _DATE_RE.match(cell) else KIND_TEXT
 
 
 def time_key(value: Scalar) -> tuple[int, int, int] | None:
     """Comparable (year, month, day) for a date or bare-year value."""
     if isinstance(value, (int, float)):
-        if float(value).is_integer():
-            return (int(value), 1, 1)
-        return None
-    m = _DATE_RE.match(value.strip())
-    if m:
-        return (int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    if _YEAR_RE.match(value.strip()):
-        return (int(value), 1, 1)
-    return None
+        return (int(value), 1, 1) if float(value).is_integer() else None
+    if m := _DATE_RE.match(value := value.strip()):
+        return (int(m[1]), int(m[2]), int(m[3]))
+    return (int(value), 1, 1) if _YEAR_RE.match(value) else None
 
 
 def value_text(value: Scalar) -> str:
     """Canonical text form of a scalar: integral floats print as ints, other
     floats in positional digits, as the query language writes them."""
-    if isinstance(value, bool):  # guard: bools are ints but never stored
-        return str(value)
     if isinstance(value, float):
         return str(int(value)) if value.is_integer() else render_value(value)
     return str(value)
@@ -121,16 +107,17 @@ def value_text(value: Scalar) -> str:
 
 def value_key(value: Scalar) -> float | str:
     """The one equality key of a value, for matching, set operations and
-    deduplication: the float of a number or of a numeral within float
-    range ('07', '7.0', '1e1', '.5'), else the normalized text ('1e999'
-    stays text, as infer_scalar keeps it)."""
+    deduplication: the float of a number, or of a numeral (read_numeral)
+    within float range ('07', '7.0', '1e1', '.5', '٧'; '-0' is -0.0), else
+    the normalized text: a numeral that overflows ('1e999') stays text, as
+    infer_scalar keeps it, and equals no number."""
     if isinstance(value, (int, float)):
         return float(value)
     text = normalize(value)
-    # a numeral starts with a sign, '.' or a digit (\d: any decimal digit)
-    if ((first := text[:1]) in "+-." or first.isdecimal()) and _NUM_RE.match(
-            text) and math.isfinite(number := float(text)):
-        return number
+    if (first := text[:1]) in "+-." or first.isdecimal():  # a numeral's start
+        number = read_numeral(text)
+        if number is not None and math.isfinite(number):
+            return -0.0 if first == "-" and not number else float(number)
     return text
 
 
@@ -173,10 +160,10 @@ def sort_values(values: Iterable[Scalar]) -> list[Scalar]:
 def compare_values(left: Scalar, right: Scalar, op: str) -> bool:
     """Compare two scalars under =, <, >, <=, >=.
 
-    '=' compares value_keys. Numbers order numerically; date-shaped text
-    orders chronologically (bare years count as January 1). Text supports
-    only equality; a non-equal comparator against text raises
-    KindMismatchError.
+    '=' compares value_keys. Numbers and numerals (read_numeral) order
+    numerically, an overflowing numeral as +-inf; date-shaped text orders
+    chronologically (bare years count as January 1). Other text supports
+    only equality: another comparator raises KindMismatchError.
     """
     if op == "=":
         return value_key(left) == value_key(right)
@@ -209,11 +196,9 @@ def _order_key(value: Scalar) -> tuple[str, Any] | None:
     if isinstance(value, (int, float)):
         return ("n", float(value))
     if isinstance(value, str):
-        text = value.strip()
-        if _NUM_RE.match(text):
-            return ("n", float(text))
-        tk = time_key(text)
-        if tk is not None:
+        if (number := read_numeral(value.strip())) is not None:
+            return ("n", float(number))  # +-inf if no float holds it
+        if (tk := time_key(value)) is not None:
             return ("d", tk)
     return None
 

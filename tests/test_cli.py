@@ -47,6 +47,11 @@ def read_jsonl(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
+# Numerals of 5,001 digits, past int()'s 4,300-digit limit, whose number is 7
+# (the second in Arabic-Indic digits).
+LONG_SEVENS = ["0" * 5000 + "7", "\u0660" * 5000 + "\u0667"]
+
+
 class TestIngest:
     def test_graphs_load_back(self, suite):
         people = load_graph(os.path.join(suite["graphs_dir"], "people.jsonl"))
@@ -59,6 +64,17 @@ class TestIngest:
         assert len(terms) == 4
         assert terms.source_kind == "temporal_kg"
         assert all(terms.columns["qualifier"])
+
+    @pytest.mark.parametrize("numeral", LONG_SEVENS, ids=["ascii", "arabic"])
+    def test_a_numeral_past_the_int_digit_limit_is_its_number(self, tmp_path,
+                                                             numeral):
+        source = tmp_path / "t.csv"
+        source.write_text(f"k,v\na,{numeral}\n", encoding="utf-8")
+        out = str(tmp_path / "t.jsonl")
+        assert main(["ingest", str(source), "--kind", "table",
+                     "--out", out]) == 0
+        edge, = read_jsonl(out)[1:]
+        assert (edge["tail"], edge["tail_kind"]) == (7, "numeric")
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         code = main([
@@ -106,6 +122,24 @@ class TestAsk:
         trace = json.loads(capsys.readouterr().out)
         assert trace["initial_outcome"]["error"] is None
         assert trace["initial_outcome"]["answer"] == []
+
+
+    def test_a_numeral_past_the_int_digit_limit_is_run_as_a_plan(
+            self, suite, tmp_path, capsys):
+        script = tmp_path / "ask.jsonl"
+        script.write_text(json.dumps({
+            "reply": "query1 = get_information(relation='Age', tail_entity>"
+                     + LONG_SEVENS[0] + ")"}) + "\n", encoding="utf-8")
+        code = main([
+            "ask", "Who is older than 7?",
+            "--graph", os.path.join(suite["graphs_dir"], "people.jsonl"),
+            "--backend", "scripted", "--script", str(script),
+            "--self-consistency", "1",
+        ])
+        assert code == 0
+        outcome = json.loads(capsys.readouterr().out)["initial_outcome"]
+        assert (outcome["error"], outcome["answer"]) == (
+            None, ["Alice", "Bob", "Carol", "Dave"])
 
 
 class _NotFoundHandler(BaseHTTPRequestHandler):
@@ -334,6 +368,26 @@ class TestPipeline:
         by_id = {t["question_id"]: t for t in traces}
         for qid in mini_suite.ERROR_QUESTION_IDS:
             assert by_id[qid]["n"] == 1
+
+    def test_a_numeral_past_the_int_digit_limit_ends_no_batch(self, suite,
+                                                              tmp_path):
+        dataset, script = tmp_path / "dataset.jsonl", tmp_path / "script.jsonl"
+        dataset.write_text("".join(json.dumps(
+            {"id": qid, "question": "Who?", "gold": gold,
+             "graph_ref": "people.jsonl"}) + "\n" for qid, gold in (
+                ("long", ["Alice", "Bob", "Carol", "Dave"]),
+                ("alice", ["Texas"]))), encoding="utf-8")
+        script.write_text("".join(json.dumps({"reply": reply}) + "\n" for
+                                  reply in (
+            "query1 = get_information(relation='Age', tail_entity>"
+            + LONG_SEVENS[1] + ")", ALICE_PLAN)), encoding="utf-8")
+        out = str(tmp_path / "traces.jsonl")
+        assert main(["correct", "--dataset", str(dataset),
+                     "--graphs", suite["graphs_dir"], "--out", out,
+                     "--backend", "scripted", "--script", str(script),
+                     "--self-consistency", "1"]) == 0
+        assert [(t["question_id"], t["status"]) for t in read_jsonl(out)] == [
+            ("long", "solved_direct"), ("alice", "solved_direct")]
 
     def test_gen_sft_and_score_loss(self, suite, tmp_path, capsys):
         traces_path = self.run_correct(suite, tmp_path)
@@ -942,6 +996,19 @@ MALFORMED = {
         ("movies_tsv", "Heat\tgenre\tCrime", "Heat\tgenre\t" + "x" * 200_000),
         INGEST["kg"], "movies.tsv:8: field larger than field limit (131072)"),
 }
+
+
+# A --key-column that int() cannot read names a column: '²' is a digit, but
+# not a decimal one; '١' (Arabic-Indic one) is decimal, so it is index 1.
+@pytest.mark.parametrize("key_column", ["\u00b2", "\u0661"])
+def test_a_key_column_int_cannot_read_is_a_name(tmp_path, key_column):
+    source = tmp_path / "t.csv"
+    source.write_text("k,\u00b2\nx,y\n", encoding="utf-8")
+    out = str(tmp_path / "t.jsonl")
+    assert main(["ingest", str(source), "--kind", "table", "--out", out,
+                 "--key-column", key_column]) == 0
+    edge, = read_jsonl(out)[1:]
+    assert (edge["head"], edge["relation"], edge["tail"]) == ("y", "k", "x")
 
 
 @pytest.mark.parametrize("argv, name", [

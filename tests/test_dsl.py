@@ -60,6 +60,30 @@ class TestParse:
         assert [a.value for a in plan.steps[0].args] == [10 ** 300, -2.5]
         assert type(plan.steps[0].args[0].value) is int
 
+    @pytest.mark.parametrize("zero, seven", [("0", "7"),
+                                             ("\u0660", "\u0667")])
+    def test_a_numeral_past_the_int_digit_limit_is_its_number(self, zero,
+                                                             seven):
+        plan = parse_plan(f"query1 = get_information(relation='r', "
+                          f"tail_entity>-{zero * 5000}{seven}, "
+                          f"value={zero * 5000}.5)")
+        assert [a.value for a in plan.steps[0].args[1:]] == [-7, 0.5]
+        assert type(plan.steps[0].args[1].value) is int
+
+    def test_a_step_number_past_the_int_digit_limit_is_read(self):
+        # leading zeros name the step; digits no float holds name none
+        plan = parse_plan(f"query{'0' * 5000}1 = count(set="
+                          f"output_of_query{'0' * 5000}1)")
+        assert plan.steps[0].index == 1
+        assert plan.steps[0].args[0].value == StepRef(1)
+        err = first_error(f"query{'1' * 5000} = count(set='x')")
+        assert (err.kind, err.detail["what"]) == (
+            ErrorKind.NON_STANDARD_EXPRESSION, "query step")
+        ref = "output_of_query" + "1" * 5000
+        err = first_error(f"query1 = count(set={ref})")
+        assert (err.kind, err.detail["text"], err.detail["what"]) == (
+            ErrorKind.NON_STANDARD_EXPRESSION, ref, "step reference")
+
     def test_nested_call_names_both_functions(self):
         err = first_error("query1 = sum(set=set_negation(set=output_of_query1))")
         assert err.kind is ErrorKind.NON_ATOMIC_OPERATION

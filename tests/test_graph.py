@@ -7,8 +7,10 @@ import gc
 import io
 import json
 import random
+import re
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from functools import partial
@@ -513,6 +515,66 @@ def test_a_numeral_no_float_holds_is_ingested_as_text(tmp_path):
     for line in path.read_text(encoding="utf-8").splitlines():
         json.loads(line, parse_constant=pytest.fail)
     assert load_graph(str(path)).columns == cg.columns
+
+
+# Numeral-like texts: a sign, leading zeros (ASCII, Arabic-Indic or
+# fullwidth; up to 5,000, past int()'s digit limit), digits (Unicode too;
+# 400 overflow a float), a point with or without digits, and an exponent.
+# An empty part, a lone point or a bare "e" makes text that is no numeral.
+_NUMERAL_LIKE = st.builds(
+    lambda *parts: "".join(parts), st.sampled_from(["", "+", "-"]),
+    st.builds(str.__mul__, st.sampled_from(["0", "\u0660", "\uff10"]),
+              st.sampled_from([0, 1, 5000])),
+    st.sampled_from(["", "7", "25", "\u0667", "\uff17\u0662", "1" * 300,
+                     "9" * 400]),
+    st.sampled_from(["", ".", ".5", ".\u0665"]),
+    st.sampled_from(["", "e1", "E-2", "e+999", "e-999", "e"]))
+# An unquoted plan literal: what the grammar reads as a bare numeral.
+_UNQUOTED = re.compile(r"-?\d+(\.\d+)?")
+
+
+def _compared(value, number, op):
+    """compare_values(value, number, op), or the error it raises."""
+    try:
+        return compare_values(value, number, op)
+    except KindMismatchError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_NUMERAL_LIKE)
+def test_a_numeral_is_one_value_as_cell_dump_tail_and_plan_literal(
+        tmp_path_factory, text):
+    # one rule (read_numeral) reads the text in each place it can appear
+    cg = ingest_table([["a", text]], ["k", "v"])
+    path = str(tmp_path_factory.mktemp("numeral") / "graph.jsonl")
+    dump_graph(cg, path)
+    values = {"cell": cg.columns["tail"][0],
+              "dump tail": load_graph(path).columns["tail"][0]}
+    literals = {"quoted plan literal": f"'{text}'"}
+    if _UNQUOTED.fullmatch(text):
+        literals["unquoted plan literal"] = text
+    for where, literal in literals.items():
+        plan = parse_plan("query1 = get_information(relation='v', "
+                          f"tail_entity={literal})")
+        values[where] = plan.steps[0].args[1].value
+    want = values["cell"]
+    for where, value in values.items():
+        assert value_key(value) == value_key(want), where
+        for number in (7, -0.5):
+            for op in ("=", "<", ">", "<=", ">="):
+                assert _compared(value, number, op) == _compared(
+                    want, number, op), (where, number, op)
+
+
+def test_text_that_is_nearly_a_long_numeral_is_read_in_linear_time():
+    # a numeral regex that can split a run of digits in more than one way
+    # backtracks over every split before it fails: about 10 s for this text
+    text = "0" * 20_000 + "e"
+    start = time.perf_counter()
+    assert infer_scalar(text) == (text, "text")
+    assert value_key(text) == text
+    assert time.perf_counter() - start < 1
 
 
 def test_dump_load_round_trip(tmp_path, people_graph, terms_graph):
