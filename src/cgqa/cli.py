@@ -59,7 +59,7 @@ from .llm import ChatError, ClientConfig, make_client
 
 
 def _emit(data: Any, out: str | None) -> None:
-    text = json.dumps(data, ensure_ascii=False, indent=2)
+    text = json.dumps(data, ensure_ascii=False, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

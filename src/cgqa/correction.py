@@ -9,6 +9,7 @@ reports.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -16,7 +17,8 @@ from functools import cached_property
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
-from .dsl import DEFAULT_REGISTRY, QueryPlan, parse_plan, validate_plan
+from .dsl import (DEFAULT_REGISTRY, QueryPlan, parse_plan, read_numeral,
+                  validate_plan)
 from .errors import ErrorKind, QueryError
 from .executor import ExecutionOutcome, execute_plan
 from .graph import ConditionGraph, SchemaDescriptor, Scalar, sort_values
@@ -25,18 +27,26 @@ from .llm import ChatMessage
 
 _STEP_LINE_RE = re.compile(r"^\s*query\d+\s*=")
 _PUNCT_RE = re.compile(r"[^\w\s.-]|_")
-_NUMERIC_RE = re.compile(r"^-?\d+(\.\d+)?$")
 _WORD_RE = re.compile(r"\w+")
 
 
 Gold = list[str | float | bool]  # normalize_answer_value takes booleans too
 
 
+def _finite_gold(gold: Gold | None) -> Gold | None:
+    """gold, if each of its numbers is finite as a float."""
+    for v in gold or ():  # NaN fails every comparison
+        if type(v) in (int, float) and not abs(v) <= sys.float_info.max:
+            raise ValueError(f"field 'gold' items must be finite, not {v!r}")
+    return gold
+
+
 @dataclass
 class Question(Record):
     id: str = field(metadata={"decode": (str | int, str)})
     text: str = field(metadata={"key": "question"})
-    gold_answer: Gold | None = field(default=None, metadata={"key": "gold"})
+    gold_answer: Gold | None = field(default=None, metadata={
+        "key": "gold", "decode": (Gold | None, _finite_gold)})
     graph_ref: str | None = None
 
 
@@ -505,14 +515,15 @@ def run_correction(
 
 
 def normalize_answer_value(value: Any) -> tuple[str, Any]:
-    """Normalize one answer value: numeric parse first, else cleaned text."""
+    """Normalize one answer value: a number, or a numeral that a float holds
+    (read_numeral, as value_key reads it), else cleaned text."""
     if isinstance(value, bool):
         return ("t", str(value).casefold())
     if isinstance(value, (int, float)):
         return ("n", float(value))
     text = str(value).strip()
-    if _NUMERIC_RE.match(text):
-        return ("n", float(text))
+    if (number := read_numeral(text)) is not None and math.isfinite(number):
+        return ("n", float(text))  # its number, but '-0' is -0.0 (value_key)
     folded = text.casefold()
     if folded.isalnum():  # \w is the alphanumerics and "_": nothing to clean
         return ("t", folded)

@@ -83,14 +83,14 @@ class TableTokenScorer:
     ) -> None:
         self._by_pair: dict[tuple[str, str], list[float]] = {}
         self._by_target: dict[str, list[float]] = {}
-        if default_logprob is not None and default_logprob > 0:
+        if default_logprob is not None and not default_logprob <= 0:
             raise ScorerFailure(
                 f"default_logprob must be <= 0: {default_logprob!r}"
             )
         self.default_logprob = default_logprob
         for entry in entries:
             logprobs = [float(x) for x in entry["logprobs"]]
-            if any(lp > 0 for lp in logprobs):
+            if not all(lp <= 0 for lp in logprobs):  # a NaN fails too
                 raise ScorerFailure(
                     f"log-probabilities must be <= 0: {logprobs!r}"
                 )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterable, Mapping
 
-from .dsl import QueryPlan, QueryStep, StepRef
+from .dsl import DEFAULT_REGISTRY, QueryPlan, QueryStep, StepRef
 from .errors import ErrorKind, QueryError, classify_fault
 from .graph import (
     ConditionGraph,
@@ -87,19 +87,20 @@ def execute_step(
     fault; emptiness is judged by the plan runner, not here.
     """
     try:
-        handler = _HANDLERS[step.function]
-        return handler(step, env, cg)
+        comparable = DEFAULT_REGISTRY.entries[step.function].comparable
+        for p, cmp, _ in step.args:  # as validate_plan admits them
+            if cmp != "=" and p not in comparable:
+                raise ValueError(f"'{p}' takes no comparison symbol '{cmp}'")
+        return _HANDLERS[step.function](step, env, cg)
     except QueryError:
         raise
     except Exception as exc:
         raise classify_fault(step.function, exc) from exc
 
 
-# each get_information parameter's lookup_ids bound and comparator
-_LOOKUP_ARGS = {"head_entity": ("head", "head_cmp"),
-                "relation": ("relation", "relation_cmp"),
-                "tail_entity": ("tail", "tail_cmp"),
-                "key": ("qual_key", "key_cmp"),
+# each get_information parameter's lookup_ids bound, and comparator if any
+_LOOKUP_ARGS = {"head_entity": ("head", None), "relation": ("relation", None),
+                "tail_entity": ("tail", "tail_cmp"), "key": ("qual_key", None),
                 "value": ("qual_value", "qual_cmp")}
 
 
@@ -109,7 +110,9 @@ def _exec_get_information(
     bounds: dict[str, Any] = {}
     for a in step.args:
         name, cmp = _LOOKUP_ARGS[a.name]
-        bounds[name], bounds[cmp] = _bound_value(a.value, env), a.comparator
+        bounds[name] = _bound_value(a.value, env)
+        if cmp:
+            bounds[cmp] = a.comparator
     if "head" in bounds and "tail" in bounds:
         side = "qvalue" if "qual_key" in bounds else "relation"
     elif "head" not in bounds and ("tail" in bounds or "qual_value" in bounds):

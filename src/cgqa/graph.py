@@ -247,13 +247,14 @@ class ConditionGraph:
     """Immutable, indexed edge set, held as columns.
 
     columns maps each Edge field (_ROW) to its values in edge order, and
-    lookup_ids names edges by id, an edge's position in the columns. The first
-    lookup that reads a key table (edge_keys) or an index (index) builds
-    it; load_graph builds the head and relation indexes, entity_index and
-    relation_index, and with them relation_keys. Indexes and keys only
-    accelerate: lookup results equal a brute-force scan. The lazy caches
-    live on the graph and die with it; two threads filling one at once
-    store equal values.
+    lookup_ids names edges by id, an edge's position in the columns. The
+    first lookup that reads a key table (edge_keys) or a value_key index
+    (index) builds it; load_graph builds the head and relation indexes,
+    entity_index and relation_index, and with them relation_keys. Only a
+    tail or a qualifier value takes a comparator other than '='. Indexes
+    and keys only accelerate: results equal a brute-force scan. The lazy
+    caches live on the graph and die with it; two threads filling one at
+    once store equal values.
     """
 
     def __init__(self, rows: Iterable[tuple] = (),
@@ -272,15 +273,15 @@ class ConditionGraph:
                                   f"{Edge(*bad).to_dict()!r}")
         self.columns, self.source_kind = dict(zip(_ROW, columns)), source_kind
         self._edge_keys: dict[tuple[str, str], tuple] = {}
-        self._indexes: dict[tuple[str, str], dict] = {}
+        self._indexes: dict[str, dict] = {}
         self._parts: dict[str, tuple] = {}  # "qkey", "qvalue" (column)
         self._schema = None
 
     def __len__(self) -> int:
         return len(self.columns["relation"])
 
-    entity_index = property(lambda self: self.index("head", "in"))
-    relation_index = property(lambda self: self.index("relation", "in"))
+    entity_index = property(lambda self: self.index("head"))
+    relation_index = property(lambda self: self.index("relation"))
     relation_keys = property(lambda self: self.edge_keys("relation", "in"))
 
     @cached_property
@@ -309,14 +310,14 @@ class ConditionGraph:
                 map(keys.__getitem__, self.column(field))))
         return table
 
-    def index(self, field: str, test: str) -> dict:
-        """edge_keys(field, test) key -> array of edge ids, built once."""
-        index = self._indexes.get((field, test))
+    def index(self, field: str) -> dict:
+        """edge_keys(field, "in") key -> array of edge ids, built once."""
+        index = self._indexes.get(field)
         if index is None:
             ids: dict = defaultdict(_id_array)
-            for i, key in enumerate(self.edge_keys(field, test)):
+            for i, key in enumerate(self.edge_keys(field, "in")):
                 ids[key].append(i)
-            index = self._indexes.setdefault((field, test), dict(ids))
+            index = self._indexes.setdefault(field, dict(ids))
         return index
 
     def project(self, field: str, **bounds: Any) -> ValueSet:
@@ -335,50 +336,39 @@ class ConditionGraph:
     def lookup_ids(self, head: Bound = None, relation: Bound = None,
                    tail: Bound = None, tail_cmp: str = "=",
                    qual_key: Bound = None, qual_value: Bound = None,
-                   qual_cmp: str = "=", *, head_cmp: str = "=",
-                   relation_cmp: str = "=", key_cmp: str = "=") -> list[int]:
+                   qual_cmp: str = "=") -> list[int]:
         """Ids of the edges matching every bound field, in edge order.
 
-        A bound field is a literal or a set of values, tested as field_test
-        says, on stored keys; a literal relation matches by value_key
-        whatever its comparator. A scan tests relation literal, head,
-        relation set, tail, qualifier key and qualifier value in that order,
-        raising the first failing comparison. Candidates come from the
-        smallest index whose dropped edges fail a test without raising, so
-        results and errors equal the scan's.
+        A bound field is a literal or a set, tested as field_test says on
+        stored keys; head, relation and qualifier key match by value_key.
+        A scan tests head, relation, tail, qualifier key and qualifier
+        value in that order, raising the first failing comparison.
+        Candidates come from the smallest index that an '=' bound of
+        relation, head or tail names (ties in that order). The edges it
+        drops fail an equality test, which never raises, so results and
+        errors equal the scan's.
         """
-        options: list[Sequence[int]] = []
-        rel_ids = None
-        if relation is not None and not _is_set(relation):
-            rel_key = value_key(relation)
-            rel_ids = self.relation_index.get(rel_key, ())
-            options.append(rel_ids)
         keyed = {}  # field -> (its test, the ids its index names), keyed once
-        for field, bound, indexed in (
-                ("head", head, head_cmp == "="),
-                ("tail", tail, tail_cmp == head_cmp == "=" and (
-                    rel_ids is not None or relation_cmp == "="))):
-            if bound is None or not indexed:
+        for field, bound in (("relation", relation), ("head", head),
+                             ("tail", tail if tail_cmp == "=" else None)):
+            if bound is None:
                 continue
-            keys, index = self.edge_keys(field, "in"), self.index(field, "in")
+            keys, index = self.edge_keys(field, "in"), self.index(field)
             if _is_set(bound):
-                wanted = key_map(bound)
-                test, by = (keys, wanted.__contains__), _ids(index, wanted)
+                wanted = key_map(bound)  # distinct keys hold disjoint ids
+                keyed[field] = (keys, wanted.__contains__), sorted(
+                    chain.from_iterable(map(index.get, wanted, repeat(()))))
             else:
                 key = value_key(bound)
-                test, by = (keys, partial(eq, key)), index.get(key, ())
-            keyed[field] = test, by
-            options.append(by)
+                keyed[field] = (keys, partial(eq, key)), index.get(key, ())
+        options = [by for _, by in keyed.values()]
         ids = min(options, key=len) if options else range(len(self))
         if not ids:
             return []
-        checks = [] if rel_ids is None or ids is rel_ids else [
-            (self.relation_keys, partial(eq, rel_key))]
+        checks = []
         for field, bound, cmp in (
-                ("head", head, head_cmp),
-                ("relation", relation if rel_ids is None else None,
-                 relation_cmp),
-                ("tail", tail, tail_cmp), ("qkey", qual_key, key_cmp),
+                ("head", head, "="), ("relation", relation, "="),
+                ("tail", tail, tail_cmp), ("qkey", qual_key, "="),
                 ("qvalue", qual_value, qual_cmp)):
             test, by = keyed.get(field, (None, None))
             if bound is not None and ids is not by:  # else all match it
@@ -449,11 +439,6 @@ class _Keys(dict):
 
 def _is_set(value: Any) -> bool:
     return isinstance(value, (set, frozenset))
-
-
-def _ids(index: dict, keys: Iterable) -> list[int]:
-    """Edge ids under any of keys; distinct keys hold disjoint ids."""
-    return sorted(chain.from_iterable(index.get(k, ()) for k in keys))
 
 
 def ingest_table(
@@ -635,13 +620,13 @@ def dump_graph(cg: ConditionGraph, path: str) -> None:
 
 
 def _json(value: Any) -> str:
-    """json.dumps(value, ensure_ascii=False), without its per-call cost
-    for a str, an int or a finite float."""
+    """json.dumps(value, ensure_ascii=False, allow_nan=False), without its
+    per-call cost for a str, an int or a finite float."""
     if type(value) is str:
         return encode_basestring(value)
     if type(value) is int or type(value) is float and math.isfinite(value):
         return repr(value)
-    return json.dumps(value, ensure_ascii=False)
+    return json.dumps(value, ensure_ascii=False, allow_nan=False)
 
 
 def load_graph(path: str) -> ConditionGraph:
@@ -661,8 +646,8 @@ def load_graph(path: str) -> ConditionGraph:
             line += len(lines)
     rows = iter(rows)  # so the list is freed once read
     cg = ConditionGraph(rows=rows, source_kind=meta.get("source_kind", "kg"))
-    cg.index("head", "in")
-    cg.index("relation", "in")
+    cg.index("head")
+    cg.index("relation")
     return cg
 
 

@@ -197,7 +197,7 @@ def write_jsonl(items: Iterable[Any], path: str) -> int:
     return count
 
 
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+_encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 _scan = json.JSONDecoder().scan_once
 
 

@@ -176,7 +176,7 @@ class HttpChatClient:
                 "messages": [{"role": m.role, "content": m.content}
                              for m in messages],
                 "temperature": cfg.temperature,
-            }
+            }, allow_nan=False
         ).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(cfg.api_key_env, "")

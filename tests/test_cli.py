@@ -916,8 +916,15 @@ class TestBadJsonFiles:
          "no score table entry for target"),
         ({"default_logprob": 0.5},
          "{path}: default_logprob must be <= 0: 0.5"),
+        ({"default_logprob": float("nan")},
+         "{path}: default_logprob must be <= 0: nan"),
+        ({"entries": [{"target": ALICE_PLAN, "logprobs": [float("nan"), -1]}]},
+         "{path}: log-probabilities must be <= 0: [nan, -1.0]"),
+        ({"entries": [{"target": ALICE_PLAN, "logprobs": [-1e308, -1e308]}]},
+         "Out of range float values are not JSON compliant"),
     ], ids=["missing_logprobs", "top_level_list", "no_entry_for_target",
-            "positive_default_logprob"])
+            "positive_default_logprob", "nan_default_logprob",
+            "nan_logprob", "loss_past_float_range"])
     def test_scorer(self, inputs, tmp_path, capsys, table, message):
         good, _, _ = inputs["score-loss --sft"]
         sft = tmp_path / "sft.jsonl"
@@ -980,6 +987,19 @@ MALFORMED = {
                         "string"),
     "ask_gold_not_json": (None, [*ASK_PEOPLE, "--gold", "abc"],
                           "--gold 'abc' is not JSON: Expecting value"),
+    "ask_gold_infinity": (None, [*ASK_PEOPLE, "--gold", "[1e999]"],
+                          "field 'gold' items must be finite, not inf"),
+    "ask_gold_nan": (None, [*ASK_PEOPLE, "--gold", "[1, NaN]"],
+                     "field 'gold' items must be finite, not nan"),
+    "ask_gold_past_float_range": (
+        None, [*ASK_PEOPLE, "--gold", f"[1{'0' * 400}]"],
+        f"field 'gold' items must be finite, not 1{'0' * 400}"),
+    "correct_gold_infinity": (
+        ("dataset", '"gold": [2]', '"gold": [1e999]'),
+        ["correct", "--dataset", "{dataset}", "--graphs", "{graphs_dir}",
+         "--out", "{out}", "--backend", "scripted", "--script",
+         "{script_with}"],
+        "dataset.jsonl:1: field 'gold' items must be finite, not inf"),
     "kg_short_row": (
         ("movies_tsv", "Heat\tgenre\tCrime", "Heat\tgenre"), INGEST["kg"],
         "movies.tsv:8: 2 cells, not 3"),

@@ -32,7 +32,7 @@ from cgqa.correction import (
 )
 from cgqa.errors import ErrorKind
 from cgqa.evaluate import PipelineConfig
-from cgqa.graph import ingest_table, schema_summary
+from cgqa.graph import ingest_table, schema_summary, value_key
 from cgqa.llm import (ChatMessage, ScriptedChatClient, flatten_messages,
                       request_digest)
 
@@ -804,6 +804,15 @@ class TestAnswersMatch:
         assert answers_match({20.0000000001}, [20], mode="denotation")
         assert not answers_match({"Alice", "Bob"}, ["Alice"])
         assert not answers_match({"Alice"}, ["Bob"])
+
+    @pytest.mark.parametrize("answer, gold", [
+        ([10], ["1e1"]), ([0.5], [".5"]), ([7], ["+7"]),
+        (["9" * 400], ["9" * 400])],
+        ids=["exponent", "leading_point", "plus_sign", "past_float_range"])
+    def test_a_gold_numeral_is_read_as_value_key_reads_it(self, answer, gold):
+        # '9' * 400 is a numeral no float holds: text on both sides
+        assert value_key(answer[0]) == value_key(gold[0])
+        assert answers_match(answer, gold)
 
     def test_hits_at_one(self):
         assert answers_match({"b", "a"}, ["a"], mode="hits1")

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import cgqa.executor as executor_module
 import cgqa.graph as graph_module
-from cgqa.dsl import Arg, QueryStep, StepRef, parse_plan, validate_plan
+from cgqa.dsl import (DEFAULT_REGISTRY, Arg, QueryStep, StepRef, parse_plan,
+                      validate_plan)
 from cgqa.errors import ErrorKind, QueryError
 from cgqa.executor import (ENTITY_SET, VALUE_SET, StepResult, execute_plan,
                            execute_step, sort_values)
@@ -794,3 +795,30 @@ def test_a_set_bound_head_matches_as_a_literal_head_does():
         assert lookup(cg, head=bound, relation=relation) == want, bound
     assert cg.lookup_ids(head=frozenset({7.0})) == cg.lookup_ids(
         head=frozenset({"07", "7"})) != []
+
+
+@pytest.mark.parametrize("text", [
+    "query1 = get_information(relation='r', head_entity<'10')",
+    "query1 = get_information(relation='age', tail_entity='x')\n"
+    "query2 = keep(set=output_of_query1, key<'age', value='x')"],
+    ids=["get_information_head", "keep_key"])
+def test_a_comparator_validate_plan_rejects_is_a_runtime_fault(text):
+    # an unvalidated plan may carry a comparator validate_plan rejects:
+    # the step fails instead of honouring or ignoring it
+    cg = ingest_triples([("7", "r", "a"), ("12", "r", "b"),
+                         ("e", "age", "x")])
+    plan = parse_plan(text)
+    with pytest.raises(QueryError) as info:
+        validate_plan(plan)
+    assert info.value.kind is ErrorKind.ILLEGAL_COMPARATOR
+    outcome = execute_plan(plan, cg)
+    assert outcome.status == "exec_error"
+    assert outcome.error.kind is ErrorKind.RUNTIME_EXCEPTION
+    assert outcome.error.detail["fault"] == (
+        f"'{plan.steps[-1].args[1].name}' takes no comparison symbol '<'")
+
+
+def test_get_information_takes_comparators_where_validate_plan_does():
+    carried = {name for name, (_, cmp) in executor_module._LOOKUP_ARGS.items()
+               if cmp is not None}
+    assert carried == DEFAULT_REGISTRY.entries["get_information"].comparable

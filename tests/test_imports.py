@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, the package
 reads each private name it defines, and the package or the benchmark reads
-each public function, class and method: checks built on the standard
-library's ast module alone. An import on a line marked `# noqa: F401` (a
+each public function, class and method, and every JSON writer refuses
+NaN and infinities: checks built on the standard library's ast module
+alone. An import on a line marked `# noqa: F401` (a
 re-export) is exempt, and so is `__init__.py`, whose imports are the
 package's public names."""
 
@@ -179,3 +180,44 @@ def test_package_or_benchmark_reads_every_public_name():
 def test_unread_public_names_finds_each_unread_definition(sources, readers,
                                                           want):
     assert unread_public_names(sources, readers) == want
+
+
+_JSON_WRITERS = {"dumps", "dump", "JSONEncoder"}
+
+
+def lax_json_writers(source: str) -> list[str]:
+    """'line: call' for each call of json.dumps, json.dump or
+    json.JSONEncoder (or the bare name, if imported) that does not pass
+    allow_nan=False, so would write NaN or Infinity, which strict JSON
+    parsers reject."""
+    lax = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.attr if isinstance(func, ast.Attribute)
+                and ast.unparse(func.value) == "json" else
+                func.id if isinstance(func, ast.Name) else None)
+        if name in _JSON_WRITERS and not any(
+                k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in node.keywords):
+            lax.append(f"{node.lineno}: {ast.unparse(func)}")
+    return lax
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_json_writer_refuses_nan(path):
+    assert lax_json_writers(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("json.dumps(x)\n", ["1: json.dumps"]),
+    ("json.dumps(x, allow_nan=False)\n", []),
+    ("json.dumps(x, allow_nan=True)\n", ["1: json.dumps"]),
+    ("e = json.JSONEncoder(ensure_ascii=False).encode\n",
+     ["1: json.JSONEncoder"]),
+    ("from json import dumps\ndumps(x)\n", ["2: dumps"]),
+    ("json.loads(x)\nyaml.dumps(x)\n", []),
+], ids=["dumps", "strict", "allow", "encoder", "bare name", "not a writer"])
+def test_lax_json_writers_finds_each_writer_that_allows_nan(source, want):
+    assert lax_json_writers(source) == want

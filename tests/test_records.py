@@ -175,12 +175,21 @@ json_values = st.recursive(
 @given(st.lists(st.sampled_from(list(RECORDS)).flatmap(RECORDS.get)
                 | json_values, max_size=4))
 def test_written_lines_are_json_dumps(items):
-    """Records nest records; text is any Unicode, floats any float."""
+    """Records nest records; text is any Unicode, floats any float. Strict
+    JSON holds no NaN or infinity: writing one fails as json.dumps with
+    allow_nan=False fails."""
+    try:
+        want = "".join(json.dumps(
+            item.to_dict() if isinstance(item, Record) else item,
+            ensure_ascii=False, allow_nan=False) + "\n" for item in items)
+    except ValueError as exc:
+        want = str(exc)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.jsonl")
-        assert write_jsonl(items, path) == len(items)
+        try:
+            assert write_jsonl(items, path) == len(items)
+        except ValueError as exc:
+            assert str(exc) == want
+            return
         with open(path, encoding="utf-8", newline="") as fh:
-            written = fh.read()
-    assert written == "".join(
-        json.dumps(item.to_dict() if isinstance(item, Record) else item,
-                   ensure_ascii=False) + "\n" for item in items)
+            assert fh.read() == want

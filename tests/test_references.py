@@ -10,6 +10,7 @@ returns, or raises, exactly what its reference does.
 from __future__ import annotations
 
 import copy
+import math
 import random
 import re
 from typing import Any
@@ -134,7 +135,7 @@ def _ref_extract_plan(completion: str) -> tuple[str, str | None]:
 
 
 _PUNCT_RE = re.compile(r"[^\w\s.-]|_")
-_NUMERIC_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_NUMERIC_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _ref_normalize_answer_value(value: Any) -> tuple[str, Any]:
@@ -143,8 +144,8 @@ def _ref_normalize_answer_value(value: Any) -> tuple[str, Any]:
     if isinstance(value, (int, float)):
         return ("n", float(value))
     text = str(value).strip()
-    if _NUMERIC_RE.match(text):
-        return ("n", float(text))
+    if _NUMERIC_RE.match(text) and math.isfinite(number := float(text)):
+        return ("n", number)
     cleaned = _PUNCT_RE.sub(" ", text.casefold())
     return ("t", " ".join(cleaned.split()))
 
