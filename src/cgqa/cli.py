@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import threading
-from functools import partial
 from typing import Any, Sequence
 
 from .correction import CorrectionTrace, Demonstration, Question
@@ -68,9 +67,8 @@ def _emit(data: Any, out: str | None) -> None:
 
 
 def _client_config(args: argparse.Namespace) -> ClientConfig:
-    config = (read_json(args.config,
-                        partial(ClientConfig.from_dict, strict=True))
-              if args.config else ClientConfig())
+    config = (read_json(args.config, ClientConfig.read) if args.config
+              else ClientConfig())
     if args.backend:
         config.backend = args.backend
     if getattr(args, "script", None):

@@ -6,12 +6,11 @@ Semantics per function:
                      head bound -> tails; tail or value bound -> heads;
                      head and tail bound -> qualifier values (key bound) or
                      relations; relation/key only -> tails (column access).
-    min/max/mean/sum aggregate a referenced set; inputs must be all-numeric
-                     (min/max also accept all-date); anything else, or a
-                     result that is not finite, is a trapped runtime
-                     fault. Every result is a set, so an aggregate sees
-                     each distinct value once: sum over the ages 20, 20
-                     and 30 of three people is 50, not 70.
+    min/max/mean/sum aggregate a referenced set by order key: min/max pick
+                     the least/greatest value, sum/mean add numbers; any
+                     other set, or a result that is not finite, is a trapped
+                     runtime fault. A result is a set, so an aggregate sees
+                     each value once: sum over ages 20, 20 and 30 is 50.
     count            cardinality of a referenced set.
     keep             filter entities by a condition on a related value,
                      matching either a relation or a qualifier key.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from .dsl import DEFAULT_REGISTRY, QueryPlan, QueryStep, StepRef
 from .errors import ErrorKind, QueryError, classify_fault
@@ -36,9 +35,9 @@ from .graph import (
     Scalar,
     ValueSet,
     key_map,
+    order_keys,
     sort_values,
     sorted_keys,
-    time_key,
     value_key,
 )
 from .jsonl import Record
@@ -92,8 +91,6 @@ def execute_step(
             if cmp != "=" and p not in comparable:
                 raise ValueError(f"'{p}' takes no comparison symbol '{cmp}'")
         return _HANDLERS[step.function](step, env, cg)
-    except QueryError:
-        raise
     except Exception as exc:
         raise classify_fault(step.function, exc) from exc
 
@@ -123,27 +120,6 @@ def _exec_get_information(
     return StepResult(step.index, kind=kind, values=cg.project(side, **bounds))
 
 
-def _numeric(values: Iterable[Scalar]) -> list[float] | None:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return None
-        out.append(float(v))
-    return out
-
-
-def _dates(values: Iterable[Scalar]) -> list[tuple[tuple[int, int, int], Scalar]] | None:
-    out = []
-    for v in values:
-        if not isinstance(v, str):
-            return None
-        tk = time_key(v)
-        if tk is None:
-            return None
-        out.append((tk, v))
-    return out
-
-
 _AGGREGATES = {
     "sum": sum,
     "mean": lambda values: sum(values) / len(values),
@@ -156,23 +132,25 @@ def _exec_aggregate(
     step: QueryStep, env: Mapping[int, StepResult], cg: ConditionGraph
 ) -> StepResult:
     source = _value_set(step.args[0].value, env)
-    fn = step.function
+    fn, values = step.function, list(source)
+    keys = order_keys(values) if fn != "count" else None
     if fn == "count":
         result: Scalar = len(source)
-    elif nums := _numeric(source):
+    elif keys and fn in ("min", "max"):
+        # Tied keys rank a number first, then text by its characters.
+        ranked = zip(keys, [isinstance(v, str) for v in values], values)
+        best = _AGGREGATES[fn](ranked)[2]
+        result = best if isinstance(best, str) else _tighten(float(best))
+    elif keys and keys[0][0] == "n":  # sum or mean over numbers
         # Added in sorted order, so a float total is the same however the
         # set's values were inserted.
-        result = _tighten(_AGGREGATES[fn](sorted(nums)))
-    elif fn in ("min", "max") and (dated := _dates(source)):
-        result = _AGGREGATES[fn](dated)[1]
+        result = _tighten(_AGGREGATES[fn](sorted(k for _, k in keys)))
     else:
-        # Mixed or non-numeric input: evaluate literally, in a fixed operand
-        # order so the fault text is stable, and let the fault bubble into a
-        # runtime-exception report.
+        # No order, or dates to add: evaluate literally, in a fixed operand
+        # order, so the fault and its text are the same every run.
         ordered = sort_values(source)
         if fn in ("min", "max") and ordered and all(
-            isinstance(v, str) for v in ordered
-        ):
+                isinstance(v, str) for v in ordered):
             # Python would happily order text; the aggregate contract does not.
             raise TypeError("ordering not supported between text values")
         result = _AGGREGATES[fn](ordered)

@@ -1,9 +1,9 @@
 """Condition graph: a uniform edge store for tables, triples, and temporal facts.
 
 Every data source is flattened to (head, relation, tail[, qualifier]) edges.
-Tails carry a scalar kind fixed at ingestion — number, date, or text — so the
-executor's comparators have stable semantics. Graphs are immutable once built
-and safe for concurrent readers.
+A tail's kind inferred at ingestion (number, date or text) is only the dump
+field tail_kind: values compare by key alone (value_key, or the order key of
+<, >, <=, >=). Graphs are immutable once built and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ KIND_NUMERIC = "numeric"
 KIND_DATE = "date"
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_YEAR_RE = re.compile(r"^\d{4}$")
 
 
 class GraphError(ValueError):
@@ -89,12 +88,8 @@ def infer_scalar(text: str) -> tuple[Scalar, str]:
 
 
 def time_key(value: Scalar) -> tuple[int, int, int] | None:
-    """Comparable (year, month, day) for a date or bare-year value."""
-    if isinstance(value, (int, float)):
-        return (int(value), 1, 1) if float(value).is_integer() else None
-    if m := _DATE_RE.match(value := value.strip()):
-        return (int(m[1]), int(m[2]), int(m[3]))
-    return (int(value), 1, 1) if _YEAR_RE.match(value) else None
+    """(year, month, day) of the value's order key on the date axis."""
+    return (key := _order_key(value)) and (date := _as_date(key)) and date[1]
 
 
 def value_text(value: Scalar) -> str:
@@ -160,10 +155,10 @@ def sort_values(values: Iterable[Scalar]) -> list[Scalar]:
 def compare_values(left: Scalar, right: Scalar, op: str) -> bool:
     """Compare two scalars under =, <, >, <=, >=.
 
-    '=' compares value_keys. Numbers and numerals (read_numeral) order
-    numerically, an overflowing numeral as +-inf; date-shaped text orders
-    chronologically (bare years count as January 1). Other text supports
-    only equality: another comparator raises KindMismatchError.
+    '=' compares value_keys, the others order keys (_order_key): a number
+    against a date counts as January 1 of its year if it is whole (_as_date).
+    Other text supports only equality: another comparator raises
+    KindMismatchError.
     """
     if op == "=":
         return value_key(left) == value_key(right)
@@ -173,12 +168,8 @@ def compare_values(left: Scalar, right: Scalar, op: str) -> bool:
 def _compare_keys(lk: tuple[str, Any] | None, rk: tuple[str, Any] | None,
                   left: Scalar, right: Scalar, op: str) -> bool:
     """compare_values for a non-equal op, given both values' order keys."""
-    if lk and rk and lk[0] != rk[0]:
-        # Year against full date: promote integral numbers to January 1.
-        if lk[0] == "n" and (promoted := time_key(left)):
-            lk = ("d", promoted)
-        elif rk[0] == "n" and (promoted := time_key(right)):
-            rk = ("d", promoted)
+    if lk and rk and lk[0] != rk[0]:  # a number against a date
+        lk, rk = _as_date(lk), _as_date(rk)
     if not (lk and rk and lk[0] == rk[0]):
         raise KindMismatchError(
             f"comparison symbol '{op}' is not supported between "
@@ -193,14 +184,35 @@ _ORDERS = {"<": lt, ">": gt, "<=": le, ">=": ge}
 
 
 def _order_key(value: Scalar) -> tuple[str, Any] | None:
+    """The one order rule: ("n", float) for a number or numeral (+-inf if
+    no float holds it), ("d", (y, m, d)) for an ISO date, else None."""
     if isinstance(value, (int, float)):
         return ("n", float(value))
-    if isinstance(value, str):
-        if (number := read_numeral(value.strip())) is not None:
-            return ("n", float(number))  # +-inf if no float holds it
-        if (tk := time_key(value)) is not None:
-            return ("d", tk)
+    if m := _DATE_RE.match(text := value.strip()):  # never a numeral
+        return ("d", (int(m[1]), int(m[2]), int(m[3])))
+    if (number := read_numeral(text)) is not None:
+        return ("n", float(number))
     return None
+
+
+def _as_date(key: tuple[str, Any]) -> tuple[str, Any] | None:
+    """The key on the date axis: a whole number is January 1 of its year."""
+    if key[0] == "d":
+        return key
+    return ("d", (int(key[1]), 1, 1)) if key[1].is_integer() else None
+
+
+def order_keys(values: Iterable[Scalar]) -> list[tuple[str, Any]] | None:
+    """Each value's order key on one axis, dates if any value is a date;
+    None if a value has no order key or cannot join the axis."""
+    keys = []
+    for key in map(_order_key, values):
+        if key is None:  # a set of text mostly stops at its first value
+            return None
+        keys.append(key)
+    if any(k[0] == "d" for k in keys):
+        keys = list(map(_as_date, keys))
+    return None if None in keys else keys
 
 
 def _wire(qualifier: tuple[str, str] | None) -> dict[str, str] | None:

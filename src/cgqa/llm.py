@@ -26,6 +26,7 @@ from .jsonl import Record, check_types, read_jsonl
 
 ROLES = ("system", "user", "assistant")
 _MAX_SAMPLES_IN_FLIGHT = 8
+_MAX_WAIT = 1e9  # seconds (about 31 years): a socket timeout or sleep holds it
 
 
 class ChatError(Exception):
@@ -83,6 +84,16 @@ class ClientConfig(Record):
             raise ValueError("retries must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+
+    @classmethod
+    def read(cls, data: dict) -> ClientConfig:
+        """A --config object (from_dict, strict) that requests and waits hold."""
+        config = cls.from_dict(data, strict=True)
+        for name in ("temperature", "timeout", "retry_backoff"):
+            if not abs(getattr(config, name)) <= _MAX_WAIT:  # NaN too
+                raise ValueError(f"field '{name}' must be a number from "
+                                 f"-{_MAX_WAIT:.0f} to {_MAX_WAIT:.0f}")
+        return config
 
 
 def flatten_messages(messages: Sequence[ChatMessage]) -> str:
@@ -184,7 +195,7 @@ class HttpChatClient:
             headers["Authorization"] = f"Bearer {api_key}"
         last_exc: Exception | None = None
         for attempt in range(cfg.retries + 1):
-            delay = cfg.retry_backoff * (2 ** attempt)
+            delay = min(cfg.retry_backoff * 2 ** min(attempt, 64), _MAX_WAIT)
             try:
                 req = urllib.request.Request(endpoint, data=payload,
                                              headers=headers)

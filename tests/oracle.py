@@ -18,7 +18,6 @@ from genplans import ENTITIES, NUMERIC_RELATIONS, RELATIONS, TEXTS, gen_plan
 
 _NUM = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _DATE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_YEAR = re.compile(r"^\d{4}$")
 
 
 def _norm(s: str) -> str:
@@ -46,16 +45,39 @@ def _eq(a, b) -> bool:
     return _key(a) == _key(b)
 
 
-def _time_tuple(v):
-    if isinstance(v, (int, float)):
-        return (int(v), 1, 1) if float(v).is_integer() else None
-    text = str(v).strip()
+def _okey(x):
+    """Order key: ("n", number) for a number or numeral (+-inf past float
+    range), ("d", (year, month, day)) for an ISO date, else None."""
+    if isinstance(x, (int, float)):
+        return ("n", float(x))
+    text = str(x).strip()
+    if _NUM.match(text):
+        return ("n", float(text))
     m = _DATE.match(text)
     if m:
-        return (int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    if _YEAR.match(text):
-        return (int(text), 1, 1)
+        return ("d", (int(m.group(1)), int(m.group(2)), int(m.group(3))))
     return None
+
+
+def _on_dates(k):
+    """An order key on the date axis: a whole number is January 1 of its
+    year, any other number has no place there."""
+    if k[0] == "d":
+        return k
+    if k[1].is_integer():
+        return ("d", (int(k[1]), 1, 1))
+    return None
+
+
+def _axis(values):
+    """Every value's order key on one axis, dates if any value is a date;
+    None if some value does not join it."""
+    keys = [_okey(v) for v in values]
+    if any(k is None for k in keys):
+        return None
+    if any(k[0] == "d" for k in keys):
+        keys = [_on_dates(k) for k in keys]
+    return None if any(k is None for k in keys) else keys
 
 
 class _Fault(Exception):
@@ -65,26 +87,10 @@ class _Fault(Exception):
 def _cmp(a, b, op) -> bool:
     if op == "=":
         return _eq(a, b)
-
-    def okey(x):
-        if isinstance(x, (int, float)):
-            return ("n", float(x))
-        text = str(x).strip()
-        if _NUM.match(text):
-            return ("n", float(text))
-        t = _time_tuple(text)
-        if t is not None:
-            return ("d", t)
-        return None
-
-    ka, kb = okey(a), okey(b)
-    if ka and kb and ka[0] != kb[0]:
-        if ka[0] == "d" and kb[0] == "n" and _time_tuple(b):
-            kb = ("d", _time_tuple(b))
-        elif ka[0] == "n" and kb[0] == "d" and _time_tuple(a):
-            ka = ("d", _time_tuple(a))
-    if ka is None or kb is None or ka[0] != kb[0]:
+    keys = _axis([a, b])
+    if keys is None:
         raise _Fault(f"cannot compare {a!r} {op} {b!r}")
+    ka, kb = keys
     return {
         "<": ka < kb,
         ">": ka > kb,
@@ -191,34 +197,25 @@ def _run_step(step, bound, edges, env, env_keys):
         return [len(_ref_values(bound["set"], env))]
     if fn in ("sum", "mean", "min", "max"):
         values = _ref_values(bound["set"], env)
-        nums = []
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                nums = None
-                break
-            nums.append(float(v))
-        if nums:
-            if fn == "sum":
-                out = sum(nums)
-            elif fn == "mean":
-                out = sum(nums) / len(nums)
-            elif fn == "min":
-                out = min(nums)
-            else:
-                out = max(nums)
-            if not math.isfinite(out):
-                raise _Fault(f"{fn} is not a finite number")
-            return [int(out) if float(out).is_integer() else out]
-        if fn in ("min", "max"):
-            dated = [( _time_tuple(v), v) for v in values]
-            if values and all(
-                isinstance(v, str) and t is not None for t, v in dated
-            ):
-                picked = (min if fn == "min" else max)(dated)[1]
-                return [picked]
-        if nums == [] and fn == "sum":
+        keys = _axis(values) if values else None
+        if keys and fn in ("min", "max"):
+            # equal keys: a number first, then text by its characters
+            ranked = sorted(
+                (k, isinstance(v, str), v if isinstance(v, str) else "", v)
+                for k, v in zip(keys, values))
+            out = ranked[0 if fn == "min" else -1][3]
+            if isinstance(out, str):
+                return [out]
+        elif keys and keys[0][0] == "n":
+            nums = sorted(k[1] for k in keys)
+            out = sum(nums) if fn == "sum" else sum(nums) / len(nums)
+        elif not values and fn == "sum":
             return [0]
-        raise _Fault(f"{fn} over non-numeric values")
+        else:
+            raise _Fault(f"{fn} over values that do not order as numbers")
+        if not math.isfinite(out):
+            raise _Fault(f"{fn} is not a finite number")
+        return [int(out) if float(out).is_integer() else out]
     if fn == "keep":
         source = _ref_values(bound["set"], env)
         key = bound["key"][1]
@@ -298,8 +295,10 @@ VARIANT_TEXTS = ["Austin", " AUSTIN ", "austin "]
 def random_graph(rng: random.Random, max_edges: int = 30,
                  variants: bool = False):
     """A graph aligned with the plan generator's vocabulary, plus the raw
-    edge tuples the reference evaluator consumes. With variants, heads and
-    text tails are also drawn from VARIANT_ENTITIES and VARIANT_TEXTS."""
+    edge tuples the reference evaluator consumes. Numeric relations also
+    hold numeral text, and "score" years and dates (_numeric_tail). With
+    variants, heads and text tails are also drawn from VARIANT_ENTITIES
+    and VARIANT_TEXTS."""
     entities = ENTITIES + VARIANT_ENTITIES if variants else ENTITIES
     texts = TEXTS + VARIANT_TEXTS if variants else TEXTS
     n = rng.randint(0, max_edges)
@@ -308,7 +307,7 @@ def random_graph(rng: random.Random, max_edges: int = 30,
         head = rng.choice(entities)
         rel = rng.choice(RELATIONS)
         if rel in NUMERIC_RELATIONS:
-            tail = rng.randint(0, 50)
+            tail = _numeric_tail(rng, rel)
         elif rel == "team":
             tail = rng.choice(entities)
         else:
@@ -337,6 +336,22 @@ def random_graph(rng: random.Random, max_edges: int = 30,
         for h, r, t, q in raw
     ]
     return cg, tuples
+
+
+def _numeric_tail(rng: random.Random, rel: str):
+    """A number, or numeral text for one ('07', '7.0', '+7'); a "score" is
+    also a year, as a number or numeral, or an ISO date, so that its values
+    order on the date axis."""
+    pick = rng.random()
+    if rel == "score" and pick < 0.2:
+        year = rng.randint(1990, 2020)
+        return rng.choice([year, str(year), f"{year}.0",
+                           f"{year}-{rng.randint(1, 12):02d}-"
+                           f"{rng.randint(1, 28):02d}"])
+    n = rng.randint(0, 50)
+    if pick < 0.4:
+        return rng.choice([str(n), f"0{n}", f"{n}.0", f"+{n}", f"{n}.5"])
+    return n
 
 
 def gen_set_op_plan(rng: random.Random):

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, the package
 reads each private name it defines, and the package or the benchmark reads
-each public function, class and method, and every JSON writer refuses
-NaN and infinities: checks built on the standard library's ast module
+each public function, class and method, every JSON writer refuses NaN
+and infinities, and every module parses as the oldest Python that
+pyproject.toml requires: checks built on the standard library's ast module
 alone. An import on a line marked `# noqa: F401` (a
 re-export) is exempt, and so is `__init__.py`, whose imports are the
 package's public names."""
@@ -9,6 +10,7 @@ package's public names."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -221,3 +223,19 @@ def test_every_json_writer_refuses_nan(path):
 ], ids=["dumps", "strict", "allow", "encoder", "bare name", "not a writer"])
 def test_lax_json_writers_finds_each_writer_that_allows_nan(source, want):
     assert lax_json_writers(source) == want
+
+
+REQUIRES = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (
+    PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+OLDEST = (int(REQUIRES[1]), int(REQUIRES[2]))
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_module_parses_as_the_oldest_python_it_requires(name):
+    ast.parse(SOURCES[name], feature_version=OLDEST)
+
+
+def test_a_newer_syntax_fails_to_parse_as_python_3_10():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
