@@ -19,7 +19,8 @@ import sys
 import threading
 from typing import Any, Sequence
 
-from .correction import CorrectionTrace, Demonstration, Question
+from .correction import (AUTHORS, METRICS, CorrectionTrace, Demonstration,
+                         PipelineConfig, Question)
 from .dsl import parse_plan, validate_plan
 from .errors import QueryError
 from .distill import (
@@ -35,10 +36,7 @@ from .distill import (
     teacher_records,
 )
 from .evaluate import (
-    METRIC_DENOTATION,
-    METRIC_HITS1,
     GraphNotFoundError,
-    PipelineConfig,
     error_stats,
     evaluate,
     load_questions,
@@ -93,10 +91,10 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         demos=args.demos,
         retrieves=args.retrieves,
         strict_empty=args.strict_empty,
-        metric=METRIC_HITS1 if args.metric == "hits1" else METRIC_DENOTATION,
+        metric=args.metric,
         author=args.author,
         demo_pool=tuple(pool),
-        jobs=getattr(args, "jobs", 1),
+        jobs=getattr(args, "jobs", PipelineConfig.jobs),
         full_history=args.full_history,
     )
 
@@ -118,13 +116,13 @@ def _graph_resolver(graphs_dir: str):
 
 
 def _add_loop_flags(p: argparse.ArgumentParser, batch: bool) -> None:
-    p.add_argument("--mct", type=int, default=3,
+    p.add_argument("--mct", type=int, default=PipelineConfig.mct,
                    help="max correction rounds (0 disables correction)")
-    p.add_argument("--demos", type=int, default=8,
+    p.add_argument("--demos", type=int, default=PipelineConfig.demos,
                    help="demonstrations used per prompt")
-    p.add_argument("--retrieves", type=int, default=15,
+    p.add_argument("--retrieves", type=int, default=PipelineConfig.retrieves,
                    help="candidate demonstrations retrieved before picking")
-    p.add_argument("--self-consistency", type=int, default=5,
+    p.add_argument("--self-consistency", type=int, default=PipelineConfig.sc_n,
                    help="initial-generation samples to vote over")
     p.add_argument("--strict-empty", action="store_true",
                    help="treat an empty final result as an error too")
@@ -135,13 +133,13 @@ def _add_loop_flags(p: argparse.ArgumentParser, batch: bool) -> None:
     p.add_argument("--config", help="client config JSON file")
     p.add_argument("--script", help="scripted-backend reply file (JSONL)")
     p.add_argument("--demo-pool", help="demonstration pool (JSONL)")
-    p.add_argument("--metric", choices=["denotation", "hits1"],
-                   default="denotation")
-    p.add_argument("--author", choices=["teacher", "student"],
-                   default="teacher",
+    p.add_argument("--metric", choices=list(METRICS),
+                   default=PipelineConfig.metric)
+    p.add_argument("--author", choices=AUTHORS,
+                   default=PipelineConfig.author,
                    help="which model role produced the initial queries")
     if batch:
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=int, default=PipelineConfig.jobs,
                        help="questions run concurrently (scripted replies "
                             "must then be keyed)")
 

@@ -9,7 +9,6 @@ reports.
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -17,11 +16,11 @@ from functools import cached_property
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
-from .dsl import (DEFAULT_REGISTRY, QueryPlan, parse_plan, read_numeral,
-                  validate_plan)
+from .dsl import DEFAULT_REGISTRY, QueryPlan, parse_plan, validate_plan
 from .errors import ErrorKind, QueryError
 from .executor import ExecutionOutcome, execute_plan
-from .graph import ConditionGraph, SchemaDescriptor, Scalar, sort_values
+from .graph import (ConditionGraph, SchemaDescriptor, Scalar, sort_values,
+                    value_key)
 from .jsonl import Record
 from .llm import ChatMessage
 
@@ -108,6 +107,18 @@ STATUS_FAILED_MCT = "failed_mct"
 STATUS_FAILED_GOLD_MISMATCH = "failed_gold_mismatch"
 
 SOLVED_STATUSES = (STATUS_SOLVED_DIRECT, STATUS_SOLVED_AFTER_N)
+
+METRIC_DENOTATION = "denotation"
+METRIC_HITS1 = "hits1"
+# Each metric that answers_match scores by, and its name in a report.
+METRICS = {METRIC_DENOTATION: "denotation_accuracy", METRIC_HITS1: "hits_at_1"}
+AUTHORS = ("teacher", "student")
+
+
+def _check_choice(name: str, value: str, choices: Iterable[str]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, "
+                         f"not {value!r}")
 
 
 @dataclass
@@ -216,6 +227,42 @@ def retrieve_demos(
                 seen.add(ident)
                 picked.append(demo)
     return picked
+
+
+@dataclass
+class PipelineConfig:
+    """The settings of the loop and its runs, each defaulted and range-checked
+    here alone: the loop reads them, the CLI's flags default to them."""
+
+    mct: int = 3  # correction rounds; 0 is single-pass inference
+    sc_n: int = 5  # self-consistency samples voted over
+    demos: int = 8
+    retrieves: int = 15
+    strict_empty: bool = False
+    metric: str = METRIC_DENOTATION
+    author: str = "teacher"
+    demo_pool: Sequence[Demonstration] = field(default_factory=tuple)
+    jobs: int = 1
+    full_history: bool = False  # every earlier attempt in correction prompts
+    _index: tuple = field(default=(None, None), init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self) -> None:
+        for name, low in (("jobs", 1), ("demos", 0), ("retrieves", 0),
+                          ("sc_n", 1), ("mct", 0)):
+            if getattr(self, name) < low:  # named as the CLI flag
+                flag = "self-consistency" if name == "sc_n" else name
+                raise ValueError(f"{flag} must be >= {low}")
+        _check_choice("metric", self.metric, METRICS)
+        _check_choice("author", self.author, AUTHORS)
+
+    def demo_index(self) -> DemoIndex:
+        """Word index of demo_pool, built once per pool object."""
+        pool, index = self._index
+        if pool is not self.demo_pool:
+            index = DemoIndex(self.demo_pool)
+            self._index = (self.demo_pool, index)
+        return index
 
 
 def render_schema(schema: SchemaDescriptor) -> str:
@@ -360,12 +407,11 @@ def generate_initial(
     schema_text: str,
     cg: ConditionGraph,
     client,
+    config: PipelineConfig,
     demos: Sequence[Demonstration] = (),
-    sc_n: int = 5,
-    strict_empty: bool = False,
     parses: dict[str, QueryPlan | None] | None = None,
 ) -> tuple[str, ExecutionOutcome]:
-    """Sample sc_n plans and majority-vote their executed answers.
+    """Sample config.sc_n plans and majority-vote their executed answers.
 
     A client with a sample(messages, n) method gets all sc_n requests at
     once; any other client is asked complete() sc_n times in a row. Each
@@ -377,14 +423,12 @@ def generate_initial(
     of the first sample in the winning bucket and its outcome. parses, if
     given, keeps each assessed text's parse, as assess does.
     """
-    if sc_n < 1:
-        raise ValueError("sc_n must be >= 1")
     prompt = build_query_prompt(question_text, schema_text, demos)
     sample = getattr(client, "sample", None)
     if sample is not None:
-        completions = sample(prompt, sc_n)
+        completions = sample(prompt, config.sc_n)
     else:
-        completions = [client.complete(prompt) for _ in range(sc_n)]
+        completions = [client.complete(prompt) for _ in range(config.sc_n)]
     plans: dict[str, str] = {}  # completion -> plan text
     samples: dict[str, list[int]] = {}  # plan text -> its sample indices
     for i, completion in enumerate(completions):
@@ -400,8 +444,8 @@ def generate_initial(
     for plan_text, idxs in samples.items():
         if lead > runner + left:
             break  # the rest can neither tie the lead nor move a first index
-        outcome = outcomes[plan_text] = assess(plan_text, cg, strict_empty,
-                                               parses)
+        outcome = outcomes[plan_text] = assess(plan_text, cg,
+                                               config.strict_empty, parses)
         buckets.setdefault(_vote_key(outcome), []).extend(idxs)
         left -= len(idxs)
         runner, lead = sorted([0, 0, *map(len, buckets.values())])[-2:]
@@ -415,44 +459,33 @@ def run_correction(
     schema: SchemaDescriptor,
     cg: ConditionGraph,
     client,
-    mct: int = 3,
+    config: PipelineConfig,
     demos_query: Sequence[Demonstration] = (),
     demos_correction: Sequence[Demonstration] = (),
-    sc_n: int = 5,
-    strict_empty: bool = False,
-    author: str = "teacher",
-    match_mode: str = "denotation",
-    full_history: bool = False,
 ) -> CorrectionTrace:
-    """Run the full loop for one question and record the trace.
+    """Run the full loop for one question as config sets it; record a trace.
 
-    mct caps the number of correction rounds; mct=0 is single-pass
-    inference. A clean outcome stops the loop immediately; the gold answer,
-    when present, only decides between solved and failed_gold_mismatch.
-    full_history shows every earlier attempt in correction prompts instead
-    of just the latest one.
+    config.mct caps the number of correction rounds. A clean outcome stops
+    the loop immediately; the gold answer, when present, only decides
+    between solved and failed_gold_mismatch, scored by config.metric.
     """
-    if mct < 0:
-        raise ValueError("mct must be >= 0")
     schema_text = render_schema(schema)
     demos_correction = _Demos(demos_correction)  # rendered once, if at all
     parses: dict[str, QueryPlan | None] = {}
     initial_plan, initial_outcome = generate_initial(
-        question.text, schema_text, cg, client, demos_query, sc_n, strict_empty,
-        parses,
-    )
+        question.text, schema_text, cg, client, config, demos_query, parses)
 
     rounds: list[CorrectionRound] = []
     history: list[tuple[str, str]] = []
     current_plan, current_outcome = initial_plan, initial_outcome
-    while current_outcome.error is not None and len(rounds) < mct:
+    while current_outcome.error is not None and len(rounds) < config.mct:
         prompt = build_correction_prompt(
             question.text,
             schema_text,
             current_plan,
             current_outcome.error.message,
             demos_correction,
-            history=tuple(history) if full_history else (),
+            history=tuple(history) if config.full_history else (),
         )
         history.append((current_plan, current_outcome.error.message))
         completion = client.complete(prompt)
@@ -471,7 +504,7 @@ def run_correction(
                 ),
             )
         else:
-            outcome_after = assess(new_plan, cg, strict_empty, parses)
+            outcome_after = assess(new_plan, cg, config.strict_empty, parses)
         rounds.append(
             CorrectionRound(
                 index=len(rounds) + 1,
@@ -487,7 +520,7 @@ def run_correction(
         matched = question.gold_answer is None or answers_match(
             current_outcome.answer or frozenset(),
             question.gold_answer,
-            mode=match_mode,
+            mode=config.metric,
         )
         if not matched:
             status, final_plan = STATUS_FAILED_GOLD_MISMATCH, None
@@ -502,7 +535,7 @@ def run_correction(
         question_id=question.id,
         question_text=question.text,
         schema_text=schema_text,
-        author=author,
+        author=config.author,
         initial_plan_text=initial_plan,
         initial_outcome=initial_outcome,
         rounds=rounds,
@@ -514,17 +547,14 @@ def run_correction(
     )
 
 
-def normalize_answer_value(value: Any) -> tuple[str, Any]:
-    """Normalize one answer value: a number, or a numeral that a float holds
-    (read_numeral, as value_key reads it), else cleaned text."""
+def normalize_answer_value(value: Scalar | bool) -> tuple[str, Any]:
+    """Normalize one answer value: its value_key, a number or the folded
+    text, with a text key's punctuation cleaned."""
     if isinstance(value, bool):
         return ("t", str(value).casefold())
-    if isinstance(value, (int, float)):
-        return ("n", float(value))
-    text = str(value).strip()
-    if (number := read_numeral(text)) is not None and math.isfinite(number):
-        return ("n", float(text))  # its number, but '-0' is -0.0 (value_key)
-    folded = text.casefold()
+    folded = value_key(value)
+    if isinstance(folded, float):
+        return ("n", folded)
     if folded.isalnum():  # \w is the alphanumerics and "_": nothing to clean
         return ("t", folded)
     return ("t", " ".join(_PUNCT_RE.sub(" ", folded).split()))
@@ -536,16 +566,17 @@ def _norm_values(values: Iterable[Any]) -> list[tuple[str, Any]]:
 
 
 def answers_match(
-    answer: Iterable[Scalar], gold: Iterable[Any], mode: str = "denotation"
+    answer: Iterable[Scalar], gold: Iterable[Any], mode: str = METRIC_DENOTATION
 ) -> bool:
-    """Compare an executed answer against gold.
+    """Compare an executed answer against gold by one of METRICS.
 
     denotation: normalized set equality, numerics within 1e-9.
     hits1: the lexicographically first answer value appears in the gold set.
     """
+    _check_choice("mode", mode, METRICS)
     got = _norm_values(answer)
     want = _norm_values(gold)
-    if mode == "hits1":
+    if mode == METRIC_HITS1:
         ranked = sort_values(answer)
         if not ranked:
             return False

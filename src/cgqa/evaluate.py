@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .correction import (
+    METRIC_HITS1,  # noqa: F401, re-export
+    METRICS,
     STATUS_FAILED_GOLD_MISMATCH,
     STATUS_FAILED_MCT,
     STATUS_SOLVED_AFTER_N,
     STATUS_SOLVED_DIRECT,
     CorrectionTrace,
-    DemoIndex,
-    Demonstration,
+    PipelineConfig,
     Question,
     retrieve_demos,
     run_correction,
@@ -28,9 +29,6 @@ from .correction import (
 from .errors import ErrorKind
 from .graph import ConditionGraph, schema_summary
 from .jsonl import Record, read_jsonl
-
-METRIC_DENOTATION = "denotation_accuracy"
-METRIC_HITS1 = "hits_at_1"
 
 
 class MissingGoldError(ValueError):
@@ -78,39 +76,6 @@ class ErrorStats(Record):
     overall: dict[str, float]
 
 
-@dataclass
-class PipelineConfig:
-    """Knobs shared by evaluation and batch correction."""
-
-    mct: int = 3
-    sc_n: int = 5
-    demos: int = 8
-    retrieves: int = 15
-    strict_empty: bool = False
-    metric: str = METRIC_DENOTATION
-    author: str = "teacher"
-    demo_pool: Sequence[Demonstration] = field(default_factory=tuple)
-    jobs: int = 1
-    full_history: bool = False
-    _index: tuple = field(default=(None, None), init=False, repr=False,
-                          compare=False)
-
-    def __post_init__(self) -> None:
-        for name, low in (("jobs", 1), ("demos", 0), ("retrieves", 0),
-                          ("sc_n", 1), ("mct", 0)):
-            if getattr(self, name) < low:  # named as the CLI flag
-                flag = "self-consistency" if name == "sc_n" else name
-                raise ValueError(f"{flag} must be >= {low}")
-
-    def demo_index(self) -> DemoIndex:
-        """Word index of demo_pool, built once per pool object."""
-        pool, index = self._index
-        if pool is not self.demo_pool:
-            index = DemoIndex(self.demo_pool)
-            self._index = (self.demo_pool, index)
-        return index
-
-
 def run_question(
     question: Question,
     cg: ConditionGraph,
@@ -126,21 +91,8 @@ def run_question(
     demos_c = retrieve_demos(question.text, index, config.retrieves,
                              config.demos,
                              [m & index.corrections for m in ranking])
-    match_mode = "hits1" if config.metric == METRIC_HITS1 else "denotation"
-    return run_correction(
-        question,
-        schema_summary(cg),
-        cg,
-        client,
-        mct=config.mct,
-        demos_query=demos_q,
-        demos_correction=demos_c,
-        sc_n=config.sc_n,
-        strict_empty=config.strict_empty,
-        author=config.author,
-        match_mode=match_mode,
-        full_history=config.full_history,
-    )
+    return run_correction(question, schema_summary(cg), cg, client, config,
+                          demos_q, demos_c)
 
 
 def run_questions(
@@ -214,7 +166,7 @@ def evaluate(
     correct = counts[STATUS_SOLVED_DIRECT] + sum(after_n.values())
     total = len(traces)
     report = EvalReport(
-        metric=config.metric,
+        metric=METRICS[config.metric],
         value=(100.0 * correct / total) if total else None,
         total=total,
         solved_direct=counts[STATUS_SOLVED_DIRECT],

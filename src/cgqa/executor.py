@@ -140,7 +140,7 @@ def _exec_aggregate(
         # Tied keys rank a number first, then text by its characters.
         ranked = zip(keys, [isinstance(v, str) for v in values], values)
         best = _AGGREGATES[fn](ranked)[2]
-        result = best if isinstance(best, str) else _tighten(float(best))
+        result = _tighten(best) if isinstance(best, float) else best
     elif keys and keys[0][0] == "n":  # sum or mean over numbers
         # Added in sorted order, so a float total is the same however the
         # set's values were inserted.

@@ -199,7 +199,8 @@ class HttpChatClient:
             try:
                 req = urllib.request.Request(endpoint, data=payload,
                                              headers=headers)
-                with urllib.request.urlopen(req, timeout=cfg.timeout) as resp:
+                with urllib.request.urlopen(
+                        req, timeout=min(cfg.timeout, _MAX_WAIT)) as resp:
                     return _parse_completion(resp.read())
             except urllib.error.HTTPError as exc:
                 last_exc = HttpStatusError(exc.code, exc.read().decode(

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from cgqa.cli import main
-from cgqa.correction import Question, run_correction
+from cgqa.correction import PipelineConfig, Question, run_correction
 from cgqa.distill import (
     IneligibleTraceError,
     PreferencePair,
@@ -74,7 +74,8 @@ def loop(toy_graph, replies, mct=3, gold=(1,), author="teacher"):
                         gold_answer=list(gold))
     return run_correction(
         question, schema_summary(toy_graph), toy_graph,
-        ordered_client(*replies), mct=mct, sc_n=1, author=author,
+        ordered_client(*replies),
+        PipelineConfig(mct=mct, sc_n=1, author=author),
     )
 
 

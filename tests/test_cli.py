@@ -15,6 +15,7 @@ import pytest
 
 from cgqa import cli
 from cgqa.cli import main
+from cgqa.correction import PipelineConfig
 from cgqa.graph import dump_graph, ingest_triples, load_graph
 from cgqa.llm import (
     ChatError,
@@ -343,6 +344,16 @@ class TestFlags:
         ])
         assert code == 1
         assert "does not validate" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["correct", "--dataset", "d", "--graphs", "g", "--out", "o"],
+        ["eval", "--dataset", "d", "--graphs", "g"],
+        ["ask", "Who directed Heat?", "--graph", "g"],
+    ], ids=["correct", "eval", "ask"])
+    def test_loop_flags_default_to_the_config_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._pipeline_config(args) == PipelineConfig()
 
 
 class TestPipeline:

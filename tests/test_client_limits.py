@@ -73,6 +73,15 @@ def test_the_longest_wait_fits_a_socket_timeout():
         assert sock.gettimeout() == llm._MAX_WAIT
 
 
+def test_a_timeout_set_in_code_past_the_longest_wait_cannot_crash():
+    # ClientConfig.read bounds a --config timeout; one set in code is only
+    # positive, and a socket holds no timeout of 1e10 seconds
+    config = ClientConfig(backend="http", endpoint=UNREACHABLE,
+                          timeout=1e10, retries=0)
+    with pytest.raises(ChatError):
+        HttpChatClient(config).complete(MESSAGES)
+
+
 class TestBackoff:
     @pytest.fixture
     def waits(self, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import re
 from json.encoder import encode_basestring
@@ -26,10 +27,12 @@ from cgqa.correction import (
     build_query_prompt,
     extract_plan,
     generate_initial,
+    normalize_answer_value,
     render_schema,
     retrieve_demos,
     run_correction,
 )
+from cgqa.dsl import read_numeral
 from cgqa.errors import ErrorKind
 from cgqa.evaluate import PipelineConfig
 from cgqa.graph import ingest_table, schema_summary, value_key
@@ -373,7 +376,7 @@ class TestGenerateInitial:
     def test_single_sample(self, toy_graph):
         client = ordered_client(GOOD_PLAN)
         got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
-                               client, sc_n=1)
+                               client, PipelineConfig(sc_n=1))
         assert got == GOOD_PLAN
 
     def test_majority_wins(self, toy_graph):
@@ -381,7 +384,7 @@ class TestGenerateInitial:
         replies = [GOOD_PLAN, GOOD_PLAN, plan_b, WRONG_SUBTRACT, GOOD_PLAN]
         client = ordered_client(*replies)
         got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
-                               client, sc_n=5)
+                               client, PipelineConfig(sc_n=5))
         assert got == GOOD_PLAN
 
     def test_tie_breaks_to_earliest(self, toy_graph):
@@ -389,14 +392,14 @@ class TestGenerateInitial:
         replies = [plan_b, plan_b, GOOD_PLAN, GOOD_PLAN, WRONG_SUBTRACT]
         client = ordered_client(*replies)
         got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
-                               client, sc_n=5)
+                               client, PipelineConfig(sc_n=5))
         assert got == plan_b
 
     def test_error_outcomes_share_a_bucket(self, toy_graph):
         replies = [WRONG_SUBTRACT, WRONG_NESTED, GOOD_PLAN]
         client = ordered_client(*replies)
         got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
-                               client, sc_n=3)
+                               client, PipelineConfig(sc_n=3))
         assert got == WRONG_SUBTRACT  # two errors outvote one clean answer
 
     def test_client_with_sample_gets_one_batch(self, toy_graph):
@@ -414,7 +417,7 @@ class TestGenerateInitial:
 
         client = BatchClient()
         got, _ = generate_initial(QUESTION, self.schema(toy_graph), toy_graph,
-                               client, sc_n=3)
+                               client, PipelineConfig(sc_n=3))
         assert got == GOOD_PLAN
         assert client.calls == [3]
 
@@ -458,7 +461,8 @@ class TestVoteAssessesDistinctPlans:
         replies = [GOOD_PLAN, WRONG_SUBTRACT, GOOD_PLAN, VOTE_PLANS[1],
                    WRONG_SUBTRACT, GOOD_PLAN, VOTE_PLANS[1]]
         plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
-                                   ordered_client(*replies), sc_n=7)
+                                   ordered_client(*replies),
+                                   PipelineConfig(sc_n=7))
         assert plan == GOOD_PLAN
         assert parsed == [GOOD_PLAN, WRONG_SUBTRACT, VOTE_PLANS[1]]
         assert len(executed) == 2  # WRONG_SUBTRACT never validates
@@ -471,7 +475,8 @@ class TestVoteAssessesDistinctPlans:
         replies = [GOOD_PLAN, fenced, WRONG_SUBTRACT, fenced, GOOD_PLAN,
                    WRONG_NESTED, WRONG_SUBTRACT]
         plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
-                                   ordered_client(*replies), sc_n=7)
+                                   ordered_client(*replies),
+                                   PipelineConfig(sc_n=7))
         assert plan == GOOD_PLAN
         assert split == [GOOD_PLAN, fenced, WRONG_SUBTRACT, WRONG_NESTED]
         assert len(keyed) == 1  # GOOD_PLAN's 4 of 7 samples decide the vote
@@ -483,7 +488,8 @@ class TestVoteAssessesDistinctPlans:
         replies = [GOOD_PLAN, WRONG_SUBTRACT, GOOD_PLAN, VOTE_PLANS[1],
                    WRONG_NESTED, VOTE_PLANS[1], GOOD_PLAN]
         plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
-                                   ordered_client(*replies), sc_n=7)
+                                   ordered_client(*replies),
+                                   PipelineConfig(sc_n=7))
         assert plan == GOOD_PLAN
         # before each plan, the lead is at most the runner-up plus the
         # samples left, so no plan is skipped
@@ -501,7 +507,7 @@ class TestVoteAssessesDistinctPlans:
         parsed = self.counting(monkeypatch, "parse_plan")
         plan, _ = generate_initial(QUESTION, "s", VOTE_GRAPH,
                                    ordered_client(*map(plans.get, order)),
-                                   sc_n=5)
+                                   PipelineConfig(sc_n=5))
         assert plan == plans["A"]
         assert parsed == [plans[p] for p in want]
 
@@ -509,7 +515,8 @@ class TestVoteAssessesDistinctPlans:
         parsed = self.counting(monkeypatch, "parse_plan")
         trace = run_correction(make_question(gold=[1]),
                                schema_summary(VOTE_GRAPH), VOTE_GRAPH,
-                               ordered_client(*[GOOD_PLAN] * 5), sc_n=5)
+                               ordered_client(*[GOOD_PLAN] * 5),
+                               PipelineConfig(sc_n=5))
         assert trace.status == "solved_direct"
         assert parsed == [GOOD_PLAN]
 
@@ -518,7 +525,7 @@ class TestVoteAssessesDistinctPlans:
     def test_vote_and_outcome_match_assessing_every_sample(self, samples):
         plan, outcome = generate_initial(QUESTION, "s", VOTE_GRAPH,
                                          ordered_client(*samples),
-                                         sc_n=len(samples))
+                                         PipelineConfig(sc_n=len(samples)))
         assert plan == vote_every_sample(samples, VOTE_GRAPH)
         assert outcome.to_dict() == assess(plan, VOTE_GRAPH).to_dict()
 
@@ -528,7 +535,8 @@ class TestVoteAssessesDistinctPlans:
         monkeypatch.setattr(correction, "execute_plan", boom)
         with pytest.raises(RuntimeError, match="boom"):
             generate_initial(QUESTION, "s", VOTE_GRAPH,
-                             ordered_client(GOOD_PLAN, GOOD_PLAN), sc_n=2)
+                             ordered_client(GOOD_PLAN, GOOD_PLAN),
+                             PipelineConfig(sc_n=2))
 
 
 @pytest.mark.parametrize("plan", [
@@ -556,7 +564,7 @@ class TestRunCorrection:
     def test_solved_direct(self, toy_graph):
         trace = run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            ordered_client(GOOD_PLAN), mct=3, sc_n=1,
+            ordered_client(GOOD_PLAN), PipelineConfig(mct=3, sc_n=1),
         )
         assert trace.status == "solved_direct"
         assert trace.rounds == []
@@ -570,7 +578,7 @@ class TestRunCorrection:
         )
         trace = run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            client, mct=3, sc_n=1,
+            client, PipelineConfig(mct=3, sc_n=1),
         )
         assert trace.status == "solved_after_n"
         assert trace.n == 1
@@ -588,7 +596,7 @@ class TestRunCorrection:
         )
         trace = run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            client, mct=3, sc_n=1,
+            client, PipelineConfig(mct=3, sc_n=1),
         )
         assert trace.status == "solved_after_n"
         assert trace.n == 2
@@ -604,7 +612,7 @@ class TestRunCorrection:
         )
         trace = run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            client, mct=3, sc_n=1,
+            client, PipelineConfig(mct=3, sc_n=1),
         )
         assert trace.status == "failed_mct"
         assert trace.n == 3
@@ -615,7 +623,7 @@ class TestRunCorrection:
     def test_mct_zero_is_single_pass(self, toy_graph):
         trace = run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            ordered_client(WRONG_SUBTRACT), mct=0, sc_n=1,
+            ordered_client(WRONG_SUBTRACT), PipelineConfig(mct=0, sc_n=1),
         )
         assert trace.status == "failed_mct"
         assert trace.rounds == []
@@ -623,7 +631,7 @@ class TestRunCorrection:
     def test_gold_mismatch(self, toy_graph):
         trace = run_correction(
             make_question(gold=[2]), schema_summary(toy_graph), toy_graph,
-            ordered_client(GOOD_PLAN), mct=3, sc_n=1,
+            ordered_client(GOOD_PLAN), PipelineConfig(mct=3, sc_n=1),
         )
         assert trace.status == "failed_gold_mismatch"
         assert trace.final_plan_text is None
@@ -631,7 +639,7 @@ class TestRunCorrection:
     def test_gold_ignored_when_absent(self, toy_graph):
         trace = run_correction(
             make_question(gold=None), schema_summary(toy_graph), toy_graph,
-            ordered_client(GOOD_PLAN), mct=3, sc_n=1,
+            ordered_client(GOOD_PLAN), PipelineConfig(mct=3, sc_n=1),
         )
         assert trace.status == "solved_direct"
 
@@ -643,7 +651,7 @@ class TestRunCorrection:
         )
         trace = run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            client, mct=3, sc_n=1,
+            client, PipelineConfig(mct=3, sc_n=1),
         )
         assert trace.status == "solved_after_n"
         assert trace.n == 2
@@ -667,7 +675,7 @@ class TestRunCorrection:
         question = Question(id="q", text="Who is from Utah?", gold_answer=[])
         trace = run_correction(
             question, schema_summary(toy_graph), toy_graph, client,
-            mct=3, sc_n=1, strict_empty=True,
+            PipelineConfig(mct=3, sc_n=1, strict_empty=True),
         )
         assert trace.status == "failed_mct"
 
@@ -676,7 +684,7 @@ class TestRunCorrection:
             replies = [WRONG_SUBTRACT] + ["x\n\n" + WRONG_SUBTRACT] * mct
             trace = run_correction(
                 make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-                ordered_client(*replies), mct=mct, sc_n=1,
+                ordered_client(*replies), PipelineConfig(mct=mct, sc_n=1),
             )
             assert len(trace.rounds) <= mct
             assert trace.n == mct
@@ -687,7 +695,7 @@ class TestRunCorrection:
         )
         trace = run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            client, mct=3, sc_n=1,
+            client, PipelineConfig(mct=3, sc_n=1),
         )
         back = CorrectionTrace.from_dict(trace.to_dict())
         assert back.to_dict() == trace.to_dict()
@@ -708,7 +716,8 @@ class TestRunCorrection:
             ]
         )
         trace = run_correction(
-            make_question(gold=[1]), schema, toy_graph, client, mct=3, sc_n=1
+            make_question(gold=[1]), schema, toy_graph, client,
+            PipelineConfig(mct=3, sc_n=1)
         )
         assert trace.status == "solved_after_n"
         assert trace.n == 1
@@ -723,7 +732,7 @@ class TestHistoryMode:
         ])
         run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            client, mct=3, sc_n=1,
+            client, PipelineConfig(mct=3, sc_n=1),
         )
         round2_prompt = client.prompts[2][1].content
         assert "tally" in round2_prompt
@@ -737,7 +746,7 @@ class TestHistoryMode:
         ])
         run_correction(
             make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-            client, mct=3, sc_n=1, full_history=True,
+            client, PipelineConfig(mct=3, sc_n=1, full_history=True),
         )
         round2_prompt = client.prompts[2][1].content
         assert "Earlier attempt 1:" in round2_prompt
@@ -789,7 +798,7 @@ class TestBackendSubstitutability:
             ))
             trace = run_correction(
                 make_question(gold=[1]), schema_summary(toy_graph), toy_graph,
-                client, mct=3, sc_n=1,
+                client, PipelineConfig(mct=3, sc_n=1),
             )
             assert trace.status == "solved_direct"
         finally:
@@ -822,3 +831,61 @@ class TestAnswersMatch:
 
     def test_punctuation_and_case(self):
         assert answers_match({"New York!"}, ["new york"])
+
+    def test_an_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="^mode must be one of "
+                                             "denotation, hits1, not 'bogus'$"):
+            answers_match({"a"}, ["a"], mode="bogus")
+
+
+def _old_normalize_answer_value(value):
+    """The answer key as it was before it read value_key: its own numeral
+    branch, read_numeral and then the float of the text."""
+    if isinstance(value, bool):
+        return ("t", str(value).casefold())
+    if isinstance(value, (int, float)):
+        return ("n", float(value))
+    text = str(value).strip()
+    if (number := read_numeral(text)) is not None and math.isfinite(number):
+        return ("n", float(text))
+    folded = text.casefold()
+    if folded.isalnum():
+        return ("t", folded)
+    return ("t", " ".join(re.sub(r"[^\w\s.-]|_", " ", folded).split()))
+
+
+_NUMERAL_TEXTS = st.builds(
+    lambda sign, body, pad: pad + sign + body + pad,
+    st.sampled_from(["", "+", "-"]),
+    st.from_regex(r"\d*(\.\d*)?([eE][+-]?\d{1,3})?", fullmatch=True)
+    | st.integers(10 ** 299, 10 ** 400).map(str),
+    st.sampled_from(["", " ", "\t"]))
+_GOLD_VALUES = st.one_of(
+    st.sampled_from(["07", "+7", "-0", ".5", "1e999", "-1e999", "٧",
+                     "9" * 400, "New York!", "a_b", "x.y-z", "İ",
+                     "ß", "", " "]),
+    _NUMERAL_TEXTS, st.text(), st.booleans(), st.integers(), st.floats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_GOLD_VALUES)
+def test_an_answer_key_reads_value_key_as_the_old_numeral_branch_did(value):
+    got = normalize_answer_value(value)
+    want = _old_normalize_answer_value(value)
+    assert (got[0], type(got[1]), repr(got[1])) == (
+        want[0], type(want[1]), repr(want[1]))
+
+
+class TestLoopSettingsAreChecked:
+    @pytest.mark.parametrize("setting, message", [
+        ({"metric": "bogus"},
+         "metric must be one of denotation, hits1, not 'bogus'"),
+        ({"metric": "denotation_accuracy"},
+         "metric must be one of denotation, hits1, not "
+         "'denotation_accuracy'"),
+        ({"author": "bogus"},
+         "author must be one of teacher, student, not 'bogus'"),
+    ])
+    def test_an_unknown_choice_is_refused(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**setting)

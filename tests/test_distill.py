@@ -48,7 +48,8 @@ def make_trace(toy_graph, replies, author="teacher", gold=(1,), mct=3):
                         gold_answer=list(gold), graph_ref="toy")
     return run_correction(
         question, schema_summary(toy_graph), toy_graph,
-        ordered_client(*replies), mct=mct, sc_n=1, author=author,
+        ordered_client(*replies),
+        PipelineConfig(mct=mct, sc_n=1, author=author),
     )
 
 

@@ -271,7 +271,8 @@ def make_trace(toy_graph, replies, gold=(1,), mct=3):
                         gold_answer=list(gold))
     return run_correction(
         question, schema_summary(toy_graph), toy_graph,
-        ScriptedChatClient([{"reply": r} for r in replies]), mct=mct, sc_n=1,
+        ScriptedChatClient([{"reply": r} for r in replies]),
+        PipelineConfig(mct=mct, sc_n=1),
     )
 
 

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, the package
 reads each private name it defines, and the package or the benchmark reads
 each public function, class and method, every JSON writer refuses NaN
-and infinities, and every module parses as the oldest Python that
+and infinities, no function takes a loop setting (mct, sc_n, ...) as a
+parameter, and every module parses as the oldest Python that
 pyproject.toml requires: checks built on the standard library's ast module
 alone. An import on a line marked `# noqa: F401` (a
 re-export) is exempt, and so is `__init__.py`, whose imports are the
@@ -182,6 +183,41 @@ def test_package_or_benchmark_reads_every_public_name():
 def test_unread_public_names_finds_each_unread_definition(sources, readers,
                                                           want):
     assert unread_public_names(sources, readers) == want
+
+
+# Loop settings live on PipelineConfig alone; a function reads them there.
+LOOP_SETTINGS = {"mct", "sc_n", "author", "metric", "match_mode",
+                 "full_history"}
+
+
+def loop_setting_parameters(source: str) -> list[str]:
+    """'line: parameter' for each parameter of a function or lambda that is
+    named as a loop setting."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (*_DEFS[:2], ast.Lambda)):
+            a = node.args
+            found += [f"{node.lineno}: {arg.arg}" for arg in [
+                *a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+                if arg is not None and arg.arg in LOOP_SETTINGS]
+    return found
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_no_function_takes_a_loop_setting_as_a_parameter(name):
+    assert loop_setting_parameters(SOURCES[name]) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(config, mct=3):\n    pass\n", ["1: mct"]),
+    ("class C:\n    def m(self, *, author):\n        pass\n",
+     ["2: author"]),
+    ("g = lambda metric: metric\n", ["1: metric"]),
+    ("def f(config, mode='hits1'):\n    return config.sc_n\n", []),
+    ("@dataclass\nclass C:\n    full_history: bool = False\n", []),
+], ids=["default", "keyword only", "lambda", "reads config", "field"])
+def test_loop_setting_parameters_finds_each_setting_parameter(source, want):
+    assert loop_setting_parameters(source) == want
 
 
 _JSON_WRITERS = {"dumps", "dump", "JSONEncoder"}

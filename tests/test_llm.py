@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgqa import llm
-from cgqa.correction import generate_initial
+from cgqa.correction import PipelineConfig, generate_initial
 from cgqa.graph import ingest_table
 from cgqa.llm import (
     ChatError,
@@ -507,6 +507,6 @@ def test_generate_initial_digests_one_batch_once(monkeypatch):
     plan = "query1 = get_information(head_entity='Alice', relation='Age')"
     client = ScriptedChatClient([{"reply": plan}] * 5)
     text, outcome = generate_initial("How old is Alice?", "source: table",
-                                     cg, client, sc_n=5)
+                                     cg, client, PipelineConfig(sc_n=5))
     assert (text, outcome.answer) == (plan, frozenset({20}))
     assert len(digests) == 1

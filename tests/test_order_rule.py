@@ -17,6 +17,7 @@ from cgqa.graph import (
     KindMismatchError,
     compare_values,
     ingest_temporal,
+    ingest_triples,
     time_key,
     value_key,
 )
@@ -108,6 +109,17 @@ class TestAggregatesReadOrderKeys:
     def test_a_number_result_is_tightened_and_text_kept(self):
         assert aggregate("min", [2.0, "3"]).answer == {2}
         assert aggregate("max", [2.0, "3.0"]).answer == {"3.0"}
+
+    @pytest.mark.parametrize("fn", ["min", "max"])
+    def test_an_integer_result_keeps_every_digit(self, fn):
+        # 2**53 + 1: its float is 2**53, but the step's own set holds it
+        cg = ingest_triples([("a", "n", "9007199254740993")])
+        out = run("query1 = get_information(relation='n')\n"
+                  f"query2 = {fn}(set=output_of_query1)", cg)
+        assert run("query1 = get_information(relation='n')", cg).answer == {
+            9007199254740993}
+        (best,) = out.answer
+        assert (type(best), best) == (int, 9007199254740993)
 
     def test_tied_keys_rank_a_number_first_then_text_by_its_characters(self):
         # '1999' and 1999 order as January 1 1999 on the date axis
