@@ -250,8 +250,11 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for name, low in (("jobs", 1), ("demos", 0), ("retrieves", 0),
                           ("sc_n", 1), ("mct", 0)):
-            if getattr(self, name) < low:  # named as the CLI flag
-                flag = "self-consistency" if name == "sc_n" else name
+            value = getattr(self, name)  # named below as its CLI flag
+            flag = "self-consistency" if name == "sc_n" else name
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{flag} must be an integer, not {value!r}")
+            if value < low:
                 raise ValueError(f"{flag} must be >= {low}")
         _check_choice("metric", self.metric, METRICS)
         _check_choice("author", self.author, AUTHORS)

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
@@ -263,10 +264,11 @@ class ConditionGraph:
     first lookup that reads a key table (edge_keys) or a value_key index
     (index) builds it; load_graph builds the head and relation indexes,
     entity_index and relation_index, and with them relation_keys. Only a
-    tail or a qualifier value takes a comparator other than '='. Indexes
-    and keys only accelerate: results equal a brute-force scan. The lazy
-    caches live on the graph and die with it; two threads filling one at
-    once store equal values.
+    tail or a qualifier value takes a comparator other than '='; the first
+    range answered from a bucket's order index (_bisect) builds it.
+    Indexes and keys only accelerate: results equal a brute-force scan.
+    The lazy caches live on the graph and die with it; two threads filling
+    one at once store equal values.
     """
 
     def __init__(self, rows: Iterable[tuple] = (),
@@ -287,6 +289,7 @@ class ConditionGraph:
         self._edge_keys: dict[tuple[str, str], tuple] = {}
         self._indexes: dict[str, dict] = {}
         self._parts: dict[str, tuple] = {}  # "qkey", "qvalue" (column)
+        self._orders: dict[tuple, tuple | None] = {}  # see _bisect
         self._schema = None
 
     def __len__(self) -> int:
@@ -356,11 +359,13 @@ class ConditionGraph:
         A scan tests head, relation, tail, qualifier key and qualifier
         value in that order, raising the first failing comparison.
         Candidates come from the smallest index that an '=' bound of
-        relation, head or tail names (ties in that order). The edges it
-        drops fail an equality test, which never raises, so results and
-        errors equal the scan's.
+        relation, head or tail names (ties in that order), else every edge.
+        The edges it drops fail an equality test, which never raises; the
+        one comparator of a literal over one literal's bucket (or every
+        edge) is answered by _bisect only where no comparison can raise.
+        So results and errors equal the scan's.
         """
-        keyed = {}  # field -> (its test, the ids its index names), keyed once
+        keyed = {}  # field -> (its test, its index's ids, literal's key)
         for field, bound in (("relation", relation), ("head", head),
                              ("tail", tail if tail_cmp == "=" else None)):
             if bound is None:
@@ -368,23 +373,36 @@ class ConditionGraph:
             keys, index = self.edge_keys(field, "in"), self.index(field)
             if _is_set(bound):
                 wanted = key_map(bound)  # distinct keys hold disjoint ids
-                keyed[field] = (keys, wanted.__contains__), sorted(
-                    chain.from_iterable(map(index.get, wanted, repeat(()))))
+                keyed[field] = ((keys, wanted.__contains__), sorted(
+                    chain.from_iterable(map(index.get, wanted, repeat(())))),
+                    None)
             else:
                 key = value_key(bound)
-                keyed[field] = (keys, partial(eq, key)), index.get(key, ())
-        options = [by for _, by in keyed.values()]
-        ids = min(options, key=len) if options else range(len(self))
+                keyed[field] = ((keys, partial(eq, key)), index.get(key, ()),
+                                key)
+        source = min(keyed, key=lambda f: len(keyed[f][1]), default=None)
+        _, ids, key = keyed.get(source, (None, range(len(self)), None))
         if not ids:
             return []
+        two_ranges = None not in (tail, qual_value) and "=" not in (
+            tail_cmp, qual_cmp)
         checks = []
         for field, bound, cmp in (
                 ("head", head, "="), ("relation", relation, "="),
                 ("tail", tail, tail_cmp), ("qkey", qual_key, "="),
                 ("qvalue", qual_value, qual_cmp)):
-            test, by = keyed.get(field, (None, None))
-            if bound is not None and ids is not by:  # else all match it
-                checks.append(test or self.field_test(field, bound, cmp))
+            if bound is None or field == source:  # the source all match
+                continue
+            if cmp == "=" or _is_set(bound) or two_ranges:
+                checks.append(keyed[field][0] if field in keyed
+                              else self.field_test(field, bound, cmp))
+                continue
+            rk = _order_key(bound)  # the one comparator, on a literal
+            hits = self._bisect(field, source, key, ids, cmp, rk)
+            if hits is None:
+                checks.append(self._order_test(field, bound, cmp, rk))
+            else:
+                ids = hits
         out = []
         for i in ids:
             for keys, test in checks:
@@ -416,12 +434,47 @@ class ConditionGraph:
                 raise ValueError(f"comparison symbol '{cmp}' cannot be "
                                  "applied to a step result")
             return range(len(values)), reject
-        order, rk = self.edge_keys(field, "<"), _order_key(bound)
+        return self._order_test(field, bound, cmp, _order_key(bound))
+
+    def _order_test(self, field: str, bound: Scalar, cmp: str, rk: Any
+                    ) -> tuple[Sequence, Callable[[Any], bool]]:
+        """field_test of a literal under a comparator; rk: its order key."""
+        values, order = self.column(field), self.edge_keys(field, "<")
         fast = rk and _ORDERS.get(cmp)  # for keys of one kind
         return range(len(values)), lambda i: (
             (lk := order[i]) is not _MISSING
             and (fast(lk, rk) if fast and lk and lk[0] == rk[0] else
                  _compare_keys(lk, rk, values[i], bound, cmp)))
+
+    def _bisect(self, field: str, source: str | None, key: Any,
+                ids: Sequence[int], cmp: str, rk: Any) -> list[int] | None:
+        """Of ids (source's index bucket under a literal's key, or every
+        edge), those whose field passes cmp against order key rk, in edge
+        order, by bisecting the bucket's order index; None (scan them)
+        unless their keys all lie on rk's axis, number or date, so none can
+        raise. The index, built once from the bucket's own edges, holds its
+        ids that have field sorted by order key; None for text or mixed
+        axes. A set's ids (key None) have no index."""
+        if source and key is None or not (
+                rk and cmp in _ORDERS and rk[1] == rk[1]):  # NaN: no order
+            return None
+        index = self._orders.get(entry := (field, source, key), _MISSING)
+        if index is _MISSING:
+            values, keys = self.column(field), _Keys(_order_key)
+            pairs = [(keys[values[i]], i) for i in ids
+                     if values[i] is not _MISSING]
+            axes = {k[0] if k and k[1] == k[1] else None for k, _ in pairs}
+            index = None
+            if axes in ({"n"}, {"d"}):
+                pairs.sort()
+                index = (axes.pop(), [k[1] for k, _ in pairs],
+                         _id_array(map(itemgetter(1), pairs)))
+            index = self._orders.setdefault(entry, index)
+        if index is None or index[0] != rk[0]:
+            return None
+        _, keys, order = index
+        cut = (bisect_left if cmp in ("<", ">=") else bisect_right)(keys, rk[1])
+        return sorted(order[:cut] if cmp[0] == "<" else order[cut:])
 
 
 _ROW = tuple(f.name for f in fields(Edge))

@@ -82,18 +82,20 @@ class ClientConfig(Record):
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
 
     @classmethod
     def read(cls, data: dict) -> ClientConfig:
-        """A --config object (from_dict, strict) that requests and waits hold."""
-        config = cls.from_dict(data, strict=True)
+        """A --config object (from_dict, strict) that requests and waits
+        hold; a number no wait can hold is named before __post_init__ runs,
+        so a NaN timeout fails as out of range, not as not positive."""
         for name in ("temperature", "timeout", "retry_backoff"):
-            if not abs(getattr(config, name)) <= _MAX_WAIT:  # NaN too
+            value = data.get(name, 0.0)
+            if isinstance(value, (int, float)) and not abs(value) <= _MAX_WAIT:
                 raise ValueError(f"field '{name}' must be a number from "
                                  f"-{_MAX_WAIT:.0f} to {_MAX_WAIT:.0f}")
-        return config
+        return cls.from_dict(data, strict=True)
 
 
 def flatten_messages(messages: Sequence[ChatMessage]) -> str:
@@ -236,6 +238,10 @@ class HttpChatClient:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        # Each send stays on its own pool thread, which spreads the connects
+        # out: sent from one thread, they arrive as a burst, and a server
+        # with a short listen backlog (socketserver's is 5) drops some, each
+        # costing a TCP retransmit of about 1 s.
         pool = ThreadPoolExecutor(max_workers=min(n, _MAX_SAMPLES_IN_FLIGHT))
         try:
             futures = [pool.submit(self.complete, messages) for _ in range(n)]

@@ -82,6 +82,14 @@ def test_a_timeout_set_in_code_past_the_longest_wait_cannot_crash():
         HttpChatClient(config).complete(MESSAGES)
 
 
+def test_a_nan_timeout_set_in_code_is_refused():
+    # nan <= 0 is False, so it once reached socket.settimeout as a
+    # ValueError instead of failing here or as a ChatError
+    with pytest.raises(ValueError, match="^timeout must be positive$"):
+        ClientConfig(backend="http", endpoint=UNREACHABLE,
+                     timeout=float("nan"))
+
+
 class TestBackoff:
     @pytest.fixture
     def waits(self, monkeypatch):

@@ -889,3 +889,17 @@ class TestLoopSettingsAreChecked:
     def test_an_unknown_choice_is_refused(self, setting, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PipelineConfig(**setting)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"sc_n": 2.5}, "self-consistency must be an integer, not 2.5"),
+        ({"jobs": 1.5}, "jobs must be an integer, not 1.5"),
+        ({"mct": True}, "mct must be an integer, not True"),
+        ({"sc_n": True}, "self-consistency must be an integer, not True"),
+        ({"demos": 8.0}, "demos must be an integer, not 8.0"),
+        ({"retrieves": "15"}, "retrieves must be an integer, not '15'"),
+    ])
+    def test_a_loop_integer_of_another_type_is_refused(self, setting,
+                                                       message):
+        # a float once failed later as a TypeError, and True ran as 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**setting)

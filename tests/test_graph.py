@@ -672,6 +672,131 @@ def test_indexed_lookup_equals_scan_at_scale(numeric_text):
     assert raised > 20 and hits > 100
 
 
+RANGE_RELATIONS = ["score", "born", "mixed", "code", "name"]
+
+
+def _range_edges(rng: random.Random, n_edges: int = 2000) -> list[tuple]:
+    """Rows whose buckets lie on one axis or not: score tails are numbers
+    (some not whole), born tails ISO dates, mixed tails either, code tails
+    numeral text ('07') and name tails text. A "time" qualifier is a year
+    for score and code, a date for born and name, either for mixed; some
+    edges have none. Most heads hold one relation's edges, h0..h9 any."""
+    edges: dict[tuple, None] = {}
+    while len(edges) < n_edges:
+        relation = rng.choice(RANGE_RELATIONS)
+        number = rng.choice([rng.randint(0, 60), rng.randint(0, 600) / 10])
+        tail = {"score": number, "born": _iso(rng),
+                "mixed": rng.choice([number, _iso(rng)]),
+                "code": f"{rng.randint(0, 60):02d}",
+                "name": f"p{rng.randrange(80)}"}[relation]
+        year, date = str(rng.randint(1990, 2020)), _iso(rng)
+        when = {"score": year, "code": year, "born": date, "name": date,
+                "mixed": rng.choice([year, date])}[relation]
+        head = (f"{relation}{rng.randrange(25)}" if rng.random() < 0.8
+                else f"h{rng.randrange(10)}")
+        edges[(head, relation, tail,
+               "text" if isinstance(tail, str) else "numeric",
+               None if rng.random() < 0.25 else ("time", when))] = None
+    return list(edges)
+
+
+def _range_pattern(rng: random.Random) -> dict:
+    """A lookup with one or two comparators whose candidates come from a
+    relation, head or tail bucket, a relation set, or every edge."""
+    cmps = ["<", ">", "<=", ">="]
+
+    def number():
+        return rng.choice([rng.randint(0, 60), rng.randint(0, 600) / 10,
+                           str(rng.randint(0, 60))])
+
+    def when():  # 2005.5 is no date
+        return rng.choice([rng.randint(1990, 2020), 2005.5, _iso(rng),
+                           str(rng.randint(1990, 2020)), _iso(rng)])
+
+    def bound(value):
+        pick = rng.random()
+        if pick < 0.08:  # a step result carrying a comparator
+            return frozenset({value(), value()})
+        return rng.choice(["p3", "unknown"]) if pick < 0.14 else value()
+
+    pattern: dict = {}
+    source = rng.choice(["relation", "relation", "head", "head", "tail",
+                         "relations", "none"])
+    if source == "relation":
+        pattern["relation"] = rng.choice(RANGE_RELATIONS)
+    elif source == "head":
+        pattern["head"] = rng.choice([f"{rng.choice(RANGE_RELATIONS)}"
+                                      f"{rng.randrange(25)}",
+                                      f"h{rng.randrange(10)}"])
+    elif source == "tail":
+        pattern["tail"] = rng.choice([20, "07", "p3", _iso(rng)])
+    elif source == "relations":
+        pattern["relation"] = frozenset(rng.sample(RANGE_RELATIONS, 2))
+    ranges = rng.choice(["tail", "qvalue", "qvalue", "both"])
+    if ranges != "qvalue" and source != "tail":
+        pattern["tail"] = bound(rng.choice([number, number, when]))
+        pattern["tail_cmp"] = rng.choice(cmps)
+    if ranges != "tail" or source == "tail":
+        pattern["qual_value"] = bound(when)
+        pattern["qual_cmp"] = rng.choice(cmps)
+    if rng.random() < 0.3:
+        pattern["qual_key"] = rng.choice(["time", "source"])
+    return pattern
+
+
+def test_range_lookups_equal_scan_on_every_axis():
+    cg = ConditionGraph(_range_edges(random.Random(13)))
+    answered, real = [], cg._bisect
+
+    def counted(*args):
+        answered.append(hits := real(*args))
+        return hits
+    cg._bisect = counted
+    rng = random.Random(17)
+    # step results of one axis each: the index answers no set's candidates
+    fixed = [{"relation": frozenset({"score"}), "tail": 30, "tail_cmp": "<"},
+             {"relation": frozenset({"code"}), "tail": 30, "tail_cmp": "<"},
+             {"head": frozenset({"score1", "score2"}), "qual_value": 2000,
+              "qual_cmp": ">="},
+             {"head": frozenset({"code1"}), "qual_value": 2000,
+              "qual_cmp": ">="}]
+    raised = hits = 0
+    for pattern in fixed + [_range_pattern(rng) for _ in range(400)]:
+        want = _outcome(scan_lookup, cg=cg, **pattern)
+        assert _outcome(partial(lookup, cg), **pattern) == want, pattern
+        assert _outcome(partial(lookup, cg), **pattern) == want, pattern
+        raised += want[0] == "raised"
+        hits += want[0] == "hits" and bool(want[1])
+    assert raised > 80 and hits > 100
+    # the order index answered some lookups and declined others
+    assert sum(a is not None for a in answered) > 80
+    assert sum(a is None for a in answered) > 200
+
+
+def test_a_bucket_range_keys_only_its_own_edges():
+    cg = ConditionGraph(_range_edges(random.Random(13)))
+    assert lookup(cg, relation="score", tail=30, tail_cmp=">=") == (
+        scan_lookup(cg, relation="score", tail=30, tail_cmp=">="))
+    assert lookup(cg, relation="born", qual_value="2001-02-03",
+                  qual_cmp="<") == scan_lookup(
+        cg, relation="born", qual_value="2001-02-03", qual_cmp="<")
+    # no whole-column order key table was built for either
+    assert {test for _, test in cg._edge_keys} == {"in"}
+
+
+@pytest.mark.parametrize("cmp", ["<", ">", "<=", ">="])
+def test_a_nan_key_or_bound_has_no_order_and_matches_nothing(cmp):
+    # NaN fails every comparison, so no sorted index can answer for it
+    cg = ConditionGraph([("a", "n", 5, "numeric", None),
+                         ("b", "n", float("nan"), "numeric", None),
+                         ("c", "n", 1, "numeric", None),
+                         ("d", "m", 2, "numeric", None)])
+    for pattern in [{"relation": "n", "tail": 3}, {"tail": float("nan")},
+                    {"relation": "m", "tail": float("nan")}]:
+        pattern["tail_cmp"] = cmp
+        assert lookup(cg, **pattern) == scan_lookup(cg, **pattern), pattern
+
+
 def _lookup_patterns():
     entities = frozenset(BIG_ENTITIES[:40])
     return [
@@ -679,6 +804,12 @@ def _lookup_patterns():
         {"relation": "team", "tail": entities}, {"tail": entities},
         {"head": entities, "relation": "age"}, {"head": "e7"},
         {"relation": "age", "tail": 30, "tail_cmp": "<"},
+        {"relation": "score", "tail": 25, "tail_cmp": ">="},
+        {"head": "e7", "relation": "age", "tail": 20, "tail_cmp": "<="},
+        {"relation": "team", "qual_key": "time", "qual_value": 2000,
+         "qual_cmp": "<"},
+        {"tail": 20, "qual_value": "2005", "qual_cmp": ">"},
+        {"qual_value": 2010, "qual_cmp": ">="},
     ]
 
 
