@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .correction import (
-    METRIC_HITS1,  # noqa: F401, re-export
     METRICS,
     STATUS_FAILED_GOLD_MISMATCH,
     STATUS_FAILED_MCT,

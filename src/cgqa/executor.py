@@ -176,7 +176,7 @@ def _exec_keep(
     tails, tail_ok = cg.field_test("tail", value, cond.comparator)
     match_key = value_key(key)
     relations, entities = cg.relation_keys, cg.entity_index
-    quals = cg.edge_keys("qkey", "in") if cg.has_qualifier else ()
+    quals = cg.edge_keys("qkey") if cg.has_qualifier else ()
 
     @cache  # the qualifier-value test, built once a qualifier key matches
     def value_ok() -> Callable[[int], bool]:

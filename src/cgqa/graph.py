@@ -261,14 +261,15 @@ class ConditionGraph:
 
     columns maps each Edge field (_ROW) to its values in edge order, and
     lookup_ids names edges by id, an edge's position in the columns. The
-    first lookup that reads a key table (edge_keys) or a value_key index
-    (index) builds it; load_graph builds the head and relation indexes,
+    first lookup that reads a value_key table (edge_keys) or index (index)
+    builds it; load_graph builds the head and relation indexes,
     entity_index and relation_index, and with them relation_keys. Only a
-    tail or a qualifier value takes a comparator other than '='; the first
-    range answered from a bucket's order index (_bisect) builds it.
-    Indexes and keys only accelerate: results equal a brute-force scan.
-    The lazy caches live on the graph and die with it; two threads filling
-    one at once store equal values.
+    tail or a qualifier value takes a comparator other than '='. Its order
+    keys come from one memo per graph (_order_keys) that only tested values
+    fill; the first range answered from a bucket's order index (_bisect)
+    builds it. Indexes and keys only accelerate: results equal a
+    brute-force scan. The lazy caches live on the graph and die with it;
+    two threads filling one at once store equal values.
     """
 
     def __init__(self, rows: Iterable[tuple] = (),
@@ -286,7 +287,8 @@ class ConditionGraph:
             raise EmptyFieldError("edge with empty head or relation: "
                                   f"{Edge(*bad).to_dict()!r}")
         self.columns, self.source_kind = dict(zip(_ROW, columns)), source_kind
-        self._edge_keys: dict[tuple[str, str], tuple] = {}
+        self._edge_keys: dict[str, tuple] = {}
+        self._order_keys = _Keys(_order_key)  # value -> order key
         self._indexes: dict[str, dict] = {}
         self._parts: dict[str, tuple] = {}  # "qkey", "qvalue" (column)
         self._orders: dict[tuple, tuple | None] = {}  # see _bisect
@@ -297,7 +299,7 @@ class ConditionGraph:
 
     entity_index = property(lambda self: self.index("head"))
     relation_index = property(lambda self: self.index("relation"))
-    relation_keys = property(lambda self: self.edge_keys("relation", "in"))
+    relation_keys = property(lambda self: self.edge_keys("relation"))
 
     @cached_property
     def has_qualifier(self) -> bool:
@@ -314,34 +316,32 @@ class ConditionGraph:
                 q[part] if q else _MISSING for q in self.columns["qualifier"]))
         return self._parts[field]
 
-    def edge_keys(self, field: str, test: str) -> tuple:
-        """Each edge's key of a field (see column) under test "in"
-        (value_key) or "<" (order key), built once, keyed once per distinct
-        value. A missing qualifier part is _MISSING."""
-        table = self._edge_keys.get((field, test))
+    def edge_keys(self, field: str) -> tuple:
+        """Each edge's value_key of a field (see column), built once, keyed
+        once per distinct value. A missing qualifier part is _MISSING."""
+        table = self._edge_keys.get(field)
         if table is None:
-            keys = _Keys({"in": value_key, "<": _order_key}[test])
-            table = self._edge_keys.setdefault((field, test), tuple(
+            keys = _Keys(value_key)
+            table = self._edge_keys.setdefault(field, tuple(
                 map(keys.__getitem__, self.column(field))))
         return table
 
     def index(self, field: str) -> dict:
-        """edge_keys(field, "in") key -> array of edge ids, built once."""
+        """edge_keys(field) key -> array of edge ids, built once."""
         index = self._indexes.get(field)
         if index is None:
             ids: dict = defaultdict(_id_array)
-            for i, key in enumerate(self.edge_keys(field, "in")):
+            for i, key in enumerate(self.edge_keys(field)):
                 ids[key].append(i)
             index = self._indexes.setdefault(field, dict(ids))
         return index
 
     def project(self, field: str, **bounds: Any) -> ValueSet:
         """The field (see column) of the edges lookup_ids(**bounds) names,
-        keyed by their stored "in" keys: per key, the first value in edge
+        keyed by their stored value_keys: per key, the first value in edge
         order. An edge without a qualifier adds nothing to a qualifier
         projection."""
-        keys, values, by_key = (self.edge_keys(field, "in"),
-                                self.column(field), {})
+        keys, values, by_key = self.edge_keys(field), self.column(field), {}
         for i in self.lookup_ids(**bounds):
             if keys[i] not in by_key:
                 by_key[keys[i]] = values[i]
@@ -370,7 +370,7 @@ class ConditionGraph:
                              ("tail", tail if tail_cmp == "=" else None)):
             if bound is None:
                 continue
-            keys, index = self.edge_keys(field, "in"), self.index(field)
+            keys, index = self.edge_keys(field), self.index(field)
             if _is_set(bound):
                 wanted = key_map(bound)  # distinct keys hold disjoint ids
                 keyed[field] = ((keys, wanted.__contains__), sorted(
@@ -421,30 +421,29 @@ class ConditionGraph:
         admits only '=', and a bad comparator raises only when an edge is
         tested. An edge without a qualifier fails a qualifier test without
         raising."""
-        values = self.column(field)
         if cmp == "=":
-            keys = self.edge_keys(field, "in")
+            keys = self.edge_keys(field)
             if _is_set(bound):
                 return keys, key_map(bound).__contains__
             return keys, partial(eq, value_key(bound))
         if _is_set(bound):
-            def reject(i: int) -> bool:
-                if values[i] is _MISSING:
+            def reject(value: Any) -> bool:
+                if value is _MISSING:
                     return False
                 raise ValueError(f"comparison symbol '{cmp}' cannot be "
                                  "applied to a step result")
-            return range(len(values)), reject
+            return self.column(field), reject
         return self._order_test(field, bound, cmp, _order_key(bound))
 
     def _order_test(self, field: str, bound: Scalar, cmp: str, rk: Any
                     ) -> tuple[Sequence, Callable[[Any], bool]]:
         """field_test of a literal under a comparator; rk: its order key."""
-        values, order = self.column(field), self.edge_keys(field, "<")
+        keys = self._order_keys
         fast = rk and _ORDERS.get(cmp)  # for keys of one kind
-        return range(len(values)), lambda i: (
-            (lk := order[i]) is not _MISSING
+        return self.column(field), lambda value: (
+            (lk := keys[value]) is not _MISSING
             and (fast(lk, rk) if fast and lk and lk[0] == rk[0] else
-                 _compare_keys(lk, rk, values[i], bound, cmp)))
+                 _compare_keys(lk, rk, value, bound, cmp)))
 
     def _bisect(self, field: str, source: str | None, key: Any,
                 ids: Sequence[int], cmp: str, rk: Any) -> list[int] | None:
@@ -460,7 +459,7 @@ class ConditionGraph:
             return None
         index = self._orders.get(entry := (field, source, key), _MISSING)
         if index is _MISSING:
-            values, keys = self.column(field), _Keys(_order_key)
+            values, keys = self.column(field), self._order_keys
             pairs = [(keys[values[i]], i) for i in ids
                      if values[i] is not _MISSING]
             axes = {k[0] if k and k[1] == k[1] else None for k, _ in pairs}
@@ -490,7 +489,8 @@ class _Keys(dict):
     """value -> key(value), computed once per distinct value; _MISSING ->
     _MISSING. Equal values (1 and 1.0, 0.0 and -0.0) share an entry, which
     is sound only because equal values have equal keys. Each key maps to
-    itself as well (a key is its own key), so equal keys share one object."""
+    itself as well, so equal keys share one object: a value_key is its own
+    key, and no value is an order key (a tuple or None)."""
 
     def __init__(self, key: Callable[[Any], Any]) -> None:
         super().__init__({_MISSING: _MISSING})

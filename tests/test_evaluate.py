@@ -8,9 +8,8 @@ import types
 
 import pytest
 
-from cgqa.correction import Question, run_correction
+from cgqa.correction import METRIC_HITS1, Question, run_correction
 from cgqa.evaluate import (
-    METRIC_HITS1,
     GraphNotFoundError,
     MissingGoldError,
     PipelineConfig,

@@ -780,8 +780,13 @@ def test_a_bucket_range_keys_only_its_own_edges():
     assert lookup(cg, relation="born", qual_value="2001-02-03",
                   qual_cmp="<") == scan_lookup(
         cg, relation="born", qual_value="2001-02-03", qual_cmp="<")
-    # no whole-column order key table was built for either
-    assert {test for _, test in cg._edge_keys} == {"in"}
+    # the order-key memo holds only the two buckets' values, each with its
+    # key, not a whole column's
+    relations = cg.column("relation")
+    tested = {value for field, bucket in (("tail", "score"),
+                                          ("qvalue", "born"))
+              for value, r in zip(cg.column(field), relations) if r == bucket}
+    assert len(cg._order_keys) <= 1 + 2 * len(tested) < len(cg)
 
 
 @pytest.mark.parametrize("cmp", ["<", ">", "<=", ">="])
@@ -810,6 +815,7 @@ def _lookup_patterns():
          "qual_cmp": "<"},
         {"tail": 20, "qual_value": "2005", "qual_cmp": ">"},
         {"qual_value": 2010, "qual_cmp": ">="},
+        {"head": entities, "relation": "age", "tail": 30, "tail_cmp": "<"},
     ]
 
 
@@ -1216,8 +1222,8 @@ def test_a_head_lookup_without_numeric_heads_reuses_entity_index():
     numeric = ingest_triples([("7", "age", "x"), ("Bo", "likes", "7")])
     assert [h for h, *_ in lookup(numeric, head=7.0)] == ["7"]
     assert numeric.index("head") is numeric.entity_index
-    for held in (cg, numeric):  # one key per value: no "=" table
-        assert {test for _, test in held._edge_keys} == {"in"}
+    for held in (cg, numeric):  # no value was order-keyed
+        assert dict(held._order_keys) == {graph._MISSING: graph._MISSING}
 
 
 def test_a_failed_dump_leaves_no_graph_behind(tmp_path):
@@ -1713,7 +1719,7 @@ def test_a_loaded_graph_holds_its_head_and_relation_indexes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\n")  # read line by line
     per_line = load_graph(str(path))
     for cg in (bulk, per_line):
-        assert set(cg._edge_keys) == {("head", "in"), ("relation", "in")}
+        assert set(cg._edge_keys) == {"head", "relation"}
         assert set(cg._indexes) == {"head", "relation"}
         assert cg.entity_index is cg._indexes["head"]
 
@@ -1726,13 +1732,41 @@ def test_a_column_is_keyed_once_per_distinct_value(monkeypatch):
         graph.value_key): calls.append(value) or key(value))
     for field in ("head", "relation", "tail"):
         calls.clear()
-        keys = cg.edge_keys(field, "in")
+        keys = cg.edge_keys(field)
         # at most once a value: "x" is not keyed once "X" has keyed as "x"
         assert len(calls) == len(set(map(repr, calls)))
         assert set(calls) <= set(cg.column(field))
         assert len(set(map(id, keys))) == len(set(keys))  # one object a key
         assert keys == tuple(map(value_key, cg.column(field)))
     assert len(calls) < len(cg)
+
+
+def test_a_first_range_keys_only_the_values_it_tests(monkeypatch):
+    calls = []  # patched before any graph is built: its memo binds the rule
+    monkeypatch.setattr(graph, "_order_key", lambda value, key=(
+        graph._order_key): calls.append(value) or key(value))
+    # a few thousand edges of number and text tails, and one 5-edge head
+    # whose tails mix both, so no order index can answer a range on it
+    rows = [(f"e{i}", f"r{i % 7}", str(i) if i % 2 else f"t{i}")
+            for i in range(3000)]
+    rows += [("h", "score", "700"), ("h", "score", "300"),
+             ("h", "name", "bob"), ("h", "city", "austin"), ("h", "age", "12"),
+             ("x", "boss", "h")]
+    tested = 5 + 1  # the head's distinct tails and the bound
+    pattern = {"head": "h", "tail": 500, "tail_cmp": ">"}
+    cg = ingest_triples(rows)
+    with pytest.raises(KindMismatchError) as got:
+        cg.lookup_ids(**pattern)
+    assert len(calls) <= tested
+    with pytest.raises(KindMismatchError) as want:
+        scan_lookup(cg, **pattern)
+    assert str(got.value) == str(want.value)
+    calls.clear()
+    plan = validate_plan(parse_plan(
+        "query1 = get_information(head_entity='x', relation='boss')\n"
+        "query2 = keep(set=output_of_query1, key='score', value>500)"))
+    assert execute_plan(plan, ingest_triples(rows)).answer == {"h"}
+    assert len(calls) <= tested
 
 
 def test_a_file_is_ingested_and_dumped_without_key_tables(tmp_path):
