@@ -175,8 +175,8 @@ def _exec_keep(
     value = _bound_value(cond.value, env)
     tails, tail_ok = cg.field_test("tail", value, cond.comparator)
     match_key = value_key(key)
-    relations, entities = cg.relation_keys, cg.entity_index
-    quals = cg.edge_keys("qkey") if cg.has_qualifier else ()
+    relations, entities = cg.column("relation"), cg.entity_index
+    keys, quals = cg.value_keys, cg.has_qualifier and cg.column("qkey")
 
     @cache  # the qualifier-value test, built once a qualifier key matches
     def value_ok() -> Callable[[int], bool]:
@@ -186,8 +186,8 @@ def _exec_keep(
     kept = {}
     for k in sorted_keys(source):  # the first fault is the same each run
         for i in entities.get(k, ()):
-            if relations[i] == match_key and tail_ok(tails[i]) or (
-                    quals and quals[i] == match_key and value_ok()(i)):
+            if keys[relations[i]] == match_key and tail_ok(tails[i]) or (
+                    quals and keys[quals[i]] == match_key and value_ok()(i)):
                 kept[k] = source[k]
                 break
     return StepResult(step.index, kind=ENTITY_SET, values=ValueSet(kept))

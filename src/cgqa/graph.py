@@ -260,16 +260,17 @@ class ConditionGraph:
     """Immutable, indexed edge set, held as columns.
 
     columns maps each Edge field (_ROW) to its values in edge order, and
-    lookup_ids names edges by id, an edge's position in the columns. The
-    first lookup that reads a value_key table (edge_keys) or index (index)
-    builds it; load_graph builds the head and relation indexes,
-    entity_index and relation_index, and with them relation_keys. Only a
-    tail or a qualifier value takes a comparator other than '='. Its order
-    keys come from one memo per graph (_order_keys) that only tested values
-    fill; the first range answered from a bucket's order index (_bisect)
-    builds it. Indexes and keys only accelerate: results equal a
-    brute-force scan. The lazy caches live on the graph and die with it;
-    two threads filling one at once store equal values.
+    lookup_ids names edges by id, an edge's position in the columns. Keys
+    come from two memos per graph that only the values a call reads fill:
+    value_keys (value -> value_key, for every field) and _order_keys
+    (value -> order key; only a tail or a qualifier value takes a
+    comparator other than '='). The first lookup that reads a field's
+    index (index) builds it; load_graph builds the head and relation
+    indexes, entity_index and relation_index. The first range answered
+    from a bucket's order index (_bisect) builds it. Indexes and keys only
+    accelerate: results equal a brute-force scan. The lazy caches live on
+    the graph and die with it; two threads filling one at once store equal
+    values.
     """
 
     def __init__(self, rows: Iterable[tuple] = (),
@@ -279,7 +280,7 @@ class ConditionGraph:
         distinct = dict.fromkeys(rows)
         # by field, not zip(*distinct), which would hold an iterator per row
         columns = [tuple(map(itemgetter(f), distinct)) for f in range(5)]
-        del distinct  # the rows die before any key table is built
+        del distinct  # the rows die before any index is built
         if blank := {label for label in {*columns[0], *columns[1]} if
                      isinstance(label, str) and not label.strip()}:
             bad = next(row for row in zip(*columns)  # value_key is ""
@@ -287,7 +288,7 @@ class ConditionGraph:
             raise EmptyFieldError("edge with empty head or relation: "
                                   f"{Edge(*bad).to_dict()!r}")
         self.columns, self.source_kind = dict(zip(_ROW, columns)), source_kind
-        self._edge_keys: dict[str, tuple] = {}
+        self.value_keys = _Keys(value_key)  # value -> value_key
         self._order_keys = _Keys(_order_key)  # value -> order key
         self._indexes: dict[str, dict] = {}
         self._parts: dict[str, tuple] = {}  # "qkey", "qvalue" (column)
@@ -299,7 +300,6 @@ class ConditionGraph:
 
     entity_index = property(lambda self: self.index("head"))
     relation_index = property(lambda self: self.index("relation"))
-    relation_keys = property(lambda self: self.edge_keys("relation"))
 
     @cached_property
     def has_qualifier(self) -> bool:
@@ -316,35 +316,27 @@ class ConditionGraph:
                 q[part] if q else _MISSING for q in self.columns["qualifier"]))
         return self._parts[field]
 
-    def edge_keys(self, field: str) -> tuple:
-        """Each edge's value_key of a field (see column), built once, keyed
-        once per distinct value. A missing qualifier part is _MISSING."""
-        table = self._edge_keys.get(field)
-        if table is None:
-            keys = _Keys(value_key)
-            table = self._edge_keys.setdefault(field, tuple(
-                map(keys.__getitem__, self.column(field))))
-        return table
-
     def index(self, field: str) -> dict:
-        """edge_keys(field) key -> array of edge ids, built once."""
+        """value_key -> array of the ids of the edges whose field (see
+        column) has it, built once; a missing qualifier part is _MISSING."""
         index = self._indexes.get(field)
         if index is None:
             ids: dict = defaultdict(_id_array)
-            for i, key in enumerate(self.edge_keys(field)):
+            for i, key in enumerate(map(self.value_keys.__getitem__,
+                                        self.column(field))):
                 ids[key].append(i)
             index = self._indexes.setdefault(field, dict(ids))
         return index
 
     def project(self, field: str, **bounds: Any) -> ValueSet:
         """The field (see column) of the edges lookup_ids(**bounds) names,
-        keyed by their stored value_keys: per key, the first value in edge
-        order. An edge without a qualifier adds nothing to a qualifier
-        projection."""
-        keys, values, by_key = self.edge_keys(field), self.column(field), {}
-        for i in self.lookup_ids(**bounds):
-            if keys[i] not in by_key:
-                by_key[keys[i]] = values[i]
+        keyed by their value_keys: per key, the first value in edge order.
+        Only the projected values are keyed. An edge without a qualifier adds
+        nothing to a qualifier projection."""
+        keys, values, by_key = self.value_keys, self.column(field), {}
+        for value in map(values.__getitem__, self.lookup_ids(**bounds)):
+            if (key := keys[value]) not in by_key:
+                by_key[key] = value
         by_key.pop(_MISSING, None)
         return ValueSet(by_key)
 
@@ -354,8 +346,8 @@ class ConditionGraph:
                    qual_cmp: str = "=") -> list[int]:
         """Ids of the edges matching every bound field, in edge order.
 
-        A bound field is a literal or a set, tested as field_test says on
-        stored keys; head, relation and qualifier key match by value_key.
+        A bound field is a literal or a set, tested as field_test says;
+        head, relation and qualifier key match by value_key.
         A scan tests head, relation, tail, qualifier key and qualifier
         value in that order, raising the first failing comparison.
         Candidates come from the smallest index that an '=' bound of
@@ -365,48 +357,51 @@ class ConditionGraph:
         edge) is answered by _bisect only where no comparison can raise.
         So results and errors equal the scan's.
         """
-        keyed = {}  # field -> (its test, its index's ids, literal's key)
+        keyed = {}  # field -> (its index's ids, literal's key, key test)
         for field, bound in (("relation", relation), ("head", head),
                              ("tail", tail if tail_cmp == "=" else None)):
             if bound is None:
                 continue
-            keys, index = self.edge_keys(field), self.index(field)
+            index = self.index(field)
             if _is_set(bound):
                 wanted = key_map(bound)  # distinct keys hold disjoint ids
-                keyed[field] = ((keys, wanted.__contains__), sorted(
-                    chain.from_iterable(map(index.get, wanted, repeat(())))),
-                    None)
+                keyed[field] = (sorted(chain.from_iterable(map(
+                    index.get, wanted, repeat(())))), None, wanted.__contains__)
             else:
                 key = value_key(bound)
-                keyed[field] = ((keys, partial(eq, key)), index.get(key, ()),
-                                key)
-        source = min(keyed, key=lambda f: len(keyed[f][1]), default=None)
-        _, ids, key = keyed.get(source, (None, range(len(self)), None))
+                keyed[field] = (index.get(key, ()), key, partial(eq, key))
+        source = min(keyed, key=lambda f: len(keyed[f][0]), default=None)
+        ids, key, _ = keyed.get(source, (range(len(self)), None, None))
         if not ids:
             return []
         two_ranges = None not in (tail, qual_value) and "=" not in (
             tail_cmp, qual_cmp)
-        checks = []
+        filters, checks, keys = [], [], self.value_keys
         for field, bound, cmp in (
                 ("head", head, "="), ("relation", relation, "="),
                 ("tail", tail, tail_cmp), ("qkey", qual_key, "="),
                 ("qvalue", qual_value, qual_cmp)):
             if bound is None or field == source:  # the source all match
                 continue
-            if cmp == "=" or _is_set(bound) or two_ranges:
-                checks.append(keyed[field][0] if field in keyed
-                              else self.field_test(field, bound, cmp))
-                continue
-            rk = _order_key(bound)  # the one comparator, on a literal
-            hits = self._bisect(field, source, key, ids, cmp, rk)
-            if hits is None:
-                checks.append(self._order_test(field, bound, cmp, rk))
-            else:
-                ids = hits
+            if cmp == "=" and not checks:  # an '=' test never raises
+                filters.append((self.column(field), keyed[field][2]
+                                if field in keyed else _key_test(bound)))
+            elif cmp == "=" or _is_set(bound) or two_ranges:
+                checks.append(self.field_test(field, bound, cmp))
+            else:  # the one comparator, on a literal
+                rk = _order_key(bound)
+                hits = self._bisect(field, source, key, ids, cmp, rk)
+                if hits is None:
+                    checks.append(self._order_test(field, bound, cmp, rk))
+                else:
+                    ids = hits
+        # no check precedes a filter, so it may test a whole field at a time
+        for column, match in filters:
+            ids = [i for i in ids if match(keys[column[i]])]
         out = []
         for i in ids:
-            for keys, test in checks:
-                if not test(keys[i]):
+            for values, test in checks:
+                if not test(values[i]):
                     break
             else:
                 out.append(i)
@@ -422,10 +417,8 @@ class ConditionGraph:
         tested. An edge without a qualifier fails a qualifier test without
         raising."""
         if cmp == "=":
-            keys = self.edge_keys(field)
-            if _is_set(bound):
-                return keys, key_map(bound).__contains__
-            return keys, partial(eq, value_key(bound))
+            test, keys = _key_test(bound), self.value_keys
+            return self.column(field), lambda value: test(keys[value])
         if _is_set(bound):
             def reject(value: Any) -> bool:
                 if value is _MISSING:
@@ -488,9 +481,10 @@ def _id_array(ids: Iterable[int] = ()) -> array:
 class _Keys(dict):
     """value -> key(value), computed once per distinct value; _MISSING ->
     _MISSING. Equal values (1 and 1.0, 0.0 and -0.0) share an entry, which
-    is sound only because equal values have equal keys. Each key maps to
-    itself as well, so equal keys share one object: a value_key is its own
-    key, and no value is an order key (a tuple or None)."""
+    is sound only because equal values have equal keys, whatever field
+    holds them. Each key maps to itself as well, so equal keys share one
+    object: a value_key is its own key, and no value is an order key (a
+    tuple or None)."""
 
     def __init__(self, key: Callable[[Any], Any]) -> None:
         super().__init__({_MISSING: _MISSING})
@@ -500,6 +494,12 @@ class _Keys(dict):
         key = self.key(value)
         key = self[value] = self.setdefault(key, key)
         return key
+
+
+def _key_test(bound: Bound) -> Callable[[Any], bool]:
+    """Whether a value_key matches an '=' bound (see field_test)."""
+    return (key_map(bound).__contains__ if _is_set(bound)
+            else partial(eq, value_key(bound)))
 
 
 def _is_set(value: Any) -> bool:

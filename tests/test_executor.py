@@ -296,8 +296,7 @@ class TestSetOps:
             f"query2 = keep(set=output_of_query1, key='{key}', value{condition})",
             cg)
         assert got == {"Alice"}
-        assert set(cg._edge_keys) <= {
-            "head", "relation", "tail"}
+        assert cg._parts == {}  # no qualifier key or value column
 
     def test_keep_builds_qualifier_values_once_a_qualifier_key_matches(
             self, terms_graph):
@@ -306,9 +305,10 @@ class TestSetOps:
                 "query2 = keep(set=output_of_query1, key='{}', value{})")
         assert answer(plan.format("president", "='Chirac'"),
                       terms_graph) == {"France"}
-        assert "qvalue" not in terms_graph._edge_keys
+        qvalues = set(terms_graph.column("qvalue"))  # none value-keyed yet
+        assert not qvalues & set(terms_graph.value_keys)
         assert answer(plan.format("time", "='2004'"), terms_graph) == {"USA"}
-        assert "qvalue" in terms_graph._edge_keys
+        assert qvalues <= set(terms_graph.value_keys)
 
 
 class TestEmptyHandling:

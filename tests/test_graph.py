@@ -292,28 +292,36 @@ class TestLookup:
         assert cg.lookup_ids(head=heads, **bounds) == want
         assert len(calls) == len(heads) + 1  # and the other bound's one
 
-    @pytest.mark.parametrize("bounds, want, keys, tests", [
-        ({"relation": "r"}, [1, 20], 2, 2),  # 2 relation tests
-        ({"head": frozenset({"e1", "e2", "e3", 7})}, [1, 20], 5, 0),
-        ({"head": "e1"}, [1], 2, 1)],
+    @pytest.mark.parametrize("bounds, want, keys, tested", [
+        ({"relation": "r"}, [1, 20], 2, ["r", "r"]),  # 2 relation tests
+        ({"head": frozenset({"e1", "e2", "e3", 7})}, [1, 20], 5,
+         ["e1", "07"]),
+        ({"head": "e1"}, [1], 2, ["t1"])],
         ids=["from_tail_index", "head_set_from_tail_index",
              "from_head_index"])
     def test_a_literal_tail_is_keyed_once_per_lookup(self, monkeypatch, bounds,
-                                                     want, keys, tests):
+                                                     want, keys, tested):
         cg = ingest_triples([(f"e{i}", "r", f"t{i}") for i in range(20)]
                             + [("07", "r", "t1")])
         assert cg.lookup_ids(tail="t1", **bounds) == want  # builds indexes
-        calls, compared = [], []
-        real_key, real_eq = graph.value_key, graph.eq
+        calls, read = [], []
+        real_key = graph.value_key
         monkeypatch.setattr(graph, "value_key",
                             lambda value: calls.append(value)
                             or real_key(value))
-        monkeypatch.setattr(graph, "eq",
-                            lambda a, b: compared.append(a) or real_eq(a, b))
+
+        class Reads(graph._Keys):  # the memo, recording each value read
+            def __getitem__(self, value):
+                read.append(value)
+                return super().__getitem__(value)
+
+        memo = Reads(real_key)
+        memo.update(cg.value_keys)
+        monkeypatch.setattr(cg, "value_keys", memo)
         assert cg.lookup_ids(tail="t1", **bounds) == want
         assert len(calls) == keys
-        # the tail index's candidates are not tested on their tail again
-        assert len(compared) == tests
+        # the source index's candidates are not tested on its field again
+        assert read == tested
 
     @pytest.mark.parametrize("bounds, want, keys", [
         ({"relation": "r3"}, [3], 2),
@@ -823,7 +831,15 @@ def test_concurrent_first_lookups_match_one_thread():
     edges = edge_rows(random_large_graph(random.Random(9), 3000, True)[0])
     patterns = _lookup_patterns()
     alone = ConditionGraph(edges)
-    want = ([lookup(alone, **p) for p in patterns], schema_summary(alone))
+    hops = [{"head": "e7", "relation": "team"},  # a hop, then its reverse
+            {"relation": "team", "tail": "e5"}]
+
+    def first_calls(cg):
+        return ([cg.project("head" if "tail" in p else "tail", **p)
+                 for p in hops], [lookup(cg, **p) for p in patterns],
+                schema_summary(cg))
+
+    want = first_calls(alone)
 
     shared = ConditionGraph(edges)
     barrier = threading.Barrier(4)
@@ -831,8 +847,7 @@ def test_concurrent_first_lookups_match_one_thread():
 
     def work():
         barrier.wait(timeout=10)
-        results.append(([lookup(shared, **p) for p in patterns],
-                        schema_summary(shared)))
+        results.append(first_calls(shared))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1708,7 +1723,8 @@ def test_an_ingested_graph_is_dumped_without_key_tables(tmp_path):
                ingest_temporal([("a", "r", "x", "1999")])):
         assert len(cg) > 0
         dump_graph(cg, str(tmp_path / "g.jsonl"))
-        assert (cg._edge_keys, cg._indexes) == ({}, {})
+        assert dict(cg.value_keys) == {graph._MISSING: graph._MISSING}
+        assert cg._indexes == {}
 
 
 def test_a_loaded_graph_holds_its_head_and_relation_indexes(tmp_path):
@@ -1718,27 +1734,48 @@ def test_a_loaded_graph_holds_its_head_and_relation_indexes(tmp_path):
     bulk = load_graph(str(path))
     path.write_bytes(path.read_bytes() + b"\n")  # read line by line
     per_line = load_graph(str(path))
-    for cg in (bulk, per_line):
-        assert set(cg._edge_keys) == {"head", "relation"}
+    labels = {"a", "B", "r", "s"}
+    for cg in (bulk, per_line):  # the memo keyed the labels, and no tail
+        assert set(cg.value_keys) == {graph._MISSING, *labels,
+                                      *map(value_key, labels)}
         assert set(cg._indexes) == {"head", "relation"}
         assert cg.entity_index is cg._indexes["head"]
 
 
 def test_a_column_is_keyed_once_per_distinct_value(monkeypatch):
-    cg = ingest_triples([(f"E{i % 7}", f"r{i % 3}", ["1", "01", "x", "X"][
-        i % 4]) for i in range(60)])
-    calls = []
+    calls = []  # patched before the graph is built: its memo binds the rule
     monkeypatch.setattr(graph, "value_key", lambda value, key=(
         graph.value_key): calls.append(value) or key(value))
+    cg = ingest_triples([(f"E{i % 7}", f"r{i % 3}", ["1", "01", "x", "X"][
+        i % 4]) for i in range(60)])
     for field in ("head", "relation", "tail"):
         calls.clear()
-        keys = cg.edge_keys(field)
+        index = cg.index(field)
         # at most once a value: "x" is not keyed once "X" has keyed as "x"
         assert len(calls) == len(set(map(repr, calls)))
         assert set(calls) <= set(cg.column(field))
+        keys = list(map(cg.value_keys.__getitem__, cg.column(field)))
         assert len(set(map(id, keys))) == len(set(keys))  # one object a key
-        assert keys == tuple(map(value_key, cg.column(field)))
+        assert keys == list(map(value_key, cg.column(field)))
+        assert {k: list(ids) for k, ids in index.items()} == {
+            k: [i for i, key in enumerate(keys) if key == k] for k in keys}
     assert len(calls) < len(cg)
+
+
+def test_a_first_hop_keys_only_the_values_it_projects(monkeypatch):
+    calls = []  # patched before any graph is built: its memo binds the rule
+    monkeypatch.setattr(graph, "value_key", lambda value, key=(
+        graph.value_key): calls.append(value) or key(value))
+    rows = [(f"e{i}", f"r{i % 7}", str(i) if i % 2 else f"t{i}")
+            for i in range(3000)]
+    rows += [("h", "score", "700"), ("h", "score", "07"),
+             ("h", "name", "bob"), ("h", "city", "austin"), ("h", "age", "12")]
+    cg = ingest_triples(rows)
+    cg.index("head")  # as load_graph builds them
+    cg.index("relation")
+    calls.clear()
+    assert cg.project("tail", head="h", relation="score") == {700, 7}
+    assert len(calls) <= 5 + 2  # the head's distinct tails and the literals
 
 
 def test_a_first_range_keys_only_the_values_it_tests(monkeypatch):
