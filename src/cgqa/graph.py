@@ -376,16 +376,15 @@ class ConditionGraph:
             return []
         two_ranges = None not in (tail, qual_value) and "=" not in (
             tail_cmp, qual_cmp)
-        filters, checks, keys = [], [], self.value_keys
+        checks = []
         for field, bound, cmp in (
                 ("head", head, "="), ("relation", relation, "="),
                 ("tail", tail, tail_cmp), ("qkey", qual_key, "="),
                 ("qvalue", qual_value, qual_cmp)):
             if bound is None or field == source:  # the source all match
                 continue
-            if cmp == "=" and not checks:  # an '=' test never raises
-                filters.append((self.column(field), keyed[field][2]
-                                if field in keyed else _key_test(bound)))
+            if field in keyed:  # an '=' bound, its key test made above
+                checks.append(self._key_check(field, keyed[field][2]))
             elif cmp == "=" or _is_set(bound) or two_ranges:
                 checks.append(self.field_test(field, bound, cmp))
             else:  # the one comparator, on a literal
@@ -395,9 +394,6 @@ class ConditionGraph:
                     checks.append(self._order_test(field, bound, cmp, rk))
                 else:
                     ids = hits
-        # no check precedes a filter, so it may test a whole field at a time
-        for column, match in filters:
-            ids = [i for i in ids if match(keys[column[i]])]
         out = []
         for i in ids:
             for values, test in checks:
@@ -417,8 +413,9 @@ class ConditionGraph:
         tested. An edge without a qualifier fails a qualifier test without
         raising."""
         if cmp == "=":
-            test, keys = _key_test(bound), self.value_keys
-            return self.column(field), lambda value: test(keys[value])
+            return self._key_check(field, key_map(bound).__contains__
+                                   if _is_set(bound)
+                                   else partial(eq, value_key(bound)))
         if _is_set(bound):
             def reject(value: Any) -> bool:
                 if value is _MISSING:
@@ -427,6 +424,12 @@ class ConditionGraph:
                                  "applied to a step result")
             return self.column(field), reject
         return self._order_test(field, bound, cmp, _order_key(bound))
+
+    def _key_check(self, field: str, test: Callable[[Any], bool]
+                   ) -> tuple[Sequence, Callable[[Any], bool]]:
+        """field_test under '='; test: of a stored value's value_key."""
+        keys = self.value_keys
+        return self.column(field), lambda value: test(keys[value])
 
     def _order_test(self, field: str, bound: Scalar, cmp: str, rk: Any
                     ) -> tuple[Sequence, Callable[[Any], bool]]:
@@ -494,12 +497,6 @@ class _Keys(dict):
         key = self.key(value)
         key = self[value] = self.setdefault(key, key)
         return key
-
-
-def _key_test(bound: Bound) -> Callable[[Any], bool]:
-    """Whether a value_key matches an '=' bound (see field_test)."""
-    return (key_map(bound).__contains__ if _is_set(bound)
-            else partial(eq, value_key(bound)))
 
 
 def _is_set(value: Any) -> bool:
